@@ -386,9 +386,7 @@ pub fn evaluate_collection_planned_cached_traced_routed(
         // Isolation boundary: a panic while evaluating one document
         // (injected via [`site::COLLECTION_DOC`] / [`site::QUERY_EVAL`],
         // or genuine) becomes a `docs_failed` entry; the remaining
-        // candidates still answer. A panic mid-span can leave the tracer
-        // with an unbalanced open frame — later spans nest under it but
-        // nothing breaks; untraced (serve) paths are unaffected.
+        // candidates still answer.
         let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<_, QueryError> {
             gov.fault_point(site::COLLECTION_DOC)
                 .map_err(|_| QueryError::Cancelled)?;
@@ -755,6 +753,34 @@ mod tests {
         let r = evaluate_collection_budgeted(&c, &q, Strategy::PushDown, &policy).unwrap();
         assert_eq!(r.docs_failed.len(), 1);
         assert_eq!(r.answers.len(), 1);
+    }
+
+    #[test]
+    fn panicking_document_keeps_later_spans_top_level() {
+        use crate::fault::{FaultAction, FaultPlan};
+        use crate::trace::RecordingSink;
+        let mut c = Collection::new();
+        for i in 0..3 {
+            c.add(
+                format!("d{i}.xml"),
+                parse_str(&format!("<r><p>alpha beta {i}</p></r>")).unwrap(),
+            );
+        }
+        let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(2));
+        let inj = FaultPlan::new()
+            .arm(site::QUERY_EVAL, 0, FaultAction::Panic)
+            .build();
+        let policy = ExecPolicy::unlimited().with_fault(inj);
+        let sink = RecordingSink::new();
+        let tracer = Tracer::new(&sink);
+        let r = evaluate_collection_budgeted_traced(&c, &q, Strategy::PushDown, &policy, &tracer)
+            .unwrap();
+        assert_eq!(r.docs_failed.len(), 1);
+        assert_eq!(r.answers.len(), 2);
+        // The panicking document's frame is dropped on unwind, so both
+        // surviving documents still reach the sink as top-level spans.
+        let top: Vec<String> = sink.take().into_iter().map(|s| s.stage).collect();
+        assert_eq!(top, ["doc:d1.xml", "doc:d2.xml"]);
     }
 
     #[test]

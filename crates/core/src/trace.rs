@@ -202,13 +202,22 @@ impl<'a> Tracer<'a> {
         if !self.enabled {
             return f(stats);
         }
-        self.stack.borrow_mut().push(Frame {
-            stage: stage.to_string(),
-            start: Instant::now(),
-            base: *stats,
-            children: Vec::new(),
-        });
+        let depth = {
+            let mut stack = self.stack.borrow_mut();
+            stack.push(Frame {
+                stage: stage.to_string(),
+                start: Instant::now(),
+                base: *stats,
+                children: Vec::new(),
+            });
+            stack.len() - 1
+        };
+        let unwind = UnwindGuard {
+            stack: &self.stack,
+            depth,
+        };
         let out = f(stats);
+        std::mem::forget(unwind);
         // invariant: pushed above, and `f` has no access to the stack.
         let frame = self.stack.borrow_mut().pop().expect("balanced span stack");
         self.emit(Span {
@@ -253,6 +262,25 @@ impl<'a> Tracer<'a> {
                 drop(stack);
                 self.sink.record(span);
             }
+        }
+    }
+}
+
+/// Restores a tracer's stack depth when a stage unwinds: the aborted
+/// frame (and anything still open under it) is dropped, so a caller that
+/// catches the panic keeps emitting later spans at the right level.
+/// [`Tracer::scoped`] forgets the guard on normal return.
+struct UnwindGuard<'t> {
+    stack: &'t RefCell<Vec<Frame>>,
+    depth: usize,
+}
+
+impl Drop for UnwindGuard<'_> {
+    fn drop(&mut self) {
+        // A stack still borrowed mid-panic is left alone rather than
+        // turning the unwind into an abort.
+        if let Ok(mut stack) = self.stack.try_borrow_mut() {
+            stack.truncate(self.depth);
         }
     }
 }

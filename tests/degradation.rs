@@ -144,6 +144,15 @@ fn unlimited_policy_is_exact_everywhere() {
                 budgeted.fragments, plain.fragments,
                 "{doc_name}/{strategy:?}"
             );
+            // The same work, counter for counter: only the budgeted run
+            // counts governor checkpoints.
+            let mut budgeted_stats = budgeted.stats;
+            budgeted_stats.budget_checkpoints = 0;
+            assert_eq!(
+                (plain.stats.budget_checkpoints, budgeted_stats),
+                (0, plain.stats),
+                "{doc_name}/{strategy:?}"
+            );
         }
     }
 }
