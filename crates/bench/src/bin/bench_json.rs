@@ -79,10 +79,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xfrag_bench::fixtures::{query_fixture, QueryFixture};
 use xfrag_core::{
-    evaluate, evaluate_budgeted_cached_traced, evaluate_collection_budgeted_cached_traced_routed,
-    evaluate_planned_cached_traced, flight_key, Budget, CacheRef, CostModel, DocAnswers,
-    ExecPolicy, FilterExpr, Flight, GenerationTag, Query, QueryCache, Singleflight, Strategy,
-    StrategyChoice, Tracer,
+    evaluate, evaluate_collection_planned_cached_traced, evaluate_planned_cached_traced,
+    evaluate_traced, flight_key, Budget, CacheRef, CostModel, DocAnswers, ExecPolicy, FilterExpr,
+    Flight, GenerationTag, Query, QueryCache, Singleflight, Strategy, StrategyChoice, Tracer,
 };
 use xfrag_corpus::zipf::Zipf;
 use xfrag_doc::{encode_segment, store, Collection, DocId, InvertedIndex, SegmentIndex};
@@ -144,8 +143,15 @@ fn run_stream(
     for &i in stream {
         let e = &pool[i];
         let t0 = Instant::now();
-        let r = evaluate_budgeted_cached_traced(
-            &fx.doc, &fx.index, &e.query, e.strategy, &policy, &tracer, cache,
+        let r = evaluate_traced(
+            &fx.doc,
+            &fx.index,
+            &e.query,
+            e.strategy,
+            Some(&policy),
+            &tracer,
+            cache,
+            None,
         )
         .expect("unlimited workload evaluation cannot fail");
         latencies.push(t0.elapsed());
@@ -201,14 +207,15 @@ fn delta_pass(
             gen,
             doc: req as u32 % DELTA_DOCS,
         };
-        let r = evaluate_budgeted_cached_traced(
+        let r = evaluate_traced(
             &fx.doc,
             &fx.index,
             &e.query,
             e.strategy,
-            &policy,
+            Some(&policy),
             &tracer,
             Some(cref),
+            None,
         )
         .expect("unlimited workload evaluation cannot fail");
         std::hint::black_box(r.fragments.len());
@@ -510,14 +517,16 @@ fn scatter_scenario(pool: &[PoolEntry], smoke: bool) -> (String, bool) {
                     .filter(|docs| !docs.is_empty())
                     .map(|docs| {
                         s.spawn(move || {
-                            evaluate_collection_budgeted_cached_traced_routed(
+                            evaluate_collection_planned_cached_traced(
                                 coll_r,
                                 query_r,
-                                strategy,
+                                StrategyChoice::Forced(strategy),
                                 policy_r,
                                 &Tracer::disabled(),
                                 None,
                                 docs,
+                                None,
+                                None,
                             )
                             .expect("unlimited scatter evaluation cannot fail")
                         })
@@ -574,14 +583,15 @@ fn scatter_scenario(pool: &[PoolEntry], smoke: bool) -> (String, bool) {
                         doc: 0,
                     };
                     let run = || {
-                        evaluate_budgeted_cached_traced(
+                        evaluate_traced(
                             &sfx.doc,
                             &sfx.index,
                             &query,
                             Strategy::PushDown,
-                            &ExecPolicy::unlimited(),
+                            Some(&ExecPolicy::unlimited()),
                             &Tracer::disabled(),
                             Some(cref),
+                            None,
                         )
                         .expect("unlimited stampede evaluation cannot fail")
                     };

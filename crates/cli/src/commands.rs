@@ -6,18 +6,18 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use xfrag_core::collection::{
-    evaluate_collection_planned_cached_traced_routed, top_k_collection, CollectionResult,
+    evaluate_collection_planned_cached_traced, top_k_collection, CollectionResult,
 };
 use xfrag_core::cost::CostModel;
-use xfrag_core::plan::{execute_governed, execute_traced};
+use xfrag_core::plan::execute_traced;
 use xfrag_core::rank::RankConfig;
 use xfrag_core::snippet::{snippet, SnippetConfig};
 use xfrag_core::trace::{
     format_duration, render_spans, spans_to_json, LatencyHistogram, RecordingSink, Span, Tracer,
 };
 use xfrag_core::{
-    evaluate_planned_cached_traced, overlap, plan_query, CacheRef, EvalStats, ExecPolicy,
-    GenerationTag, Governor, LogicalPlan, Optimizer, PlanDecision, Query, QueryCache,
+    evaluate_planned_cached_traced, overlap, plan_query, CacheRef, EvalStats, ExecCtx, ExecPolicy,
+    GenerationTag, Governor, LogicalPlan, Nav, Optimizer, PlanDecision, Query, QueryCache,
     StrategyChoice,
 };
 use xfrag_core::{FaultInjector, FaultPlan};
@@ -546,7 +546,7 @@ pub fn multi_search(coll: &Collection, a: &SearchArgs) -> Result<String, CliErro
     let all: Vec<xfrag_doc::DocId> = coll.ids().collect();
     if cache_arg.is_some() {
         // Cold fill pass; the reported pass below runs warm.
-        evaluate_collection_planned_cached_traced_routed(
+        evaluate_collection_planned_cached_traced(
             coll,
             &q,
             a.strategy,
@@ -559,7 +559,7 @@ pub fn multi_search(coll: &Collection, a: &SearchArgs) -> Result<String, CliErro
         )
         .map_err(|e| CliError::Query(e.to_string()))?;
     }
-    let r = evaluate_collection_planned_cached_traced_routed(
+    let r = evaluate_collection_planned_cached_traced(
         coll,
         &q,
         a.strategy,
@@ -880,6 +880,8 @@ fn explain_impl<I: PostingsSource + ?Sized>(
     let q = build_query(a);
     let plan = LogicalPlan::for_query(&q).map_err(|e| CliError::Query(e.to_string()))?;
     let optimizer = Optimizer::standard(doc, index, CostModel::default());
+    let nav = Nav::new(doc, index.labels());
+    let untraced = Tracer::disabled();
 
     let mut out = String::new();
     for (stage, p) in optimizer.optimize_traced(plan) {
@@ -898,7 +900,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
             let start = std::time::Instant::now();
-            let res = execute_traced(&p, doc, index, &mut st, &gov, &tracer);
+            let res = execute_traced(&p, index, &ExecCtx::new(nav, &gov, &tracer), &mut st);
             let wall = start.elapsed();
             match res {
                 Ok(set) => writeln!(out, "-> {} fragment(s)", set.len()).unwrap(),
@@ -918,7 +920,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
             }
             out.push('\n');
         } else {
-            match execute_governed(&p, doc, index, &mut st, &gov) {
+            match execute_traced(&p, index, &ExecCtx::new(nav, &gov, &untraced), &mut st) {
                 Ok(set) => writeln!(out, "-> {} fragment(s), {}\n", set.len(), st).unwrap(),
                 Err(breach) => {
                     writeln!(out, "-> not executable at this stage ({breach})\n").unwrap()
@@ -988,7 +990,12 @@ fn explain_impl<I: PostingsSource + ?Sized>(
     let optimized = Optimizer::standard(doc, index, CostModel::default()).optimize(plan);
     let gov = Governor::new(a.budget, None);
     let mut st = EvalStats::new();
-    match execute_governed(&optimized, doc, index, &mut st, &gov) {
+    match execute_traced(
+        &optimized,
+        index,
+        &ExecCtx::new(nav, &gov, &untraced),
+        &mut st,
+    ) {
         Ok(set) => writeln!(
             out,
             "budget: {} checkpoint(s) passed, {} join(s) charged, {} fragment(s) within budget",

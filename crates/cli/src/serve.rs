@@ -52,7 +52,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xfrag_core::breaker::{BreakerConfig, CircuitBreaker, Permit};
 use xfrag_core::collection::{
-    evaluate_collection_planned_cached_traced_routed, top_k_collection, BudgetedCollectionResult,
+    evaluate_collection_planned_cached_traced, top_k_collection, BudgetedCollectionResult,
     CollectionResult,
 };
 use xfrag_core::fault::{panic_message, site};
@@ -136,12 +136,7 @@ impl ServeArgs {
         if let Some(seed) = self.fault_seed {
             let seeded = FaultPlan::from_seed(
                 seed,
-                &[
-                    site::SERVE_WORKER,
-                    site::COLLECTION_DOC,
-                    site::QUERY_EVAL,
-                    site::PARALLEL_WORKER,
-                ],
+                &[site::SERVE_WORKER, site::COLLECTION_DOC, site::QUERY_EVAL],
                 4,
                 8,
             );
@@ -2083,7 +2078,7 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
     // pick runs under the request's own policy, and the observable
     // planner state is the pick distribution and the plan cache.
     let run = || {
-        evaluate_collection_planned_cached_traced_routed(
+        evaluate_collection_planned_cached_traced(
             coll,
             &q,
             choice,

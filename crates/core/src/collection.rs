@@ -10,12 +10,12 @@
 use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor};
 use crate::cache::{CacheRef, GenerationTag, QueryCache};
 use crate::cost::CostModel;
-use crate::fault::{panic_message, site, FaultInjector};
+use crate::fault::{panic_message, site};
 use crate::planner::{
     evaluate_decided_cached_traced, evaluate_planned_cached_traced, PickCounters, PlanCache,
     StrategyChoice,
 };
-use crate::query::{evaluate, Query, QueryError, Strategy};
+use crate::query::{Query, QueryError, Strategy};
 use crate::rank::{score, RankConfig};
 use crate::stats::EvalStats;
 use crate::trace::Tracer;
@@ -55,145 +55,31 @@ impl CollectionResult {
     }
 }
 
-/// Evaluate a query against every candidate document of a collection.
+/// Evaluate a query against every candidate document of a collection:
+/// the forced `strategy` under an unlimited policy, over all documents.
 pub fn evaluate_collection(
     collection: &Collection,
     query: &Query,
     strategy: Strategy,
 ) -> Result<CollectionResult, QueryError> {
-    if query.terms.is_empty() {
-        return Err(QueryError::NoTerms);
-    }
-    let mut out = CollectionResult::default();
-    let candidates: Vec<DocId> = collection.candidate_docs(&query.terms).collect();
-    out.docs_pruned = collection.len() - candidates.len();
-    for id in candidates {
-        let doc = collection.doc(id);
-        let index = collection.index(id);
-        let r = evaluate(doc, &index, query, strategy)?;
-        out.stats += r.stats;
-        if !r.fragments.is_empty() {
-            out.answers.push(DocAnswers {
-                doc: id,
-                fragments: r.fragments.iter().cloned().collect(),
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Evaluate a collection query with document-level parallelism: candidate
-/// documents are sharded across `threads` scoped workers (fragments
-/// never span documents, so shards are independent). Results are merged
-/// in document order — output is identical to [`evaluate_collection`],
-/// which a unit test and the bench harness both verify.
-pub fn evaluate_collection_parallel(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    threads: usize,
-) -> Result<CollectionResult, QueryError> {
-    evaluate_collection_parallel_with_fault(collection, query, strategy, threads, None)
-}
-
-/// [`evaluate_collection_parallel`] with an optional [`FaultInjector`]
-/// consulted at the [`site::COLLECTION_DOC`] site before each document.
-///
-/// Per-document evaluations run under `catch_unwind`: a panic while
-/// evaluating one document (injected or genuine) becomes a
-/// [`CollectionResult::docs_failed`] entry instead of unwinding through
-/// `std::thread::scope` and aborting the caller. All other documents
-/// still answer exactly.
-pub fn evaluate_collection_parallel_with_fault(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    threads: usize,
-    fault: Option<&FaultInjector>,
-) -> Result<CollectionResult, QueryError> {
-    if query.terms.is_empty() {
-        return Err(QueryError::NoTerms);
-    }
-    let candidates: Vec<DocId> = collection.candidate_docs(&query.terms).collect();
-    let docs_pruned = collection.len() - candidates.len();
-    // The sequential fast path has no isolation boundary, so it is only
-    // taken when nothing can be injected.
-    if (threads <= 1 || candidates.len() <= 1) && fault.is_none() {
-        let mut r = evaluate_collection(collection, query, strategy)?;
-        r.docs_pruned = docs_pruned;
-        return Ok(r);
-    }
-    let threads = threads.min(candidates.len()).max(1);
-    let chunk = candidates.len().div_ceil(threads).max(1);
-    type ShardOut = (Vec<DocAnswers>, EvalStats, Vec<(DocId, String)>);
-    let mut shard_results: Vec<Result<ShardOut, QueryError>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut answers = Vec::new();
-                    let mut stats = EvalStats::new();
-                    let mut failed: Vec<(DocId, String)> = Vec::new();
-                    for &id in shard {
-                        // Isolation boundary: one document's panic must
-                        // not take down the shard. The closure only
-                        // borrows immutable state, so unwinding cannot
-                        // leave broken invariants behind (AssertUnwindSafe
-                        // is sound here).
-                        let attempt = catch_unwind(AssertUnwindSafe(
-                            || -> Result<crate::query::QueryResult, QueryError> {
-                                if let Some(inj) = fault {
-                                    inj.fire(site::COLLECTION_DOC)
-                                        .map_err(|_| QueryError::Cancelled)?;
-                                }
-                                evaluate(collection.doc(id), &collection.index(id), query, strategy)
-                            },
-                        ));
-                        match attempt {
-                            Ok(Ok(r)) => {
-                                stats += r.stats;
-                                if !r.fragments.is_empty() {
-                                    answers.push(DocAnswers {
-                                        doc: id,
-                                        fragments: r.fragments.iter().cloned().collect(),
-                                    });
-                                }
-                            }
-                            Ok(Err(e)) => return Err(e),
-                            Err(payload) => {
-                                failed.push((id, panic_message(payload.as_ref())));
-                            }
-                        }
-                    }
-                    Ok((answers, stats, failed))
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(r) => shard_results.push(r),
-                // invariant: worker closures catch per-document panics;
-                // resume propagates a panic outside that boundary (a bug
-                // in the shard loop itself) instead of swallowing it.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    let mut out = CollectionResult {
-        docs_pruned,
-        ..Default::default()
-    };
-    for r in shard_results {
-        let (answers, stats, failed) = r?;
-        out.stats += stats;
-        out.answers.extend(answers);
-        out.docs_failed.extend(failed);
-    }
-    out.answers.sort_by_key(|a| a.doc);
-    out.docs_failed.sort_by_key(|f| f.0);
-    Ok(out)
+    let all: Vec<DocId> = collection.ids().collect();
+    let r = evaluate_collection_planned_cached_traced(
+        collection,
+        query,
+        StrategyChoice::Forced(strategy),
+        &ExecPolicy::unlimited(),
+        &Tracer::disabled(),
+        None,
+        &all,
+        None,
+        None,
+    )?;
+    Ok(CollectionResult {
+        answers: r.answers,
+        docs_pruned: r.docs_pruned,
+        docs_failed: r.docs_failed,
+        stats: r.stats,
+    })
 }
 
 /// The outcome of a budgeted collection query.
@@ -232,7 +118,8 @@ impl BudgetedCollectionResult {
     }
 }
 
-/// Evaluate a collection query under an [`ExecPolicy`].
+/// Evaluate a collection query under an [`ExecPolicy`] and a
+/// [`StrategyChoice`], over the routed subset `docs` of the collection.
 ///
 /// Two budget scopes compose here:
 ///
@@ -243,38 +130,24 @@ impl BudgetedCollectionResult {
 ///   [`BudgetedCollectionResult::docs_skipped`]) rather than evaluated —
 ///   documents are independent, so the partial result is still a sound
 ///   subset of the exact collection answer.
-/// * Each document then runs the full degradation ladder via
-///   [`evaluate_budgeted`], with the policy's per-document resource caps
-///   and whatever wall-clock the collection budget has left.
+/// * Each document then runs the full degradation ladder (see
+///   [`crate::evaluate_budgeted`]), with the policy's per-document
+///   resource caps and whatever wall-clock the collection budget has
+///   left.
 ///
 /// Cancellation aborts with [`QueryError::Cancelled`]; any other breach
 /// with [`DegradeMode::Off`] aborts with [`QueryError::BudgetExceeded`].
-pub fn evaluate_collection_budgeted(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    policy: &ExecPolicy,
-) -> Result<BudgetedCollectionResult, QueryError> {
-    evaluate_collection_budgeted_traced(collection, query, strategy, policy, &Tracer::disabled())
-}
-
-/// [`evaluate_collection_budgeted`] with span recording: each candidate
-/// document runs under a `doc:{name}` span, so the per-document ladder
-/// rungs nest underneath it and the top-level `doc:` spans carry exactly
-/// one document's wall-clock and counter deltas — the input to
-/// [`crate::trace::LatencyHistogram::from_spans`] for collection-level
-/// latency aggregation.
-pub fn evaluate_collection_budgeted_traced(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-) -> Result<BudgetedCollectionResult, QueryError> {
-    evaluate_collection_budgeted_cached_traced(collection, query, strategy, policy, tracer, None)
-}
-
-/// [`evaluate_collection_budgeted_traced`] through a [`QueryCache`].
+///
+/// Forced choices evaluate the strategy as given; `auto` plans per
+/// (query, document) — optionally through a shared [`PlanCache`] —
+/// executes under the divergence guard, and records the pick
+/// distribution into `picks`.
+///
+/// Each candidate document runs under a `doc:{name}` span, so the
+/// per-document ladder rungs nest underneath it and the top-level `doc:`
+/// spans carry exactly one document's wall-clock and counter deltas —
+/// the input to [`crate::trace::LatencyHistogram::from_spans`] for
+/// collection-level latency aggregation.
 ///
 /// `cache` pairs the shared cache with the [`GenerationTag`] of *this*
 /// collection snapshot; each candidate document probes and fills under a
@@ -282,66 +155,17 @@ pub fn evaluate_collection_budgeted_traced(
 /// documents never alias). Pass `None` for the uncached path — the two
 /// produce byte-identical answers, which `tests/cache_differential.rs`
 /// verifies across strategies, policies, and fault plans.
-pub fn evaluate_collection_budgeted_cached_traced(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-    cache: Option<(&QueryCache, GenerationTag)>,
-) -> Result<BudgetedCollectionResult, QueryError> {
-    let all: Vec<DocId> = collection.ids().collect();
-    evaluate_collection_budgeted_cached_traced_routed(
-        collection, query, strategy, policy, tracer, cache, &all,
-    )
-}
-
-/// [`evaluate_collection_budgeted_cached_traced`] restricted to a routed
-/// subset of documents — the shard-serving primitive.
 ///
-/// Only documents in `docs` are considered; candidate pruning, the
-/// collection governor, per-document budgets, panic isolation, and cache
-/// interaction all behave exactly as in the whole-collection call, but
-/// scoped to the subset. Because candidacy, evaluation, and stats are
-/// all per-document, evaluating a partition of the collection shard by
-/// shard and concatenating the results (answers and failures re-sorted
-/// by [`DocId`], counters summed) reproduces the whole-collection result
-/// *exactly* — `routed_partition_merges_to_whole_collection_result`
-/// below and the serve-layer shard differential both pin this down.
-pub fn evaluate_collection_budgeted_cached_traced_routed(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-    cache: Option<(&QueryCache, GenerationTag)>,
-    docs: &[DocId],
-) -> Result<BudgetedCollectionResult, QueryError> {
-    evaluate_collection_planned_cached_traced_routed(
-        collection,
-        query,
-        StrategyChoice::Forced(strategy),
-        policy,
-        tracer,
-        cache,
-        docs,
-        None,
-        None,
-    )
-}
-
-/// [`evaluate_collection_budgeted_cached_traced_routed`] generalized to a
-/// [`StrategyChoice`]: forced choices take exactly the legacy path, and
-/// `auto` plans per (query, document) — optionally through a shared
-/// [`PlanCache`] — executes under the divergence guard, and records the
-/// pick distribution into `picks`.
-///
-/// Planning is per-document and deterministic, so the routed-partition
-/// merge invariant holds for `auto` exactly as it does for forced
-/// strategies: every shard picks the same strategy for a given document
-/// as the whole-collection call would.
+/// Only documents in `docs` are considered — the shard-serving
+/// primitive. Because candidacy, evaluation, planning and stats are all
+/// per-document and deterministic, evaluating a partition of the
+/// collection shard by shard and concatenating the results (answers and
+/// failures re-sorted by [`DocId`], counters summed) reproduces the
+/// whole-collection result *exactly* —
+/// `routed_partition_merges_to_whole_collection_result` below and the
+/// serve-layer shard differential both pin this down.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_collection_planned_cached_traced_routed(
+pub fn evaluate_collection_planned_cached_traced(
     collection: &Collection,
     query: &Query,
     choice: StrategyChoice,
@@ -401,7 +225,7 @@ pub fn evaluate_collection_planned_cached_traced_routed(
                         gen,
                         doc: id.0,
                     });
-                    let r = match (choice, plans) {
+                    let (r, decision) = match (choice, plans) {
                         (StrategyChoice::Auto, Some((plan_cache, plan_gen))) => {
                             let mut decision = plan_cache.get_or_plan(
                                 plan_gen,
@@ -420,24 +244,18 @@ pub fn evaluate_collection_planned_cached_traced_routed(
                                 tracer,
                                 cache_ref,
                             )?;
-                            if let Some(picks) = picks {
-                                picks.record(&decision);
-                            }
-                            r
+                            (r, decision)
                         }
-                        _ => {
-                            let (r, decision) = evaluate_planned_cached_traced(
-                                doc, &index, query, choice, &per_doc, tracer, cache_ref, &model,
-                            )?;
-                            if let Some(picks) = picks {
-                                match choice {
-                                    StrategyChoice::Forced(_) => picks.record_forced(),
-                                    StrategyChoice::Auto => picks.record(&decision),
-                                }
-                            }
-                            r
-                        }
+                        _ => evaluate_planned_cached_traced(
+                            doc, &index, query, choice, &per_doc, tracer, cache_ref, &model,
+                        )?,
                     };
+                    if let Some(picks) = picks {
+                        match choice {
+                            StrategyChoice::Forced(_) => picks.record_forced(),
+                            StrategyChoice::Auto => picks.record(&decision),
+                        }
+                    }
                     *stats += r.stats;
                     Ok(r)
                 },
@@ -499,6 +317,27 @@ mod tests {
     use super::*;
     use crate::FilterExpr;
     use xfrag_doc::parse_str;
+
+    /// The collection loop over every document with a forced strategy.
+    fn budgeted(
+        c: &Collection,
+        q: &Query,
+        policy: &ExecPolicy,
+        tracer: &Tracer<'_>,
+    ) -> Result<BudgetedCollectionResult, QueryError> {
+        let all: Vec<DocId> = c.ids().collect();
+        evaluate_collection_planned_cached_traced(
+            c,
+            q,
+            StrategyChoice::Forced(Strategy::PushDown),
+            policy,
+            tracer,
+            None,
+            &all,
+            None,
+            None,
+        )
+    }
 
     fn collection() -> Collection {
         let mut c = Collection::new();
@@ -570,47 +409,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let mut c = Collection::new();
-        for i in 0..12 {
-            c.add(
-                format!("d{i}.xml"),
-                parse_str(&format!("<r><p>alpha item{i}</p><p>beta item{i}</p></r>")).unwrap(),
-            );
-        }
-        let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
-        let seq = evaluate_collection(&c, &q, Strategy::PushDown).unwrap();
-        for threads in [1, 2, 4, 5] {
-            let par = evaluate_collection_parallel(&c, &q, Strategy::PushDown, threads).unwrap();
-            assert_eq!(par.answers.len(), seq.answers.len(), "threads={threads}");
-            for (a, b) in par.answers.iter().zip(&seq.answers) {
-                assert_eq!(a.doc, b.doc);
-                assert_eq!(a.fragments, b.fragments);
-            }
-            assert_eq!(par.stats.joins, seq.stats.joins);
-            assert_eq!(par.docs_pruned, seq.docs_pruned);
-        }
-    }
-
-    #[test]
     fn budgeted_tracing_groups_spans_per_document() {
-        use crate::trace::{LatencyHistogram, RecordingSink, Tracer};
+        use crate::trace::{LatencyHistogram, RecordingSink};
         let c = collection();
         let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
-        let plain =
-            evaluate_collection_budgeted(&c, &q, Strategy::PushDown, &ExecPolicy::unlimited())
-                .unwrap();
+        let plain = budgeted(&c, &q, &ExecPolicy::unlimited(), &Tracer::disabled()).unwrap();
 
         let sink = RecordingSink::new();
         let tracer = Tracer::new(&sink);
-        let traced = evaluate_collection_budgeted_traced(
-            &c,
-            &q,
-            Strategy::PushDown,
-            &ExecPolicy::unlimited(),
-            &tracer,
-        )
-        .unwrap();
+        let traced = budgeted(&c, &q, &ExecPolicy::unlimited(), &tracer).unwrap();
         assert_eq!(traced.answers.len(), plain.answers.len());
         assert_eq!(traced.stats.joins, plain.stats.joins);
 
@@ -631,78 +438,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_isolates_injected_panic_to_one_document() {
-        use crate::fault::{FaultAction, FaultPlan};
-        let mut c = Collection::new();
-        for i in 0..6 {
-            c.add(
-                format!("d{i}.xml"),
-                parse_str(&format!("<r><p>alpha item{i}</p><p>beta item{i}</p></r>")).unwrap(),
-            );
-        }
-        let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
-        let clean = evaluate_collection_parallel(&c, &q, Strategy::PushDown, 3).unwrap();
-        assert!(clean.docs_failed.is_empty());
-
-        // Panic while evaluating the third candidate document: the
-        // process (and the evaluation) must survive with exactly one
-        // failure entry and every other document's exact answers.
-        let inj = FaultPlan::new()
-            .arm(site::COLLECTION_DOC, 2, FaultAction::Panic)
-            .build();
-        let r = evaluate_collection_parallel_with_fault(
-            &c,
-            &q,
-            Strategy::PushDown,
-            3,
-            Some(inj.as_ref()),
-        )
-        .unwrap();
-        assert_eq!(r.docs_failed.len(), 1, "{:?}", r.docs_failed);
-        assert!(r.docs_failed[0].1.contains(crate::fault::PANIC_MARKER));
-        assert_eq!(r.answers.len(), clean.answers.len() - 1);
-        let failed = r.docs_failed[0].0;
-        for a in &r.answers {
-            assert_ne!(a.doc, failed);
-            let exact = clean.answers.iter().find(|b| b.doc == a.doc).unwrap();
-            assert_eq!(a.fragments, exact.fragments);
-        }
-    }
-
-    #[test]
-    fn parallel_with_fault_isolates_even_single_threaded() {
-        use crate::fault::{FaultAction, FaultPlan};
-        let mut c = Collection::new();
-        for i in 0..3 {
-            c.add(
-                format!("d{i}.xml"),
-                parse_str(&format!("<r><p>alpha beta {i}</p></r>")).unwrap(),
-            );
-        }
-        let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(2));
-        let inj = FaultPlan::new()
-            .arm(site::COLLECTION_DOC, 0, FaultAction::Panic)
-            .build();
-        let r = evaluate_collection_parallel_with_fault(
-            &c,
-            &q,
-            Strategy::PushDown,
-            1,
-            Some(inj.as_ref()),
-        )
-        .unwrap();
-        assert_eq!(r.docs_failed.len(), 1);
-        assert_eq!(r.answers.len(), 2);
-    }
-
-    #[test]
     fn budgeted_isolates_injected_panic_and_reports_failure() {
         use crate::fault::{FaultAction, FaultPlan};
         let c = collection();
         let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
-        let clean =
-            evaluate_collection_budgeted(&c, &q, Strategy::PushDown, &ExecPolicy::unlimited())
-                .unwrap();
+        let clean = budgeted(&c, &q, &ExecPolicy::unlimited(), &Tracer::disabled()).unwrap();
         assert_eq!(clean.answers.len(), 2);
         assert!(!clean.is_degraded());
 
@@ -710,7 +450,7 @@ mod tests {
             .arm(site::COLLECTION_DOC, 0, FaultAction::Panic)
             .build();
         let policy = ExecPolicy::unlimited().with_fault(inj);
-        let r = evaluate_collection_budgeted(&c, &q, Strategy::PushDown, &policy).unwrap();
+        let r = budgeted(&c, &q, &policy, &Tracer::disabled()).unwrap();
         assert_eq!(r.docs_failed.len(), 1);
         assert!(r.docs_failed[0].1.contains(crate::fault::PANIC_MARKER));
         assert!(r.is_degraded());
@@ -734,7 +474,7 @@ mod tests {
             .build();
         let policy = ExecPolicy::unlimited().with_fault(inj);
         assert!(matches!(
-            evaluate_collection_budgeted(&c, &q, Strategy::PushDown, &policy),
+            budgeted(&c, &q, &policy, &Tracer::disabled()),
             Err(QueryError::Cancelled)
         ));
     }
@@ -750,7 +490,7 @@ mod tests {
             .arm(crate::fault::site::QUERY_EVAL, 1, FaultAction::Panic)
             .build();
         let policy = ExecPolicy::unlimited().with_fault(inj);
-        let r = evaluate_collection_budgeted(&c, &q, Strategy::PushDown, &policy).unwrap();
+        let r = budgeted(&c, &q, &policy, &Tracer::disabled()).unwrap();
         assert_eq!(r.docs_failed.len(), 1);
         assert_eq!(r.answers.len(), 1);
     }
@@ -773,8 +513,7 @@ mod tests {
         let policy = ExecPolicy::unlimited().with_fault(inj);
         let sink = RecordingSink::new();
         let tracer = Tracer::new(&sink);
-        let r = evaluate_collection_budgeted_traced(&c, &q, Strategy::PushDown, &policy, &tracer)
-            .unwrap();
+        let r = budgeted(&c, &q, &policy, &tracer).unwrap();
         assert_eq!(r.docs_failed.len(), 1);
         assert_eq!(r.answers.len(), 2);
         // The panicking document's frame is dropped on unwind, so both
@@ -801,15 +540,7 @@ mod tests {
         let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
         let policy = ExecPolicy::unlimited();
         let tracer = Tracer::disabled();
-        let whole = evaluate_collection_budgeted_cached_traced(
-            &c,
-            &q,
-            Strategy::PushDown,
-            &policy,
-            &tracer,
-            None,
-        )
-        .unwrap();
+        let whole = budgeted(&c, &q, &policy, &tracer).unwrap();
 
         for shards in [1usize, 2, 3, 4] {
             let mut parts: Vec<Vec<DocId>> = vec![Vec::new(); shards];
@@ -818,14 +549,16 @@ mod tests {
             }
             let mut merged = BudgetedCollectionResult::default();
             for part in &parts {
-                let r = evaluate_collection_budgeted_cached_traced_routed(
+                let r = evaluate_collection_planned_cached_traced(
                     &c,
                     &q,
-                    Strategy::PushDown,
+                    StrategyChoice::Forced(Strategy::PushDown),
                     &policy,
                     &tracer,
                     None,
                     part,
+                    None,
+                    None,
                 )
                 .unwrap();
                 merged.answers.extend(r.answers);

@@ -10,30 +10,26 @@
 //! * [`fixed_point_reduced`] — §3.1.2 + Theorem 1: `|⊖(F)|` iterations are
 //!   always enough, so run exactly that many with no stabilization checks.
 //! * [`powerset_via_fixpoint`] — Theorem 2: `F1 ⋈* F2 = F1⁺ ⋈ F2⁺`.
+//! * [`ExecCtx::filtered_fixed_point`] — §3.3: the fixed point with an
+//!   anti-monotonic selection applied inside every round (push-down).
 //!
 //! Monotonicity (`F ⊆ F ⋈ F`, from idempotency of `⋈` on elements) makes
 //! the iteration sequence `F ⊆ F⋈F ⊆ F⋈F⋈F ⊆ …` an increasing chain over a
 //! finite universe, so the fixed point always exists and the naive loop
 //! terminates.
+//!
+//! Each operator is implemented once, as an [`ExecCtx`] method that
+//! charges the context's governor (a checkpoint before every round, every
+//! join kernel inside it) and records its spans; the public functions are
+//! the plain paper-level forms under an unlimited context.
 
-use crate::budget::{Breach, Governor};
-use crate::join::{fragment_join, pairwise_join, pairwise_join_governed};
+use crate::budget::Breach;
+use crate::exec::{self, ExecCtx};
+use crate::filter::{select, FilterExpr};
+use crate::join::{fragment_join, pairwise_join};
 use crate::nav::Nav;
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
-use crate::trace::Tracer;
-
-// invariant (used by every ungoverned wrapper below): an unlimited
-// governor has no limits, no deadline and no cancel token, so no charge
-// can ever breach.
-macro_rules! ungoverned {
-    ($e:expr) => {
-        match $e {
-            Ok(out) => out,
-            Err(_) => unreachable!("unlimited governor breached"),
-        }
-    };
-}
 
 /// How a fixed point should be computed — the choice §3.1 is about.
 #[derive(
@@ -58,52 +54,8 @@ pub fn fixed_point_naive<'n>(
     f: &FragmentSet,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    ungoverned!(fixed_point_naive_governed(
-        nav,
-        f,
-        stats,
-        &Governor::unlimited()
-    ))
-}
-
-/// [`fixed_point_naive`] under a [`Governor`]: a budget checkpoint runs
-/// before every round, and every pairwise join inside a round is charged.
-pub fn fixed_point_naive_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    fixed_point_naive_traced(nav, f, stats, gov, &Tracer::disabled())
-}
-
-/// [`fixed_point_naive_governed`] recorded as a `fixpoint-naive` span
-/// with one `round` child per iteration.
-pub fn fixed_point_naive_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("fixpoint-naive", stats, |stats| {
-        if f.is_empty() {
-            return Ok(FragmentSet::new());
-        }
-        let mut h = f.clone();
-        loop {
-            gov.checkpoint()?;
-            let next = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                Ok(pairwise_join_governed(nav, &h, f, stats, gov)?.union(&h))
-            })?;
-            stats.fixpoint_checks += 1;
-            if next.len() == h.len() {
-                return Ok(h);
-            }
-            h = next;
-        }
+    exec::unlimited(nav.into(), |cx| {
+        cx.fixed_point(f, FixpointMode::Naive, None, stats)
     })
 }
 
@@ -115,59 +67,7 @@ pub fn fixed_point_naive_traced<'n>(
 /// quantified. Pairs are enumerated once (f', f'' unordered) since `⋈` is
 /// commutative.
 pub fn reduce<'n>(nav: impl Into<Nav<'n>>, f: &FragmentSet, stats: &mut EvalStats) -> FragmentSet {
-    ungoverned!(reduce_governed(nav, f, stats, &Governor::unlimited()))
-}
-
-/// [`reduce_governed`] recorded as one `reduce` span.
-pub fn reduce_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("reduce", stats, |stats| reduce_governed(nav, f, stats, gov))
-}
-
-/// [`reduce`] under a [`Governor`]: `⊖` is O(|F|³), so a checkpoint runs
-/// per candidate fragment and every inner join is charged.
-pub fn reduce_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    let frags = f.as_slice();
-    let n = frags.len();
-    if n <= 2 {
-        // "For |F| <= 2 the proof is trivial, since for any fragment set to
-        // be reduced, the set should contain at least three elements."
-        return Ok(f.clone());
-    }
-    let mut keep = FragmentSet::new();
-    'cand: for (ci, cand) in frags.iter().enumerate() {
-        gov.checkpoint()?;
-        for i in 0..n {
-            if i == ci {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if j == ci {
-                    continue;
-                }
-                stats.reduce_checks += 1;
-                gov.charge_join((frags[i].size() + frags[j].size()) as u64)?;
-                let joined = fragment_join(nav, &frags[i], &frags[j], stats);
-                if cand.is_subfragment_of(&joined) {
-                    continue 'cand; // eliminated
-                }
-            }
-        }
-        keep.insert(cand.clone());
-    }
-    Ok(keep)
+    exec::unlimited(nav.into(), |cx| cx.reduce(f, stats))
 }
 
 /// The reduction factor `RF = (a − b) / a` of §5, where `a = |F|` and
@@ -218,73 +118,8 @@ pub fn fixed_point_reduced<'n>(
     f: &FragmentSet,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    ungoverned!(fixed_point_reduced_governed(
-        nav,
-        f,
-        stats,
-        &Governor::unlimited()
-    ))
-}
-
-/// [`fixed_point_reduced`] under a [`Governor`]: the `⊖` precomputation,
-/// every unchecked round and the safety/fallback rounds are all governed.
-pub fn fixed_point_reduced_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    fixed_point_reduced_traced(nav, f, stats, gov, &Tracer::disabled())
-}
-
-/// [`fixed_point_reduced_governed`] recorded as a `fixpoint-reduced` span
-/// with a `reduce` child for the `⊖` precomputation, one `round` child
-/// per iteration, and a `safety-check` child for the final verification.
-pub fn fixed_point_reduced_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("fixpoint-reduced", stats, |stats| {
-        if f.is_empty() {
-            return Ok(FragmentSet::new());
-        }
-        let k = reduce_traced(nav, f, stats, gov, tracer)?.len();
-        let mut h = f.clone();
-        for _ in 1..k {
-            gov.checkpoint()?;
-            h = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                Ok(pairwise_join_governed(nav, &h, f, stats, gov)?.union(&h))
-            })?;
-        }
-        // Single safety check (see the soundness note above).
-        stats.fixpoint_checks += 1;
-        let verify = tracer
-            .scoped("safety-check", stats, |stats| {
-                pairwise_join_governed(nav, &h, f, stats, gov)
-            })?
-            .union(&h);
-        if verify.len() == h.len() {
-            return Ok(h);
-        }
-        // General-set fallback: continue with checked iteration.
-        h = verify;
-        loop {
-            gov.checkpoint()?;
-            let next = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                Ok(pairwise_join_governed(nav, &h, f, stats, gov)?.union(&h))
-            })?;
-            stats.fixpoint_checks += 1;
-            if next.len() == h.len() {
-                return Ok(h);
-            }
-            h = next;
-        }
+    exec::unlimited(nav.into(), |cx| {
+        cx.fixed_point(f, FixpointMode::Reduced, None, stats)
     })
 }
 
@@ -295,93 +130,7 @@ pub fn fixed_point<'n>(
     mode: FixpointMode,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    match mode {
-        FixpointMode::Naive => fixed_point_naive(nav, f, stats),
-        FixpointMode::Reduced => fixed_point_reduced(nav, f, stats),
-    }
-}
-
-/// [`fixed_point`] under a [`Governor`].
-pub fn fixed_point_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    mode: FixpointMode,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    match mode {
-        FixpointMode::Naive => fixed_point_naive_governed(nav, f, stats, gov),
-        FixpointMode::Reduced => fixed_point_reduced_governed(nav, f, stats, gov),
-    }
-}
-
-/// [`fixed_point_traced`] through the tier (b) cache: probe
-/// `(generation, doc, term, mode)` first, replaying the stored
-/// [`EvalStats`] delta on a hit so cached and uncached runs report
-/// identical compute counters; on a miss, compute, then store the set
-/// together with the delta it cost.
-///
-/// The stored delta's `budget_checkpoints` field carries the number of
-/// *governor* checkpoints the computation consumed (the compute itself
-/// never writes that stats field mid-run); replaying it lets the
-/// budgeted evaluator report the same checkpoint total whether or not
-/// the fixpoint work was skipped.
-///
-/// Callers must only pass a cache under governors that cannot trip on
-/// work limits (the budgeted evaluator gates tier (b) on an unlimited,
-/// cancel-free policy): a hit skips the governor charges the compute
-/// would have made, which under a work-limited governor would change
-/// where — and whether — the budget trips.
-#[allow(clippy::too_many_arguments)]
-pub fn fixed_point_memo_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    term: &str,
-    mode: FixpointMode,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-    cache: Option<crate::cache::CacheRef<'_>>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    let Some(c) = cache else {
-        return fixed_point_traced(nav, f, mode, stats, gov, tracer);
-    };
-    if let Some((set, delta)) = c.cache.get_fixpoint(c.gen, c.doc, term, mode) {
-        tracer.scoped_lazy(
-            || format!("fixpoint-cache:{term}"),
-            stats,
-            |stats| {
-                stats.cache_hits += 1;
-                *stats += delta;
-            },
-        );
-        return Ok(set);
-    }
-    stats.cache_misses += 1;
-    let before = *stats;
-    let checkpoints_before = gov.checkpoints_passed();
-    let out = fixed_point_traced(nav, f, mode, stats, gov, tracer)?;
-    let mut delta = stats.delta_since(&before);
-    delta.budget_checkpoints = gov.checkpoints_passed() - checkpoints_before;
-    c.cache.put_fixpoint(c.gen, c.doc, term, mode, &out, delta);
-    Ok(out)
-}
-
-/// [`fixed_point_governed`] with span recording, dispatching to the
-/// traced variant of the chosen mode.
-pub fn fixed_point_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    mode: FixpointMode,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    match mode {
-        FixpointMode::Naive => fixed_point_naive_traced(nav, f, stats, gov, tracer),
-        FixpointMode::Reduced => fixed_point_reduced_traced(nav, f, stats, gov, tracer),
-    }
+    exec::unlimited(nav.into(), |cx| cx.fixed_point(f, mode, None, stats))
 }
 
 /// Theorem 2: `F1 ⋈* F2 = F1⁺ ⋈ F2⁺` — the rewrite that makes powerset
@@ -400,6 +149,202 @@ pub fn powerset_via_fixpoint<'n>(
     let p1 = fixed_point(nav, f1, mode, stats);
     let p2 = fixed_point(nav, f2, mode, stats);
     pairwise_join(nav, &p1, &p2, stats)
+}
+
+impl ExecCtx<'_> {
+    /// `F⁺` in the given mode: a `fixpoint-naive` or `fixpoint-reduced`
+    /// span with one `round` child per iteration (plus `reduce` and
+    /// `safety-check` children in reduced mode).
+    ///
+    /// `memo` names the keyword `f` was selected by. When it is set and
+    /// the context carries a cache, the result goes through the tier (b)
+    /// memo keyed `(generation, doc, term, mode)`: a hit replays the
+    /// stored [`EvalStats`] delta, so cached and uncached runs report
+    /// identical compute counters; a miss computes, then stores the set
+    /// with the delta it cost. The stored delta's `budget_checkpoints`
+    /// carries the governor checkpoints the computation consumed (the
+    /// computation itself never writes that field), so a budgeted
+    /// evaluation reports the same checkpoint total on a hit.
+    pub(crate) fn fixed_point(
+        &self,
+        f: &FragmentSet,
+        mode: FixpointMode,
+        memo: Option<&str>,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        let (Some(c), Some(term)) = (self.cache, memo) else {
+            return match mode {
+                FixpointMode::Naive => self.fixed_point_naive(f, stats),
+                FixpointMode::Reduced => self.fixed_point_reduced(f, stats),
+            };
+        };
+        if let Some((set, delta)) = c.cache.get_fixpoint(c.gen, c.doc, term, mode) {
+            self.tracer.scoped_lazy(
+                || format!("fixpoint-cache:{term}"),
+                stats,
+                |stats| {
+                    stats.cache_hits += 1;
+                    *stats += delta;
+                },
+            );
+            return Ok(set);
+        }
+        stats.cache_misses += 1;
+        let before = *stats;
+        let checkpoints_before = self.gov.checkpoints_passed();
+        let out = ExecCtx {
+            cache: None,
+            ..*self
+        }
+        .fixed_point(f, mode, None, stats)?;
+        let mut delta = stats.delta_since(&before);
+        delta.budget_checkpoints = self.gov.checkpoints_passed() - checkpoints_before;
+        c.cache.put_fixpoint(c.gen, c.doc, term, mode, &out, delta);
+        Ok(out)
+    }
+
+    fn fixed_point_naive(
+        &self,
+        f: &FragmentSet,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("fixpoint-naive", stats, |stats| {
+            if f.is_empty() {
+                return Ok(FragmentSet::new());
+            }
+            self.iterate(f.clone(), f, None, stats)
+        })
+    }
+
+    fn fixed_point_reduced(
+        &self,
+        f: &FragmentSet,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("fixpoint-reduced", stats, |stats| {
+            if f.is_empty() {
+                return Ok(FragmentSet::new());
+            }
+            let k = self.reduce(f, stats)?.len();
+            let mut h = f.clone();
+            for _ in 1..k {
+                self.gov.checkpoint()?;
+                h = self
+                    .tracer
+                    .scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
+                        stats.fixpoint_iterations += 1;
+                        Ok(self.pairwise_join(&h, f, stats)?.union(&h))
+                    })?;
+            }
+            // Single safety check (see the soundness note on
+            // [`fixed_point_reduced`]).
+            stats.fixpoint_checks += 1;
+            let verify = self
+                .tracer
+                .scoped("safety-check", stats, |stats| {
+                    self.pairwise_join(&h, f, stats)
+                })?
+                .union(&h);
+            if verify.len() == h.len() {
+                return Ok(h);
+            }
+            // General-set fallback: continue with checked iteration.
+            self.iterate(verify, f, None, stats)
+        })
+    }
+
+    /// The §3.3 filtered fixed point used by push-down: `σ_anti(F)⁺` with
+    /// `σ_anti` applied to every round's joins, recorded as a
+    /// `filtered-fixpoint` span with one `round` child per iteration.
+    /// By Theorem 3 this equals `σ_anti(F⁺)` for anti-monotonic `anti`.
+    pub(crate) fn filtered_fixed_point(
+        &self,
+        f: &FragmentSet,
+        anti: &FilterExpr,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("filtered-fixpoint", stats, |stats| {
+            let base = select(self.nav.doc(), anti, f, stats);
+            if base.is_empty() {
+                return Ok(FragmentSet::new());
+            }
+            self.iterate(base.clone(), &base, Some(anti), stats)
+        })
+    }
+
+    /// Checked iteration `H := σ(H ⋈ F) ∪ H` from `h` until `|H|` stops
+    /// growing, with a checkpoint before and a `round` span around every
+    /// round; `σ` is `anti` when given, the identity otherwise.
+    fn iterate(
+        &self,
+        mut h: FragmentSet,
+        f: &FragmentSet,
+        anti: Option<&FilterExpr>,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        loop {
+            self.gov.checkpoint()?;
+            let next =
+                self.tracer
+                    .scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
+                        stats.fixpoint_iterations += 1;
+                        let joined = self.pairwise_join(&h, f, stats)?;
+                        Ok(match anti {
+                            Some(p) => select(self.nav.doc(), p, &joined, stats),
+                            None => joined,
+                        }
+                        .union(&h))
+                    })?;
+            stats.fixpoint_checks += 1;
+            if next.len() == h.len() {
+                return Ok(h);
+            }
+            h = next;
+        }
+    }
+
+    /// `⊖(F)` (Definition 10), recorded as one `reduce` span. `⊖` is
+    /// O(|F|³), so a checkpoint runs per candidate fragment and every
+    /// inner join is charged.
+    pub(crate) fn reduce(
+        &self,
+        f: &FragmentSet,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("reduce", stats, |stats| {
+            let frags = f.as_slice();
+            let n = frags.len();
+            if n <= 2 {
+                // "For |F| <= 2 the proof is trivial, since for any
+                // fragment set to be reduced, the set should contain at
+                // least three elements."
+                return Ok(f.clone());
+            }
+            let mut keep = FragmentSet::new();
+            'cand: for (ci, cand) in frags.iter().enumerate() {
+                self.gov.checkpoint()?;
+                for i in 0..n {
+                    if i == ci {
+                        continue;
+                    }
+                    for j in (i + 1)..n {
+                        if j == ci {
+                            continue;
+                        }
+                        stats.reduce_checks += 1;
+                        self.gov
+                            .charge_join((frags[i].size() + frags[j].size()) as u64)?;
+                        let joined = fragment_join(self.nav, &frags[i], &frags[j], stats);
+                        if cand.is_subfragment_of(&joined) {
+                            continue 'cand; // eliminated
+                        }
+                    }
+                }
+                keep.insert(cand.clone());
+            }
+            Ok(keep)
+        })
+    }
 }
 
 #[cfg(test)]

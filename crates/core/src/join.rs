@@ -13,12 +13,12 @@
 //!   against which Theorem 2's fixed-point rewrite is property-tested, and
 //!   the paper's §4.1 "brute force" strategy.
 
-use crate::budget::{Breach, Governor};
+use crate::budget::Breach;
+use crate::exec::{self, ExecCtx};
 use crate::fragment::Fragment;
 use crate::nav::Nav;
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
-use crate::trace::Tracer;
 use xfrag_doc::NodeId;
 
 /// `f1 ⋈ f2` (Definition 4).
@@ -163,52 +163,7 @@ pub fn pairwise_join<'n>(
     f2: &FragmentSet,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    match pairwise_join_governed(nav, f1, f2, stats, &Governor::unlimited()) {
-        Ok(out) => out,
-        // invariant: an unlimited governor has no limits, no deadline and
-        // no cancel token, so no charge can ever breach.
-        Err(_) => unreachable!("unlimited governor breached"),
-    }
-}
-
-/// [`pairwise_join`] under a [`Governor`]: every join kernel is charged,
-/// and the loop aborts with the breach as soon as the budget trips.
-pub fn pairwise_join_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f1: &FragmentSet,
-    f2: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    let mut out = FragmentSet::new();
-    for a in f1.iter() {
-        for b in f2.iter() {
-            gov.charge_join((a.size() + b.size()) as u64)?;
-            let j = fragment_join(nav, a, b, stats);
-            gov.charge_fragments(1)?;
-            stats.fragments_emitted += 1;
-            if !out.insert(j) {
-                stats.duplicates_collapsed += 1;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// [`pairwise_join_governed`] recorded as one `pairwise-join` span.
-pub fn pairwise_join_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f1: &FragmentSet,
-    f2: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("pairwise-join", stats, |stats| {
-        pairwise_join_governed(nav, f1, f2, stats, gov)
-    })
+    exec::unlimited(nav.into(), |cx| cx.pairwise_join(f1, f2, stats))
 }
 
 /// Inputs larger than this are rejected by [`powerset_join`]: the literal
@@ -221,6 +176,18 @@ pub const POWERSET_LIMIT: usize = 16;
 pub struct PowersetTooLarge {
     /// Size of the offending operand.
     pub len: usize,
+}
+
+impl PowersetTooLarge {
+    /// The first operand over [`POWERSET_LIMIT`], if any.
+    pub(crate) fn check<'s>(
+        operands: impl IntoIterator<Item = &'s FragmentSet>,
+    ) -> Result<(), PowersetTooLarge> {
+        match operands.into_iter().find(|s| s.len() > POWERSET_LIMIT) {
+            Some(s) => Err(PowersetTooLarge { len: s.len() }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl std::fmt::Display for PowersetTooLarge {
@@ -242,79 +209,82 @@ pub fn powerset_join<'n>(
     f2: &FragmentSet,
     stats: &mut EvalStats,
 ) -> Result<FragmentSet, PowersetTooLarge> {
-    for s in [f1, f2] {
-        if s.len() > POWERSET_LIMIT {
-            return Err(PowersetTooLarge { len: s.len() });
-        }
-    }
-    match powerset_join_governed(nav, f1, f2, stats, &Governor::unlimited()) {
-        Ok(out) => Ok(out),
-        // invariant: operand sizes were checked above and an unlimited
-        // governor cannot breach.
-        Err(_) => unreachable!("unlimited governor breached"),
-    }
+    PowersetTooLarge::check([f1, f2])?;
+    Ok(exec::unlimited(nav.into(), |cx| {
+        cx.powerset_join(f1, f2, stats)
+    }))
 }
 
-/// [`powerset_join`] under a [`Governor`]. Size violations surface as
-/// [`Breach::PowersetLimit`] so the degradation ladder can treat an
-/// over-large literal enumeration like any other exhausted budget.
-pub fn powerset_join_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f1: &FragmentSet,
-    f2: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    for s in [f1, f2] {
-        if s.len() > POWERSET_LIMIT {
-            return Err(Breach::PowersetLimit);
-        }
-    }
-    let mut out = FragmentSet::new();
-    let a: Vec<&Fragment> = f1.iter().collect();
-    let b: Vec<&Fragment> = f2.iter().collect();
-    for ma in 1u32..(1 << a.len()) {
-        gov.checkpoint()?;
-        for mb in 1u32..(1 << b.len()) {
-            let chosen = a
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| ma & (1 << i) != 0)
-                .map(|(_, f)| *f)
-                .chain(
-                    b.iter()
-                        .enumerate()
-                        .filter(|(i, _)| mb & (1 << i) != 0)
-                        .map(|(_, f)| *f),
-                );
-            // invariant: both masks are non-zero, so at least one
-            // fragment is always chosen.
-            let joined = fragment_join_many(nav, chosen, stats).expect("non-empty selection");
-            gov.charge_join(joined.size() as u64)?;
-            gov.charge_fragments(1)?;
-            stats.fragments_emitted += 1;
-            if !out.insert(joined) {
-                stats.duplicates_collapsed += 1;
+impl ExecCtx<'_> {
+    /// `F1 ⋈ F2` (Definition 5): every join kernel is charged, and the
+    /// loop aborts with the breach as soon as the budget trips. Opens no
+    /// span of its own: fixed-point rounds run it inside their `round`
+    /// span, and stage-level callers wrap it in a `pairwise-join` span.
+    pub(crate) fn pairwise_join(
+        &self,
+        f1: &FragmentSet,
+        f2: &FragmentSet,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        let mut out = FragmentSet::new();
+        for a in f1.iter() {
+            for b in f2.iter() {
+                self.gov.charge_join((a.size() + b.size()) as u64)?;
+                let j = fragment_join(self.nav, a, b, stats);
+                self.gov.charge_fragments(1)?;
+                stats.fragments_emitted += 1;
+                if !out.insert(j) {
+                    stats.duplicates_collapsed += 1;
+                }
             }
         }
+        Ok(out)
     }
-    Ok(out)
-}
 
-/// [`powerset_join_governed`] recorded as one `powerset-join` span.
-pub fn powerset_join_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f1: &FragmentSet,
-    f2: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("powerset-join", stats, |stats| {
-        powerset_join_governed(nav, f1, f2, stats, gov)
-    })
+    /// `F1 ⋈* F2` (Definition 6), recorded as one `powerset-join` span.
+    /// Size violations surface as [`Breach::PowersetLimit`] so the
+    /// degradation ladder can treat an over-large literal enumeration
+    /// like any other exhausted budget.
+    pub(crate) fn powerset_join(
+        &self,
+        f1: &FragmentSet,
+        f2: &FragmentSet,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("powerset-join", stats, |stats| {
+            PowersetTooLarge::check([f1, f2]).map_err(|_| Breach::PowersetLimit)?;
+            let mut out = FragmentSet::new();
+            let a: Vec<&Fragment> = f1.iter().collect();
+            let b: Vec<&Fragment> = f2.iter().collect();
+            for ma in 1u32..(1 << a.len()) {
+                self.gov.checkpoint()?;
+                for mb in 1u32..(1 << b.len()) {
+                    let chosen = a
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| ma & (1 << i) != 0)
+                        .map(|(_, f)| *f)
+                        .chain(
+                            b.iter()
+                                .enumerate()
+                                .filter(|(i, _)| mb & (1 << i) != 0)
+                                .map(|(_, f)| *f),
+                        );
+                    // invariant: both masks are non-zero, so at least one
+                    // fragment is always chosen.
+                    let joined =
+                        fragment_join_many(self.nav, chosen, stats).expect("non-empty selection");
+                    self.gov.charge_join(joined.size() as u64)?;
+                    self.gov.charge_fragments(1)?;
+                    stats.fragments_emitted += 1;
+                    if !out.insert(joined) {
+                        stats.duplicates_collapsed += 1;
+                    }
+                }
+            }
+            Ok(out)
+        })
+    }
 }
 
 /// The unique *candidate fragment sets* of a powerset join — the second
@@ -328,11 +298,7 @@ pub fn powerset_join_candidates<'n>(
     stats: &mut EvalStats,
 ) -> Result<Vec<(Vec<Fragment>, Fragment)>, PowersetTooLarge> {
     let nav = nav.into();
-    for s in [f1, f2] {
-        if s.len() > POWERSET_LIMIT {
-            return Err(PowersetTooLarge { len: s.len() });
-        }
-    }
+    PowersetTooLarge::check([f1, f2])?;
     let a: Vec<&Fragment> = f1.iter().collect();
     let b: Vec<&Fragment> = f2.iter().collect();
     let mut seen: std::collections::HashSet<Vec<Fragment>> = Default::default();

@@ -19,7 +19,6 @@
 //! * [`cost`] — the §5 cost-model sketch made concrete: join-count
 //!   estimation and reduction-factor-driven strategy choice;
 //! * [`overlap`] — grouping of overlapping answers (§5 discussion);
-//! * [`parallel`] — optional multi-threaded pairwise joins for large sets;
 //! * [`budget`] — resource budgets, cooperative cancellation, retry
 //!   budgets, and the graceful-degradation ladder
 //!   ([`evaluate_budgeted`]);
@@ -27,8 +26,11 @@
 //!   the replicated server arms per replica;
 //! * [`cache`] — generation-keyed, sharded LRU memoization of postings,
 //!   fixed points and full results for repeated query traffic;
-//! * [`trace`] — span-based stage tracing under every `*_traced` entry
-//!   point, powering `--profile` and `explain --analyze`;
+//! * [`exec`] — the execution context ([`ExecCtx`]: navigation, governor,
+//!   tracer, fixed-point memo) that every operator's one implementation
+//!   runs under;
+//! * [`trace`] — span-based stage tracing of every evaluation stage,
+//!   powering `--profile` and `explain --analyze`;
 //! * [`fault`] — deterministic, seeded fault injection at named sites,
 //!   so panic/delay/cancel/read-error handling is testable on demand.
 //!
@@ -61,6 +63,7 @@ pub mod budget;
 pub mod cache;
 pub mod collection;
 pub mod cost;
+pub mod exec;
 pub mod fault;
 pub mod filter;
 pub mod fixpoint;
@@ -68,7 +71,6 @@ pub mod fragment;
 pub mod join;
 pub mod nav;
 pub mod overlap;
-pub mod parallel;
 pub mod plan;
 pub mod planner;
 pub mod query;
@@ -88,35 +90,31 @@ pub use cache::{
     SingleflightStats, TierCounters,
 };
 pub use collection::{
-    evaluate_collection, evaluate_collection_budgeted, evaluate_collection_budgeted_cached_traced,
-    evaluate_collection_budgeted_cached_traced_routed, evaluate_collection_budgeted_traced,
-    evaluate_collection_parallel, evaluate_collection_planned_cached_traced_routed,
-    top_k_collection, BudgetedCollectionResult, CollectionResult, DocAnswers,
+    evaluate_collection, evaluate_collection_planned_cached_traced, top_k_collection,
+    BudgetedCollectionResult, CollectionResult, DocAnswers,
 };
 pub use cost::{CostEstimate, CostModel};
+pub use exec::ExecCtx;
 pub use fault::{FaultAction, FaultInjector, FaultPlan};
 pub use filter::{select, FilterExpr};
 pub use fixpoint::{
-    fixed_point, fixed_point_governed, fixed_point_memo_traced, fixed_point_naive,
-    fixed_point_naive_governed, fixed_point_naive_traced, fixed_point_reduced,
-    fixed_point_reduced_governed, fixed_point_reduced_traced, fixed_point_traced,
-    powerset_via_fixpoint, reduce, reduce_governed, reduce_traced, reduction_factor, FixpointMode,
+    fixed_point, fixed_point_naive, fixed_point_reduced, powerset_via_fixpoint, reduce,
+    reduction_factor, FixpointMode,
 };
 pub use fragment::{Fragment, FragmentError};
 pub use join::{
-    fragment_join, fragment_join_all, fragment_join_many, pairwise_join, pairwise_join_governed,
-    pairwise_join_traced, powerset_join, powerset_join_candidates, powerset_join_governed,
-    powerset_join_traced, PowersetTooLarge, POWERSET_LIMIT,
+    fragment_join, fragment_join_all, fragment_join_many, pairwise_join, powerset_join,
+    powerset_join_candidates, PowersetTooLarge, POWERSET_LIMIT,
 };
 pub use nav::Nav;
-pub use plan::{execute_governed, execute_traced, LogicalPlan, Optimizer, OptimizerRule};
+pub use plan::{execute_traced, LogicalPlan, Optimizer, OptimizerRule};
 pub use planner::{
     evaluate_decided_cached_traced, evaluate_planned_cached_traced, plan_query, OperandProfile,
     PickCounters, PickSnapshot, PlanCache, PlanDecision, StrategyChoice,
 };
 pub use query::{
-    evaluate, evaluate_budgeted, evaluate_budgeted_cached_traced, evaluate_budgeted_traced,
-    evaluate_scoped, evaluate_traced, Query, QueryError, QueryResult, ScopedQueryError, Strategy,
+    evaluate, evaluate_budgeted, evaluate_scoped, evaluate_traced, Query, QueryError, QueryResult,
+    ScopedQueryError, Strategy,
 };
 pub use set::FragmentSet;
 pub use stats::EvalStats;

@@ -17,19 +17,16 @@
 //! * [`LogicalPlan::render`] — the indented evaluation-tree printer
 //!   (compare Figure 5 (a) and (b)).
 
-use crate::budget::{Breach, Governor};
+use crate::budget::Breach;
 use crate::cost::CostModel;
+use crate::exec::{self, ExecCtx};
 use crate::filter::{select, FilterExpr};
-use crate::fixpoint::{fixed_point, fixed_point_traced, FixpointMode};
-use crate::join::{
-    pairwise_join, pairwise_join_governed, pairwise_join_traced, powerset_join,
-    powerset_join_traced,
-};
+use crate::fixpoint::{fixed_point, FixpointMode};
+use crate::join::{pairwise_join, powerset_join};
 use crate::nav::Nav;
 use crate::query::{Query, QueryError};
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
-use crate::trace::Tracer;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use xfrag_doc::{Document, PostingsSource};
@@ -646,7 +643,9 @@ pub fn execute<I: PostingsSource + ?Sized>(
             let f = execute(input, doc, index, stats)?;
             match inner_filter {
                 None => Ok(fixed_point(nav, &f, *mode, stats)),
-                Some(p) => Ok(filtered_fixed_point(nav, &f, p, stats)),
+                Some(p) => Ok(exec::unlimited(nav, |cx| {
+                    cx.filtered_fixed_point(&f, p, stats)
+                })),
             }
         }
         LogicalPlan::Union { left, right } => {
@@ -657,154 +656,82 @@ pub fn execute<I: PostingsSource + ?Sized>(
     }
 }
 
-/// [`execute`] under a [`Governor`]: a budget checkpoint runs at every
-/// operator boundary (so even a deep plan observes deadlines and
-/// cancellation promptly) and every join/fixed-point operator charges the
-/// governor. Powerset operands over [`crate::POWERSET_LIMIT`] surface as
-/// [`Breach::PowersetLimit`] instead of a hard error.
-pub fn execute_governed<I: PostingsSource + ?Sized>(
-    plan: &LogicalPlan,
-    doc: &Document,
-    index: &I,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    execute_traced(plan, doc, index, stats, gov, &Tracer::disabled())
-}
-
-/// [`execute_governed`] with span recording: every plan operator opens a
-/// span labeled by [`LogicalPlan::label`], nested to mirror the plan
-/// tree, with fixed-point operators contributing their per-round child
-/// spans — the execution side of `explain --analyze`.
+/// Evaluate a logical plan under an [`ExecCtx`]: a budget checkpoint runs
+/// at every operator boundary (so even a deep plan observes deadlines and
+/// cancellation promptly), every join and fixed-point operator charges
+/// the governor, and every operator opens a span labeled by
+/// [`LogicalPlan::label`], nested to mirror the plan tree, with
+/// fixed-point operators contributing their per-round child spans — the
+/// execution side of `explain --analyze`. Powerset operands over
+/// [`crate::POWERSET_LIMIT`] surface as [`Breach::PowersetLimit`] instead
+/// of a hard error.
 pub fn execute_traced<I: PostingsSource + ?Sized>(
     plan: &LogicalPlan,
-    doc: &Document,
     index: &I,
+    cx: &ExecCtx<'_>,
     stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
 ) -> Result<FragmentSet, Breach> {
-    let nav = Nav::new(doc, index.labels());
-    tracer.scoped_lazy(
+    cx.tracer.scoped_lazy(
         || plan.label(),
         stats,
         |stats| {
-            gov.checkpoint()?;
+            cx.gov.checkpoint()?;
             match plan {
                 LogicalPlan::KeywordSelect { term } => {
-                    Ok(crate::query::term_operand(index, term, tracer, stats))
+                    Ok(crate::query::term_operand(index, term, cx.tracer, stats))
                 }
                 LogicalPlan::Select { filter, input } => {
-                    let f = execute_traced(input, doc, index, stats, gov, tracer)?;
-                    Ok(select(doc, filter, &f, stats))
+                    let f = execute_traced(input, index, cx, stats)?;
+                    Ok(select(cx.nav.doc(), filter, &f, stats))
                 }
                 LogicalPlan::PairwiseJoin { left, right } => {
-                    let l = execute_traced(left, doc, index, stats, gov, tracer)?;
-                    let r = execute_traced(right, doc, index, stats, gov, tracer)?;
+                    let l = execute_traced(left, index, cx, stats)?;
+                    let r = execute_traced(right, index, cx, stats)?;
                     if l.is_empty() || r.is_empty() {
                         return Ok(FragmentSet::new());
                     }
-                    pairwise_join_traced(nav, &l, &r, stats, gov, tracer)
+                    cx.tracer.scoped("pairwise-join", stats, |stats| {
+                        cx.pairwise_join(&l, &r, stats)
+                    })
                 }
                 LogicalPlan::PowersetJoin { left, right } => {
-                    let l = execute_traced(left, doc, index, stats, gov, tracer)?;
-                    let r = execute_traced(right, doc, index, stats, gov, tracer)?;
+                    let l = execute_traced(left, index, cx, stats)?;
+                    let r = execute_traced(right, index, cx, stats)?;
                     if l.is_empty() || r.is_empty() {
                         return Ok(FragmentSet::new());
                     }
-                    powerset_join_traced(nav, &l, &r, stats, gov, tracer)
+                    cx.powerset_join(&l, &r, stats)
                 }
                 LogicalPlan::FixedPoint {
                     input,
                     mode,
                     inner_filter,
                 } => {
-                    let f = execute_traced(input, doc, index, stats, gov, tracer)?;
+                    let f = execute_traced(input, index, cx, stats)?;
                     // An unbounded governor cannot stop an unfiltered closure
                     // blow-up, and Theorem 2 says |F⁺| can reach the powerset
                     // size — refuse it like the literal enumeration would.
                     // Filtered fixed points stay admissible: the pushed-down
                     // anti-monotonic filter is what makes them tractable.
                     if inner_filter.is_none()
-                        && !gov.is_work_bounded()
+                        && !cx.gov.is_work_bounded()
                         && f.len() > crate::join::POWERSET_LIMIT
                     {
                         return Err(Breach::PowersetLimit);
                     }
                     match inner_filter {
-                        None => fixed_point_traced(nav, &f, *mode, stats, gov, tracer),
-                        Some(p) => filtered_fixed_point_governed(nav, &f, p, stats, gov, tracer),
+                        None => cx.fixed_point(&f, *mode, None, stats),
+                        Some(p) => cx.filtered_fixed_point(&f, p, stats),
                     }
                 }
                 LogicalPlan::Union { left, right } => {
-                    let l = execute_traced(left, doc, index, stats, gov, tracer)?;
-                    let r = execute_traced(right, doc, index, stats, gov, tracer)?;
+                    let l = execute_traced(left, index, cx, stats)?;
+                    let r = execute_traced(right, index, cx, stats)?;
                     Ok(l.union(&r))
                 }
             }
         },
     )
-}
-
-/// Fixed point with per-iteration anti-monotonic filtering (§3.3's
-/// expansion). Mirrors `query::filtered_fixed_point`; duplicated here to
-/// keep the plan interpreter self-contained.
-fn filtered_fixed_point(
-    nav: Nav<'_>,
-    f: &FragmentSet,
-    anti: &FilterExpr,
-    stats: &mut EvalStats,
-) -> FragmentSet {
-    let doc = nav.doc();
-    let base = select(doc, anti, f, stats);
-    if base.is_empty() {
-        return FragmentSet::new();
-    }
-    let mut h = base.clone();
-    loop {
-        stats.fixpoint_iterations += 1;
-        let joined = pairwise_join(nav, &h, &base, stats);
-        let kept = select(doc, anti, &joined, stats);
-        let next = kept.union(&h);
-        stats.fixpoint_checks += 1;
-        if next.len() == h.len() {
-            return h;
-        }
-        h = next;
-    }
-}
-
-/// Governed + traced variant of [`filtered_fixed_point`]: checkpoint per
-/// round, joins charged, a `filtered-fixpoint` span with `round` children.
-fn filtered_fixed_point_governed(
-    nav: Nav<'_>,
-    f: &FragmentSet,
-    anti: &FilterExpr,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let doc = nav.doc();
-    tracer.scoped("filtered-fixpoint", stats, |stats| {
-        let base = select(doc, anti, f, stats);
-        if base.is_empty() {
-            return Ok(FragmentSet::new());
-        }
-        let mut h = base.clone();
-        loop {
-            gov.checkpoint()?;
-            let next = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                let joined = pairwise_join_governed(nav, &h, &base, stats, gov)?;
-                Ok(select(doc, anti, &joined, stats).union(&h))
-            })?;
-            stats.fixpoint_checks += 1;
-            if next.len() == h.len() {
-                return Ok(h);
-            }
-            h = next;
-        }
-    })
 }
 
 #[cfg(test)]

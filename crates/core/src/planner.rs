@@ -40,10 +40,7 @@ use crate::budget::{Budget, ExecPolicy};
 use crate::cache::{CacheRef, GenerationTag};
 use crate::cost::{estimate_rf, CostEstimate, CostModel};
 use crate::fixpoint::FixpointMode;
-use crate::query::{
-    evaluate_budgeted_cached_guarded_traced, evaluate_budgeted_cached_traced, Query, QueryError,
-    QueryResult, Strategy,
-};
+use crate::query::{evaluate_traced, Query, QueryError, QueryResult, Strategy};
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
 use crate::trace::Tracer;
@@ -414,34 +411,21 @@ pub fn evaluate_decided_cached_traced<I: PostingsSource + ?Sized>(
     // a resource decision (the ladder handles it) — not divergence
     // evidence. Only the unlimited case can attribute a breach to a bad
     // estimate.
-    let guard = if !policy.budget.is_limited() && policy.cancel.is_none() {
-        decision.guard.as_ref()
-    } else {
-        None
-    };
-    let Some(guard) = guard else {
-        return evaluate_budgeted_cached_traced(
-            doc,
-            index,
-            query,
-            decision.picked,
-            policy,
-            tracer,
-            cache,
-        );
-    };
-    match evaluate_budgeted_cached_guarded_traced(
+    let guard = decision
+        .guard
+        .as_ref()
+        .filter(|_| !policy.budget.is_limited() && policy.cancel.is_none());
+    match evaluate_traced(
         doc,
         index,
         query,
         decision.picked,
-        policy,
+        Some(policy),
         tracer,
         cache,
-        Some(guard),
+        guard,
     ) {
-        Ok(r) => Ok(r),
-        Err(QueryError::BudgetExceeded(breach)) => {
+        Err(QueryError::BudgetExceeded(breach)) if guard.is_some() => {
             // Actuals diverged from the estimates. Fall back to the
             // conservative strategy under the caller's full policy —
             // exactly the forced-push-down call, so the reply is
@@ -460,24 +444,25 @@ pub fn evaluate_decided_cached_traced<I: PostingsSource + ?Sized>(
                 &mut scratch,
                 |_| (),
             );
-            evaluate_budgeted_cached_traced(
+            evaluate_traced(
                 doc,
                 index,
                 query,
                 Strategy::PushDown,
-                policy,
+                Some(policy),
                 tracer,
                 cache,
+                None,
             )
         }
-        Err(e) => Err(e),
+        r => r,
     }
 }
 
-/// Evaluate under a [`StrategyChoice`]: forced choices go straight to
-/// the forced path; `auto` plans (under a `plan:choose` span), executes
-/// with the guard, and re-plans on divergence. Returns the result
-/// together with the decision that produced it.
+/// Evaluate under a [`StrategyChoice`]: a forced choice runs as a
+/// [`PlanDecision::forced`] decision; `auto` plans (under a `plan:choose`
+/// span), executes with the guard, and re-plans on divergence. Returns
+/// the result together with the decision that produced it.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_planned_cached_traced<I: PostingsSource + ?Sized>(
     doc: &Document,
@@ -489,30 +474,20 @@ pub fn evaluate_planned_cached_traced<I: PostingsSource + ?Sized>(
     cache: Option<CacheRef<'_>>,
     model: &CostModel,
 ) -> Result<(QueryResult, PlanDecision), QueryError> {
-    match choice {
-        StrategyChoice::Forced(s) => {
-            let r = evaluate_budgeted_cached_traced(doc, index, query, s, policy, tracer, cache)?;
-            Ok((r, PlanDecision::forced(s)))
-        }
+    let mut decision = match choice {
+        StrategyChoice::Forced(s) => PlanDecision::forced(s),
         StrategyChoice::Auto => {
             // Plan work accrues to scratch counters: visible in the
             // `plan:choose` span, never in the result's stats.
             let mut scratch = EvalStats::new();
-            let mut decision = tracer.scoped("plan:choose", &mut scratch, |scratch| {
+            tracer.scoped("plan:choose", &mut scratch, |scratch| {
                 plan_query(doc, index, query, model, scratch)
-            });
-            let r = evaluate_decided_cached_traced(
-                doc,
-                index,
-                query,
-                &mut decision,
-                policy,
-                tracer,
-                cache,
-            )?;
-            Ok((r, decision))
+            })
         }
-    }
+    };
+    let r =
+        evaluate_decided_cached_traced(doc, index, query, &mut decision, policy, tracer, cache)?;
+    Ok((r, decision))
 }
 
 /// Lifetime pick counters for one serving unit (a replica), mirroring

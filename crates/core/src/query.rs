@@ -21,16 +21,14 @@
 //! proptest enforce it. They differ (dramatically) in work performed,
 //! which [`crate::EvalStats`] exposes.
 
-use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor, Rung, TOP_CANDIDATES};
+use crate::budget::{
+    Breach, Budget, Degradation, DegradeMode, ExecPolicy, Governor, Rung, TOP_CANDIDATES,
+};
 use crate::cache::{CacheRef, ResultKey};
+use crate::exec::ExecCtx;
 use crate::filter::{select, FilterExpr};
-use crate::fixpoint::{
-    fixed_point_memo_traced, fixed_point_naive_traced, fixed_point_reduced_traced, reduce,
-    reduce_traced, FixpointMode,
-};
-use crate::join::{
-    fragment_join_many, pairwise_join_governed, pairwise_join_traced, PowersetTooLarge,
-};
+use crate::fixpoint::{reduce, FixpointMode};
+use crate::join::{fragment_join_many, PowersetTooLarge};
 use crate::nav::Nav;
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
@@ -188,16 +186,6 @@ impl From<PowersetTooLarge> for QueryError {
     }
 }
 
-// invariant (used wherever an unlimited governor drives a governed
-// kernel): an unlimited governor has no limits, no deadline and no cancel
-// token, so no charge can ever breach.
-fn unbreachable<T>(r: Result<T, Breach>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(_) => unreachable!("unlimited governor breached"),
-    }
-}
-
 /// Evaluate `query` over `doc` using `index` for the keyword selections.
 ///
 /// Generic over [`PostingsSource`]: the same engine runs off an
@@ -206,163 +194,26 @@ fn unbreachable<T>(r: Result<T, Breach>) -> T {
 /// case postings are lazily materialized and structural arithmetic uses
 /// the segment's prefix labels. Both paths return identical fragments —
 /// the indexed differential suite proves it across every strategy.
+///
+/// Unbudgeted: the strategy runs under an unlimited governor with no
+/// degradation ladder, so brute force over an operand larger than
+/// [`crate::POWERSET_LIMIT`] fails with [`QueryError::PowersetTooLarge`].
 pub fn evaluate<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,
     query: &Query,
     strategy: Strategy,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_traced(doc, index, query, strategy, &Tracer::disabled())
-}
-
-/// Build one operand set `Fi = σ_{keyword=ki}(nodes(D))` from a postings
-/// source, recording an `index:load:{term}` span when the lookup lazily
-/// materializes a posting list out of a persistent segment.
-pub(crate) fn term_operand<I: PostingsSource + ?Sized>(
-    index: &I,
-    term: &str,
-    tracer: &Tracer<'_>,
-    stats: &mut EvalStats,
-) -> FragmentSet {
-    if index.needs_load(term) {
-        tracer.scoped_lazy(
-            || format!("index:load:{term}"),
-            stats,
-            |_| FragmentSet::of_nodes(index.postings(term).iter().copied()),
-        )
-    } else {
-        FragmentSet::of_nodes(index.postings(term).iter().copied())
-    }
-}
-
-/// [`evaluate`] with span recording: one `term-lookup:{term}` span per
-/// keyword selection (with an `index:load:{term}` child when the posting
-/// list is decoded from a segment), then the strategy's own span tree
-/// (fixpoints with per-round children, joins, the final `select-top`).
-pub fn evaluate_traced<I: PostingsSource + ?Sized>(
-    doc: &Document,
-    index: &I,
-    query: &Query,
-    strategy: Strategy,
-    tracer: &Tracer<'_>,
-) -> Result<QueryResult, QueryError> {
-    let nav = Nav::new(doc, index.labels());
-    // Fi = σ_{keyword=ki}(nodes(D)) — single-node fragments.
-    let mut lookup_stats = EvalStats::new();
-    let operands: Vec<FragmentSet> = query
-        .terms
-        .iter()
-        .map(|t| {
-            tracer.scoped_lazy(
-                || format!("term-lookup:{t}"),
-                &mut lookup_stats,
-                |stats| term_operand(index, t, tracer, stats),
-            )
-        })
-        .collect();
-    evaluate_operands_traced(nav, query, strategy, &operands, tracer)
-}
-
-/// Strategy dispatch over pre-built operand sets (shared by [`evaluate`]
-/// and the scoped/hybrid entry point).
-pub(crate) fn evaluate_operands(
-    nav: Nav<'_>,
-    query: &Query,
-    strategy: Strategy,
-    operands: &[FragmentSet],
-) -> Result<QueryResult, QueryError> {
-    evaluate_operands_traced(nav, query, strategy, operands, &Tracer::disabled())
-}
-
-/// Traced strategy dispatch over pre-built operand sets.
-pub(crate) fn evaluate_operands_traced(
-    nav: Nav<'_>,
-    query: &Query,
-    strategy: Strategy,
-    operands: &[FragmentSet],
-    tracer: &Tracer<'_>,
-) -> Result<QueryResult, QueryError> {
-    if query.terms.is_empty() {
-        return Err(QueryError::NoTerms);
-    }
-    let doc = nav.doc();
-    let mut stats = EvalStats::new();
-
-    // Conjunctive semantics: a term with no occurrences empties the answer.
-    if operands.iter().any(FragmentSet::is_empty) {
-        return Ok(QueryResult {
-            fragments: FragmentSet::new(),
-            stats,
-            degradation: Degradation::none(),
-        });
-    }
-
-    let gov = Governor::unlimited();
-    let raw = match strategy {
-        Strategy::BruteForce => tracer.scoped("brute-force", &mut stats, |stats| {
-            brute_force(nav, operands, stats)
-        })?,
-        Strategy::FixedPointNaive => {
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .map(|f| unbreachable(fixed_point_naive_traced(nav, f, &mut stats, &gov, tracer)))
-                .collect();
-            unbreachable(fold_pairwise_traced(nav, fps, &mut stats, &gov, tracer))
-        }
-        Strategy::FixedPointReduced => {
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .map(|f| unbreachable(fixed_point_reduced_traced(nav, f, &mut stats, &gov, tracer)))
-                .collect();
-            unbreachable(fold_pairwise_traced(nav, fps, &mut stats, &gov, tracer))
-        }
-        Strategy::PushDown => {
-            let (anti, _rest) = query.filter.split_anti_monotonic();
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .map(|f| {
-                    tracer.scoped("push-down-operand", &mut stats, |stats| {
-                        let base = select(doc, &anti, f, stats);
-                        unbreachable(filtered_fixed_point_traced(
-                            nav, &base, &anti, stats, &gov, tracer,
-                        ))
-                    })
-                })
-                .collect();
-            let mut acc: Option<FragmentSet> = None;
-            for fp in fps {
-                acc = Some(match acc {
-                    None => fp,
-                    Some(prev) => {
-                        let joined = unbreachable(pairwise_join_traced(
-                            nav, &prev, &fp, &mut stats, &gov, tracer,
-                        ));
-                        select(doc, &anti, &joined, &mut stats)
-                    }
-                });
-            }
-            // invariant: terms (hence operands) are non-empty — checked at
-            // function entry — so the fold assigned Some at least once.
-            acc.expect("at least one operand")
-        }
-    };
-
-    // Top-level selection σ_P — for PushDown this re-checks the
-    // anti-monotonic part (already guaranteed) and applies the residual.
-    let fragments = tracer.scoped("select-top", &mut stats, |stats| {
-        let mut fragments = select(doc, &query.filter, &raw, stats);
-        if query.strict_leaf_semantics {
-            let strict =
-                FilterExpr::and(query.terms.iter().map(|t| FilterExpr::LeafTerm(t.clone())));
-            fragments = select(doc, &strict, &fragments, stats);
-        }
-        fragments
-    });
-    Ok(QueryResult {
-        fragments,
-        stats,
-        degradation: Degradation::none(),
-    })
+    evaluate_traced(
+        doc,
+        index,
+        query,
+        strategy,
+        None,
+        &Tracer::disabled(),
+        None,
+        None,
+    )
 }
 
 /// Evaluate `query` under an [`ExecPolicy`]: resource budgets, cooperative
@@ -400,25 +251,34 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
     strategy: Strategy,
     policy: &ExecPolicy,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_budgeted_traced(doc, index, query, strategy, policy, &Tracer::disabled())
+    evaluate_traced(
+        doc,
+        index,
+        query,
+        strategy,
+        Some(policy),
+        &Tracer::disabled(),
+        None,
+        None,
+    )
 }
 
-/// [`evaluate_budgeted`] with span recording: every ladder rung that runs
-/// opens a `rung:{name}` span (named after [`Rung::name`]), so a profile
-/// shows exactly where the budget went before the answering rung — an
-/// abandoned rung's span ends at the moment its budget tripped.
-pub fn evaluate_budgeted_traced<I: PostingsSource + ?Sized>(
-    doc: &Document,
-    index: &I,
-    query: &Query,
-    strategy: Strategy,
-    policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-) -> Result<QueryResult, QueryError> {
-    evaluate_budgeted_cached_traced(doc, index, query, strategy, policy, tracer, None)
-}
-
-/// [`evaluate_budgeted_traced`] through a [`crate::QueryCache`].
+/// The query entry point that [`evaluate`] and [`evaluate_budgeted`] are
+/// plain forms of, with span recording, the query cache and the
+/// planner's guard.
+///
+/// Spans: one `term-lookup:{term}` span per keyword selection (with an
+/// `index:load:{term}` child when the posting list is decoded from a
+/// segment), then the strategy's own span tree (fixpoints with per-round
+/// children, joins, the final `select-top`).
+///
+/// `policy: None` evaluates like [`evaluate`]: no ladder, no fault
+/// point, `budget_checkpoints` stays 0, and `cache` and `guard` are not
+/// consulted. `Some(policy)` evaluates like [`evaluate_budgeted`], and
+/// every ladder rung that runs opens a `rung:{name}` span (named after
+/// [`Rung::name`]), so a profile shows exactly where the budget went
+/// before the answering rung — an abandoned rung's span ends at the
+/// moment its budget tripped.
 ///
 /// With `cache: None` this is exactly the uncached path. With a cache:
 ///
@@ -438,48 +298,36 @@ pub fn evaluate_budgeted_traced<I: PostingsSource + ?Sized>(
 ///    no work limits, wall clock, or cancel token: a fixpoint hit skips
 ///    governor charges, which under a limited budget would change where
 ///    the budget trips.
-pub fn evaluate_budgeted_cached_traced<I: PostingsSource + ?Sized>(
-    doc: &Document,
-    index: &I,
-    query: &Query,
-    strategy: Strategy,
-    policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-    cache: Option<CacheRef<'_>>,
-) -> Result<QueryResult, QueryError> {
-    evaluate_budgeted_cached_guarded_traced(
-        doc, index, query, strategy, policy, tracer, cache, None,
-    )
-}
-
-/// [`evaluate_budgeted_cached_traced`] with an optional planner *guard*
-/// budget (see [`crate::planner`]).
 ///
-/// The guard only replaces the [`Governor`]'s work caps; cache keys, the
-/// tier gates and the result's policy fingerprint all still come from
-/// `policy`, so a guarded run that completes is byte-identical to an
-/// unguarded one. When the guard trips, the run aborts with
-/// [`QueryError::BudgetExceeded`] at the breaching charge instead of
-/// walking the degradation ladder — the planner treats that as "actuals
-/// diverged from estimates" and re-plans with the conservative strategy.
-/// Callers must only arm a guard under an unlimited, non-cancellable
-/// `policy` (the planner's arming condition), where a breach can only
-/// mean guard divergence.
+/// `guard` is the planner's divergence guard (see [`crate::planner`]). It
+/// only replaces the [`Governor`]'s work caps; cache keys, the tier gates
+/// and the result's policy fingerprint all still come from `policy`, so a
+/// guarded run that completes is byte-identical to an unguarded one. When
+/// the guard trips, the run aborts with [`QueryError::BudgetExceeded`] at
+/// the breaching charge instead of walking the degradation ladder — the
+/// planner treats that as "actuals diverged from estimates" and re-plans
+/// with the conservative strategy. Callers must only arm a guard under an
+/// unlimited, non-cancellable `policy` (the planner's arming condition),
+/// where a breach can only mean guard divergence.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_budgeted_cached_guarded_traced<I: PostingsSource + ?Sized>(
+pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,
     query: &Query,
     strategy: Strategy,
-    policy: &ExecPolicy,
+    policy: Option<&ExecPolicy>,
     tracer: &Tracer<'_>,
     cache: Option<CacheRef<'_>>,
-    guard: Option<&crate::budget::Budget>,
+    guard: Option<&Budget>,
 ) -> Result<QueryResult, QueryError> {
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
     }
     let nav = Nav::new(doc, index.labels());
+    let Some(policy) = policy else {
+        let operands = term_operands(index, query, tracer, None, &mut EvalStats::new());
+        return evaluate_operands(nav, tracer, query, strategy, &operands);
+    };
     let key = cache
         .as_ref()
         .map(|c| ResultKey::new(c.gen, c.doc, query, strategy, policy));
@@ -513,13 +361,77 @@ pub(crate) fn evaluate_budgeted_cached_guarded_traced<I: PostingsSource + ?Sized
     }
 
     let mut lookup_stats = EvalStats::new();
-    let operands: Vec<FragmentSet> = query
+    let operands = term_operands(index, query, tracer, cache, &mut lookup_stats);
+    // Conjunctive semantics: a term with no occurrences empties the answer.
+    let any_empty = operands.iter().any(FragmentSet::is_empty);
+    let mut result = if any_empty {
+        empty_result()
+    } else {
+        let gov = Governor::new(
+            guard.copied().unwrap_or(policy.budget),
+            policy.cancel.clone(),
+        )
+        .with_fault(policy.fault.clone());
+        // Tier (b) gate — see the doc comment above. Deliberately reads
+        // the caller's `policy`, not the guard: the guard must not change
+        // what gets cached or under which keys.
+        let cx = ExecCtx {
+            cache: cache.filter(|_| !policy.budget.is_limited() && policy.cancel.is_none()),
+            ..ExecCtx::new(nav, &gov, tracer)
+        };
+        run_ladder(&cx, query, strategy, &operands, policy, guard.is_some())?
+    };
+    result.stats.cache_hits += lookup_stats.cache_hits;
+    result.stats.cache_misses += lookup_stats.cache_misses;
+    if let (Some(c), Some(key)) = (&cache, &key) {
+        result.stats.cache_misses += 1; // this evaluation did not reuse a result
+                                        // Empty-operand short-circuits are not cached: recomputing them
+                                        // costs one postings lookup, and keeping them out preserves
+                                        // exact fault-injection parity (the short-circuit path fires no
+                                        // `query:eval` fault point; the hit path does).
+        if !any_empty {
+            c.cache.put_result(key, &result);
+        }
+    }
+    Ok(result)
+}
+
+/// Build one operand set `Fi = σ_{keyword=ki}(nodes(D))` from a postings
+/// source, recording an `index:load:{term}` span when the lookup lazily
+/// materializes a posting list out of a persistent segment.
+pub(crate) fn term_operand<I: PostingsSource + ?Sized>(
+    index: &I,
+    term: &str,
+    tracer: &Tracer<'_>,
+    stats: &mut EvalStats,
+) -> FragmentSet {
+    if index.needs_load(term) {
+        tracer.scoped_lazy(
+            || format!("index:load:{term}"),
+            stats,
+            |_| FragmentSet::of_nodes(index.postings(term).iter().copied()),
+        )
+    } else {
+        FragmentSet::of_nodes(index.postings(term).iter().copied())
+    }
+}
+
+/// Every operand `Fi` of `query`, one `term-lookup:{term}` span each,
+/// through the postings tier of `cache` when one is given.
+fn term_operands<I: PostingsSource + ?Sized>(
+    index: &I,
+    query: &Query,
+    tracer: &Tracer<'_>,
+    cache: Option<CacheRef<'_>>,
+    lookup_stats: &mut EvalStats,
+) -> Vec<FragmentSet> {
+    query
         .terms
         .iter()
         .map(|t| {
             tracer.scoped_lazy(
                 || format!("term-lookup:{t}"),
-                &mut lookup_stats,
+                lookup_stats,
                 |stats| match &cache {
                     Some(c) => match c.cache.get_postings(c.gen, c.doc, t) {
                         Some(set) => {
@@ -537,70 +449,67 @@ pub(crate) fn evaluate_budgeted_cached_guarded_traced<I: PostingsSource + ?Sized
                 },
             )
         })
-        .collect();
-
-    // Tier (b) gate — see the doc comment above. Deliberately reads the
-    // caller's `policy`, not the guard: the guard must not change what
-    // gets cached or under which keys.
-    let tier_b = cache.filter(|_| !policy.budget.is_limited() && policy.cancel.is_none());
-    let mut result = evaluate_operands_budgeted_traced(
-        nav, query, strategy, &operands, policy, tracer, tier_b, guard,
-    )?;
-    result.stats.cache_hits += lookup_stats.cache_hits;
-    result.stats.cache_misses += lookup_stats.cache_misses;
-    if let (Some(c), Some(key)) = (&cache, &key) {
-        result.stats.cache_misses += 1; // this evaluation did not reuse a result
-                                        // Empty-operand short-circuits are not cached: recomputing them
-                                        // costs one postings lookup, and keeping them out preserves
-                                        // exact fault-injection parity (the short-circuit path fires no
-                                        // `query:eval` fault point; the hit path does).
-        if !operands.iter().any(FragmentSet::is_empty) {
-            c.cache.put_result(key, &result);
-        }
-    }
-    Ok(result)
+        .collect()
 }
 
-/// Traced budgeted strategy dispatch over pre-built operand sets.
-///
-/// `cache` (when present) memoizes per-term fixed points — callers are
-/// responsible for the tier (b) gate: pass `Some` only under unlimited,
-/// non-cancellable policies (see [`evaluate_budgeted_cached_traced`]).
-///
-/// `guard` (when present) replaces the governor's budget with the
-/// planner's divergence guard; a breach then aborts instead of
-/// degrading (see [`evaluate_budgeted_cached_guarded_traced`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_operands_budgeted_traced(
+fn empty_result() -> QueryResult {
+    QueryResult {
+        fragments: FragmentSet::new(),
+        stats: EvalStats::new(),
+        degradation: Degradation::none(),
+    }
+}
+
+/// Unbudgeted evaluation over pre-built operand sets, shared by
+/// [`evaluate`] and [`evaluate_scoped`]: the strategy dispatch under an
+/// unlimited governor, then `select-top`.
+fn evaluate_operands(
     nav: Nav<'_>,
+    tracer: &Tracer<'_>,
     query: &Query,
     strategy: Strategy,
     operands: &[FragmentSet],
-    policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-    cache: Option<CacheRef<'_>>,
-    guard: Option<&crate::budget::Budget>,
 ) -> Result<QueryResult, QueryError> {
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
     }
-    let doc = nav.doc();
-    let mut stats = EvalStats::new();
-
     // Conjunctive semantics: a term with no occurrences empties the answer.
     if operands.iter().any(FragmentSet::is_empty) {
-        return Ok(QueryResult {
-            fragments: FragmentSet::new(),
-            stats,
-            degradation: Degradation::none(),
-        });
+        return Ok(empty_result());
     }
+    if strategy == Strategy::BruteForce {
+        PowersetTooLarge::check(operands)?;
+    }
+    let gov = Governor::unlimited();
+    let cx = ExecCtx::new(nav, &gov, tracer);
+    let mut stats = EvalStats::new();
+    let raw = match strategy_raw(&cx, query, strategy, operands, &mut stats) {
+        Ok(raw) => raw,
+        // invariant: an unlimited governor cannot breach, and brute
+        // force's operand sizes were checked above.
+        Err(_) => unreachable!("unlimited governor breached"),
+    };
+    let fragments = select_top(&cx, query, &raw, &mut stats);
+    Ok(QueryResult {
+        fragments,
+        stats,
+        degradation: Degradation::none(),
+    })
+}
 
-    let gov = Governor::new(
-        guard.copied().unwrap_or(policy.budget),
-        policy.cancel.clone(),
-    )
-    .with_fault(policy.fault.clone());
+/// The degradation ladder of [`evaluate_budgeted`] over non-empty
+/// operand sets. With `guarded`, a rung-0 breach is the planner's
+/// divergence signal and aborts instead of degrading.
+fn run_ladder(
+    cx: &ExecCtx<'_>,
+    query: &Query,
+    strategy: Strategy,
+    operands: &[FragmentSet],
+    policy: &ExecPolicy,
+    guarded: bool,
+) -> Result<QueryResult, QueryError> {
+    let gov = cx.gov;
+    let mut stats = EvalStats::new();
     // Fault-injection point: an armed `query:eval` site can panic, stall,
     // or cancel this evaluation before any rung runs.
     if gov.fault_point(crate::fault::site::QUERY_EVAL).is_err() {
@@ -610,10 +519,10 @@ pub(crate) fn evaluate_operands_budgeted_traced(
     let mut truncated_fragments = 0u64;
 
     // Rung 0: the requested strategy, governed.
-    let attempt = tracer.scoped_lazy(
+    let attempt = cx.tracer.scoped_lazy(
         || format!("rung:{}", Rung::Full.name()),
         &mut stats,
-        |stats| strategy_raw_traced(nav, query, strategy, operands, stats, &gov, tracer, cache),
+        |stats| strategy_raw(cx, query, strategy, operands, stats),
     );
     let mut raw = match attempt {
         Ok(raw) => Some(raw),
@@ -621,7 +530,7 @@ pub(crate) fn evaluate_operands_budgeted_traced(
         // limit: surface it at this checkpoint so the planner can re-plan
         // under the caller's real (unlimited) policy — the ladder's
         // partial answers are never acceptable substitutes here.
-        Err(breach) if guard.is_some() => {
+        Err(breach) if guarded => {
             return Err(QueryError::BudgetExceeded(breach));
         }
         Err(breach) => {
@@ -632,14 +541,14 @@ pub(crate) fn evaluate_operands_budgeted_traced(
 
     // Rung 1: fixed points over the reduced operand sets ⊖(Fi).
     if raw.is_none() {
-        let attempt = tracer.scoped_lazy(
+        let attempt = cx.tracer.scoped_lazy(
             || format!("rung:{}", Rung::ReducedSets.name()),
             &mut stats,
             |stats| {
                 let fps: Vec<FragmentSet> = operands
                     .iter()
                     .map(|f| {
-                        let reduced = reduce_traced(nav, f, stats, &gov, tracer)?;
+                        let reduced = cx.reduce(f, stats)?;
                         // An unbounded governor (reachable here via a
                         // PowersetLimit trip with no budget set) cannot stop
                         // a closure blow-up, and Theorem 2 says |F⁺| can
@@ -648,10 +557,10 @@ pub(crate) fn evaluate_operands_budgeted_traced(
                         if !gov.is_work_bounded() && reduced.len() > crate::join::POWERSET_LIMIT {
                             return Err(Breach::PowersetLimit);
                         }
-                        fixed_point_naive_traced(nav, &reduced, stats, &gov, tracer)
+                        cx.fixed_point(&reduced, FixpointMode::Naive, None, stats)
                     })
                     .collect::<Result<_, Breach>>()?;
-                fold_pairwise_traced(nav, fps, stats, &gov, tracer)
+                join_fold(cx, fps, stats)
             },
         );
         match attempt {
@@ -662,7 +571,7 @@ pub(crate) fn evaluate_operands_budgeted_traced(
 
     // Rung 2: truncate operands, single pairwise fold, no fixed points.
     if raw.is_none() {
-        let attempt = tracer.scoped_lazy(
+        let attempt = cx.tracer.scoped_lazy(
             || format!("rung:{}", Rung::TopCandidates.name()),
             &mut stats,
             |stats| {
@@ -675,7 +584,7 @@ pub(crate) fn evaluate_operands_budgeted_traced(
                         FragmentSet::from_iter(keep)
                     })
                     .collect();
-                fold_pairwise_traced(nav, tops, stats, &gov, tracer).map(|r| (r, truncated))
+                join_fold(cx, tops, stats).map(|r| (r, truncated))
             },
         );
         match attempt {
@@ -690,10 +599,10 @@ pub(crate) fn evaluate_operands_budgeted_traced(
     // Rung 3: SLCA approximation — ungoverned, always answers.
     let raw = match raw {
         Some(r) => r,
-        None => tracer.scoped_lazy(
+        None => cx.tracer.scoped_lazy(
             || format!("rung:{}", Rung::SlcaApprox.name()),
             &mut stats,
-            |stats| slca_approximation(nav, operands, stats),
+            |stats| slca_approximation(cx.nav, operands, stats),
         ),
     };
     // Each trip abandoned one rung; the answer came from the next one.
@@ -702,19 +611,10 @@ pub(crate) fn evaluate_operands_budgeted_traced(
         n => Some(Rung::ALL[n.min(Rung::ALL.len() - 1)]),
     };
 
-    // Shared tail: top-level selection σ_P plus strict leaf semantics.
-    let fragments = tracer.scoped("select-top", &mut stats, |stats| {
-        let mut fragments = select(doc, &query.filter, &raw, stats);
-        if query.strict_leaf_semantics {
-            let strict =
-                FilterExpr::and(query.terms.iter().map(|t| FilterExpr::LeafTerm(t.clone())));
-            fragments = select(doc, &strict, &fragments, stats);
-        }
-        fragments
-    });
+    let fragments = select_top(cx, query, &raw, &mut stats);
 
     // `+=`, not `=`: fixpoint-cache hits replay the checkpoints their
-    // original computation passed (see `fixed_point_memo_traced`), and
+    // original computation passed (see `ExecCtx::fixed_point`), and
     // those replays land in `stats` before this line.
     stats.budget_checkpoints += gov.checkpoints_passed();
     let degradation = match rung {
@@ -754,104 +654,100 @@ fn handle_breach(
     Ok(())
 }
 
-/// The governed equivalent of the strategy dispatch in
-/// [`evaluate_operands`]: compute the raw (pre-selection) set for the
-/// requested strategy, charging `gov` and recording spans throughout.
-#[allow(clippy::too_many_arguments)]
-fn strategy_raw_traced(
-    nav: Nav<'_>,
+/// The strategy dispatch — the one copy, run by [`evaluate`] and by the
+/// ladder's first rung: compute the raw (pre-selection) set for the
+/// requested strategy, charging `cx.gov` and recording spans throughout.
+fn strategy_raw(
+    cx: &ExecCtx<'_>,
     query: &Query,
     strategy: Strategy,
     operands: &[FragmentSet],
     stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-    cache: Option<CacheRef<'_>>,
 ) -> Result<FragmentSet, Breach> {
-    let doc = nav.doc();
-    match strategy {
-        Strategy::BruteForce => tracer.scoped("brute-force", stats, |stats| {
-            brute_force_governed(nav, operands, stats, gov)
-        }),
-        Strategy::FixedPointNaive => {
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .zip(&query.terms)
-                .map(|(f, t)| {
-                    fixed_point_memo_traced(
-                        nav,
-                        f,
-                        t,
-                        FixpointMode::Naive,
-                        stats,
-                        gov,
-                        tracer,
-                        cache,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            fold_pairwise_traced(nav, fps, stats, gov, tracer)
+    let mode = match strategy {
+        Strategy::BruteForce => {
+            return cx.tracer.scoped("brute-force", stats, |stats| {
+                brute_force(cx, operands, stats)
+            })
         }
-        Strategy::FixedPointReduced => {
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .zip(&query.terms)
-                .map(|(f, t)| {
-                    fixed_point_memo_traced(
-                        nav,
-                        f,
-                        t,
-                        FixpointMode::Reduced,
-                        stats,
-                        gov,
-                        tracer,
-                        cache,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            fold_pairwise_traced(nav, fps, stats, gov, tracer)
-        }
-        Strategy::PushDown => {
-            let (anti, _rest) = query.filter.split_anti_monotonic();
-            let mut acc: Option<FragmentSet> = None;
-            for f in operands {
-                gov.checkpoint()?;
-                let fp = tracer.scoped("push-down-operand", stats, |stats| {
-                    let base = select(doc, &anti, f, stats);
-                    filtered_fixed_point_traced(nav, &base, &anti, stats, gov, tracer)
-                })?;
-                acc = Some(match acc {
-                    None => fp,
-                    Some(prev) => {
-                        let joined = pairwise_join_traced(nav, &prev, &fp, stats, gov, tracer)?;
-                        select(doc, &anti, &joined, stats)
-                    }
-                });
-            }
-            // invariant: operands are non-empty (term-less queries are
-            // rejected before dispatch), so the loop assigned Some.
-            Ok(acc.expect("at least one operand"))
-        }
-    }
+        Strategy::PushDown => return push_down(cx, query, operands, stats),
+        Strategy::FixedPointNaive => FixpointMode::Naive,
+        Strategy::FixedPointReduced => FixpointMode::Reduced,
+    };
+    let fps: Vec<FragmentSet> = operands
+        .iter()
+        .zip(&query.terms)
+        .map(|(f, t)| cx.fixed_point(f, mode, Some(t), stats))
+        .collect::<Result<_, _>>()?;
+    join_fold(cx, fps, stats)
 }
 
-/// Governed §4.1 brute force. An over-large operand reports
-/// [`Breach::PowersetLimit`] instead of erroring, so the ladder can step
-/// down to a plan that handles large operand sets.
-fn brute_force_governed(
-    nav: Nav<'_>,
+/// §4.3 push-down: each operand's §3.3 filtered fixed point under a
+/// `push-down-operand` span, folded by pairwise joins with the
+/// anti-monotonic part of the filter applied after every join.
+fn push_down(
+    cx: &ExecCtx<'_>,
+    query: &Query,
     operands: &[FragmentSet],
     stats: &mut EvalStats,
-    gov: &Governor,
 ) -> Result<FragmentSet, Breach> {
-    for s in operands {
-        if s.len() > crate::join::POWERSET_LIMIT {
-            return Err(Breach::PowersetLimit);
-        }
+    let (anti, _rest) = query.filter.split_anti_monotonic();
+    let mut acc: Option<FragmentSet> = None;
+    for f in operands {
+        cx.gov.checkpoint()?;
+        let fp = cx.tracer.scoped("push-down-operand", stats, |stats| {
+            cx.filtered_fixed_point(f, &anti, stats)
+        })?;
+        acc = Some(match acc {
+            None => fp,
+            Some(prev) => {
+                let joined = cx.tracer.scoped("pairwise-join", stats, |stats| {
+                    cx.pairwise_join(&prev, &fp, stats)
+                })?;
+                select(cx.nav.doc(), &anti, &joined, stats)
+            }
+        });
     }
+    // invariant: operands are non-empty (term-less queries are rejected
+    // before dispatch), so the loop assigned Some.
+    Ok(acc.expect("at least one operand"))
+}
+
+/// Top-level selection `σ_P` plus strict leaf semantics, as one
+/// `select-top` span. For push-down this re-checks the anti-monotonic
+/// part (already guaranteed) and applies the residual.
+fn select_top(
+    cx: &ExecCtx<'_>,
+    query: &Query,
+    raw: &FragmentSet,
+    stats: &mut EvalStats,
+) -> FragmentSet {
+    let doc = cx.nav.doc();
+    cx.tracer.scoped("select-top", stats, |stats| {
+        let mut fragments = select(doc, &query.filter, raw, stats);
+        if query.strict_leaf_semantics {
+            let strict =
+                FilterExpr::and(query.terms.iter().map(|t| FilterExpr::LeafTerm(t.clone())));
+            fragments = select(doc, &strict, &fragments, stats);
+        }
+        fragments
+    })
+}
+
+/// §4.1 brute force: enumerate every choice of non-empty subsets, one per
+/// operand, and join each union. An over-large operand reports
+/// [`Breach::PowersetLimit`], so the ladder can step down to a plan that
+/// handles large operand sets.
+fn brute_force(
+    cx: &ExecCtx<'_>,
+    operands: &[FragmentSet],
+    stats: &mut EvalStats,
+) -> Result<FragmentSet, Breach> {
+    PowersetTooLarge::check(operands).map_err(|_| Breach::PowersetLimit)?;
     let slices: Vec<Vec<&crate::fragment::Fragment>> =
         operands.iter().map(|s| s.iter().collect()).collect();
     let mut out = FragmentSet::new();
+    // Odometer over non-empty subset masks of each operand.
     let mut masks: Vec<u32> = vec![1; slices.len()];
     loop {
         let chosen = slices.iter().zip(&masks).flat_map(|(fs, &m)| {
@@ -862,13 +758,14 @@ fn brute_force_governed(
         });
         // invariant: every odometer mask is at least 1, so at least one
         // fragment is always chosen.
-        let joined = fragment_join_many(nav, chosen, stats).expect("non-empty choice");
-        gov.charge_join(joined.size() as u64)?;
-        gov.charge_fragments(1)?;
+        let joined = fragment_join_many(cx.nav, chosen, stats).expect("non-empty choice");
+        cx.gov.charge_join(joined.size() as u64)?;
+        cx.gov.charge_fragments(1)?;
         stats.fragments_emitted += 1;
         if !out.insert(joined) {
             stats.duplicates_collapsed += 1;
         }
+        // Advance the odometer.
         let mut i = 0;
         loop {
             if i == masks.len() {
@@ -886,55 +783,23 @@ fn brute_force_governed(
 
 /// Governed left-to-right pairwise fold of operand fixed points, recorded
 /// as one `join-fold` span with a `pairwise-join` child per step.
-fn fold_pairwise_traced(
-    nav: Nav<'_>,
+fn join_fold(
+    cx: &ExecCtx<'_>,
     fps: Vec<FragmentSet>,
     stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
 ) -> Result<FragmentSet, Breach> {
-    tracer.scoped("join-fold", stats, |stats| {
+    cx.tracer.scoped("join-fold", stats, |stats| {
         let mut it = fps.into_iter();
         // invariant: callers pass one set per query term and reject
         // term-less queries before reaching this fold.
         let mut acc = it.next().expect("at least one operand");
         for fp in it {
-            gov.checkpoint()?;
-            acc = pairwise_join_traced(nav, &acc, &fp, stats, gov, tracer)?;
+            cx.gov.checkpoint()?;
+            acc = cx.tracer.scoped("pairwise-join", stats, |stats| {
+                cx.pairwise_join(&acc, &fp, stats)
+            })?;
         }
         Ok(acc)
-    })
-}
-
-/// Governed and traced variant of the §3.3 filtered fixed point used by
-/// push-down: a `filtered-fixpoint` span with one `round` child per
-/// iteration.
-fn filtered_fixed_point_traced(
-    nav: Nav<'_>,
-    f: &FragmentSet,
-    anti: &FilterExpr,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    tracer.scoped("filtered-fixpoint", stats, |stats| {
-        if f.is_empty() {
-            return Ok(FragmentSet::new());
-        }
-        let mut h = f.clone();
-        loop {
-            gov.checkpoint()?;
-            let next = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                let joined = pairwise_join_governed(nav, &h, f, stats, gov)?;
-                Ok(select(nav.doc(), anti, &joined, stats).union(&h))
-            })?;
-            stats.fixpoint_checks += 1;
-            if next.len() == h.len() {
-                return Ok(h);
-            }
-            h = next;
-        }
     })
 }
 
@@ -1005,53 +870,6 @@ fn slca_approximation(
     out
 }
 
-/// §4.1 brute force: enumerate every choice of non-empty subsets, one per
-/// operand, and join each union.
-fn brute_force(
-    nav: Nav<'_>,
-    operands: &[FragmentSet],
-    stats: &mut EvalStats,
-) -> Result<FragmentSet, PowersetTooLarge> {
-    for s in operands {
-        if s.len() > crate::join::POWERSET_LIMIT {
-            return Err(PowersetTooLarge { len: s.len() });
-        }
-    }
-    let slices: Vec<Vec<&crate::fragment::Fragment>> =
-        operands.iter().map(|s| s.iter().collect()).collect();
-    let mut out = FragmentSet::new();
-    // Odometer over non-empty subset masks of each operand.
-    let mut masks: Vec<u32> = vec![1; slices.len()];
-    loop {
-        let chosen = slices.iter().zip(&masks).flat_map(|(fs, &m)| {
-            fs.iter()
-                .enumerate()
-                .filter(move |(i, _)| m & (1 << i) != 0)
-                .map(|(_, f)| *f)
-        });
-        // invariant: every odometer mask is at least 1, so at least one
-        // fragment is always chosen.
-        let joined = fragment_join_many(nav, chosen, stats).expect("non-empty choice");
-        stats.fragments_emitted += 1;
-        if !out.insert(joined) {
-            stats.duplicates_collapsed += 1;
-        }
-        // Advance the odometer.
-        let mut i = 0;
-        loop {
-            if i == masks.len() {
-                return Ok(out);
-            }
-            masks[i] += 1;
-            if masks[i] < (1u32 << slices[i].len()) {
-                break;
-            }
-            masks[i] = 1;
-            i += 1;
-        }
-    }
-}
-
 /// Hybrid structural + keyword evaluation — the integration the paper's
 /// §6 attributes to Florescu et al. and Al-Khalifa et al.: a structural
 /// path expression *scopes* the keyword query, and the algebra runs
@@ -1070,18 +888,27 @@ pub fn evaluate_scoped<I: PostingsSource + ?Sized>(
 ) -> Result<Vec<(xfrag_doc::NodeId, QueryResult)>, ScopedQueryError> {
     let scopes = xfrag_doc::select_path(doc, scope_path).map_err(ScopedQueryError::Path)?;
     let nav = Nav::new(doc, index.labels());
+    let tracer = Tracer::disabled();
     let mut out = Vec::new();
     for scope in scopes {
         // Restrict each operand's postings to the scope subtree; pre-order
         // spans make this a range filter on node ids.
         let lo = scope.0;
         let hi = scope.0 + doc.subtree_size(scope);
-        let scoped_index = ScopedIndex {
-            inner: index,
-            lo,
-            hi,
-        };
-        let r = evaluate_with_lookup(nav, &scoped_index, query, strategy)
+        let operands: Vec<FragmentSet> = query
+            .terms
+            .iter()
+            .map(|t| {
+                FragmentSet::of_nodes(
+                    index
+                        .postings(t)
+                        .iter()
+                        .copied()
+                        .filter(|n| n.0 >= lo && n.0 < hi),
+                )
+            })
+            .collect();
+        let r = evaluate_operands(nav, &tracer, query, strategy, &operands)
             .map_err(ScopedQueryError::Query)?;
         if !r.fragments.is_empty() {
             out.push((scope, r));
@@ -1109,49 +936,6 @@ impl std::fmt::Display for ScopedQueryError {
 }
 
 impl std::error::Error for ScopedQueryError {}
-
-/// Posting lookup abstraction so scoped evaluation can reuse the engine.
-trait TermLookup {
-    fn postings(&self, term: &str) -> Vec<xfrag_doc::NodeId>;
-}
-
-struct ScopedIndex<'a, I: ?Sized> {
-    inner: &'a I,
-    lo: u32,
-    hi: u32,
-}
-
-impl<I: PostingsSource + ?Sized> TermLookup for ScopedIndex<'_, I> {
-    fn postings(&self, term: &str) -> Vec<xfrag_doc::NodeId> {
-        self.inner
-            .postings(term)
-            .iter()
-            .copied()
-            .filter(|n| n.0 >= self.lo && n.0 < self.hi)
-            .collect()
-    }
-}
-
-fn evaluate_with_lookup(
-    nav: Nav<'_>,
-    lookup: &dyn TermLookup,
-    query: &Query,
-    strategy: Strategy,
-) -> Result<QueryResult, QueryError> {
-    // Materialize the scoped postings into operand sets and reuse the
-    // strategy machinery via the private operand-level entry point —
-    // no need to rebuild a document-backed index per scope.
-    crate::query::evaluate_operands(
-        nav,
-        query,
-        strategy,
-        &query
-            .terms
-            .iter()
-            .map(|t| crate::set::FragmentSet::of_nodes(lookup.postings(t)))
-            .collect::<Vec<_>>(),
-    )
-}
 
 /// Convenience wrapper: the §4.2-style diagnostic of how much each operand
 /// set would shrink under `⊖` — used by the cost model and the CLI explain

@@ -1,5 +1,5 @@
 //! Collection-scale search: many documents, conjunctive pruning at the
-//! document level, parallel per-document evaluation, and cross-document
+//! document level, per-document evaluation, and cross-document
 //! top-k ranking — "can accommodate a very large collection of XML
 //! documents" (§7), demonstrated.
 //!
@@ -7,9 +7,7 @@
 //! cargo run --example collection_search
 //! ```
 
-use xfrag::core::collection::{
-    evaluate_collection, evaluate_collection_parallel, top_k_collection,
-};
+use xfrag::core::collection::{evaluate_collection, top_k_collection};
 use xfrag::core::rank::RankConfig;
 use xfrag::corpus::docgen::{generate, DocGenConfig};
 use xfrag::doc::Collection;
@@ -47,17 +45,11 @@ fn main() {
 
     let seq = evaluate_collection(&coll, &query, Strategy::PushDown).unwrap();
     println!(
-        "\nsequential: {} fragments from {} documents ({} pruned before any join)",
+        "\n{} fragments from {} documents ({} pruned before any join), {} joins",
         seq.total_fragments(),
         seq.answers.len(),
-        seq.docs_pruned
-    );
-
-    let par = evaluate_collection_parallel(&coll, &query, Strategy::PushDown, 4).unwrap();
-    assert_eq!(par.total_fragments(), seq.total_fragments());
-    println!(
-        "parallel (4 workers): identical answers, {} joins",
-        par.stats.joins
+        seq.docs_pruned,
+        seq.stats.joins
     );
 
     println!("\ntop answers across the collection:");

@@ -15,9 +15,8 @@ use std::sync::Arc;
 
 use xfrag::core::fault::site;
 use xfrag::core::{
-    evaluate_budgeted_cached_traced, Budget, CacheRef, DegradeMode, EvalStats, ExecPolicy,
-    FaultAction, FaultPlan, FilterExpr, GenerationTag, Query, QueryCache, QueryError, QueryResult,
-    Strategy, Tracer,
+    evaluate_traced, Budget, CacheRef, DegradeMode, EvalStats, ExecPolicy, FaultAction, FaultPlan,
+    FilterExpr, GenerationTag, Query, QueryCache, QueryError, QueryResult, Strategy, Tracer,
 };
 use xfrag::doc::{Document, DocumentBuilder, InvertedIndex};
 
@@ -79,7 +78,16 @@ fn run(
     policy: &ExecPolicy,
     cache: Option<CacheRef<'_>>,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_budgeted_cached_traced(doc, idx, q, s, policy, &Tracer::disabled(), cache)
+    evaluate_traced(
+        doc,
+        idx,
+        q,
+        s,
+        Some(policy),
+        &Tracer::disabled(),
+        cache,
+        None,
+    )
 }
 
 /// Assert the cached pipeline (cold fill, then warm replay) is observably

@@ -14,12 +14,14 @@
 
 use std::time::Duration;
 
+use xfrag::core::trace::Tracer;
 use xfrag::core::{
-    evaluate, evaluate_budgeted, evaluate_collection, evaluate_collection_budgeted, Budget,
-    CancelToken, DegradeMode, ExecPolicy, FilterExpr, Query, QueryError, QueryResult, Strategy,
+    evaluate, evaluate_budgeted, evaluate_collection, evaluate_collection_planned_cached_traced,
+    Budget, BudgetedCollectionResult, CancelToken, DegradeMode, ExecPolicy, FilterExpr, Query,
+    QueryError, QueryResult, Strategy, StrategyChoice,
 };
 use xfrag::corpus::adversarial::{comb, deep_chain, wide_star};
-use xfrag::doc::{Collection, Document, InvertedIndex};
+use xfrag::doc::{Collection, DocId, Document, InvertedIndex};
 
 const STRATEGIES: [Strategy; 4] = [
     Strategy::BruteForce,
@@ -27,6 +29,27 @@ const STRATEGIES: [Strategy; 4] = [
     Strategy::FixedPointReduced,
     Strategy::PushDown,
 ];
+
+/// The collection loop over every document with a forced strategy.
+fn evaluate_collection_budgeted(
+    coll: &Collection,
+    query: &Query,
+    strategy: Strategy,
+    policy: &ExecPolicy,
+) -> Result<BudgetedCollectionResult, QueryError> {
+    let all: Vec<DocId> = coll.ids().collect();
+    evaluate_collection_planned_cached_traced(
+        coll,
+        query,
+        StrategyChoice::Forced(strategy),
+        policy,
+        &Tracer::disabled(),
+        None,
+        &all,
+        None,
+        None,
+    )
+}
 
 /// Exact (unbudgeted) answer via a strategy that cannot abort on size.
 fn exact(doc: &Document, query: &Query) -> QueryResult {

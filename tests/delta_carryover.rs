@@ -15,9 +15,8 @@ use std::sync::Arc;
 
 use xfrag::core::fault::site;
 use xfrag::core::{
-    evaluate_budgeted_cached_traced, Budget, CacheRef, DegradeMode, ExecPolicy, FaultAction,
-    FaultPlan, FilterExpr, GenerationTag, Query, QueryCache, QueryError, QueryResult, Strategy,
-    Tracer,
+    evaluate_traced, Budget, CacheRef, DegradeMode, ExecPolicy, FaultAction, FaultPlan, FilterExpr,
+    GenerationTag, Query, QueryCache, QueryError, QueryResult, Strategy, Tracer,
 };
 use xfrag::doc::{Document, DocumentBuilder, InvertedIndex};
 
@@ -72,7 +71,16 @@ fn run(
     policy: &ExecPolicy,
     cache: Option<CacheRef<'_>>,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_budgeted_cached_traced(doc, idx, q, s, policy, &Tracer::disabled(), cache)
+    evaluate_traced(
+        doc,
+        idx,
+        q,
+        s,
+        Some(policy),
+        &Tracer::disabled(),
+        cache,
+        None,
+    )
 }
 
 /// A labelled policy constructor; fresh per pass so fault hit counters

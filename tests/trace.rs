@@ -6,8 +6,8 @@
 
 use xfrag::core::trace::{render_spans, spans_to_json, LatencyHistogram, RecordingSink, Tracer};
 use xfrag::core::{
-    evaluate, evaluate_budgeted, evaluate_budgeted_traced, evaluate_traced, EvalStats, ExecPolicy,
-    FilterExpr, Query, Strategy,
+    evaluate, evaluate_budgeted, evaluate_traced, EvalStats, ExecPolicy, FilterExpr, Query,
+    Strategy,
 };
 use xfrag::corpus::docgen::{generate, DocGenConfig};
 use xfrag::corpus::figure1;
@@ -26,7 +26,7 @@ fn all_strategies_agree_traced_and_untraced() {
 
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
-            let traced = evaluate_traced(d, &idx, &q, s, &tracer).unwrap();
+            let traced = evaluate_traced(d, &idx, &q, s, None, &tracer, None, None).unwrap();
 
             // Identical answers AND identical counters, field for field.
             assert_eq!(traced.fragments, plain.fragments, "{s:?} {filter}");
@@ -64,7 +64,7 @@ fn generated_corpora_agree_traced_and_untraced() {
             let plain = evaluate(&d, &idx, &q, s).unwrap();
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
-            let traced = evaluate_traced(&d, &idx, &q, s, &tracer).unwrap();
+            let traced = evaluate_traced(&d, &idx, &q, s, None, &tracer, None, None).unwrap();
             assert_eq!(traced.fragments, plain.fragments, "seed {seed} {s:?}");
             assert_eq!(traced.stats, plain.stats, "seed {seed} {s:?}");
         }
@@ -85,7 +85,8 @@ fn budgeted_evaluation_agrees_traced_and_untraced() {
             let plain = evaluate_budgeted(d, &idx, &q, s, &policy).unwrap();
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
-            let traced = evaluate_budgeted_traced(d, &idx, &q, s, &policy, &tracer).unwrap();
+            let traced =
+                evaluate_traced(d, &idx, &q, s, Some(&policy), &tracer, None, None).unwrap();
             assert_eq!(traced.fragments, plain.fragments, "{s:?}");
             assert_eq!(traced.stats, plain.stats, "{s:?}");
             assert_eq!(traced.degradation.rung, plain.degradation.rung, "{s:?}");
@@ -107,7 +108,17 @@ fn span_trees_sum_and_emit() {
     let q = Query::new(["xquery", "optimization"], FilterExpr::MaxSize(3));
     let sink = RecordingSink::new();
     let tracer = Tracer::new(&sink);
-    let r = evaluate_traced(d, &idx, &q, Strategy::FixedPointReduced, &tracer).unwrap();
+    let r = evaluate_traced(
+        d,
+        &idx,
+        &q,
+        Strategy::FixedPointReduced,
+        None,
+        &tracer,
+        None,
+        None,
+    )
+    .unwrap();
     let spans = sink.take();
 
     // Top-level span deltas sum to the query's total stats.
