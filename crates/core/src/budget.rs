@@ -150,8 +150,8 @@ impl std::fmt::Display for Breach {
 
 /// Shared, thread-safe budget enforcement for one evaluation.
 ///
-/// All counters are atomics so the parallel operators can share one
-/// governor across worker threads by reference. The deadline is resolved
+/// All counters are atomics, so a governor is `Sync` and can be shared
+/// across threads by reference. The deadline is resolved
 /// to an absolute [`Instant`] at construction; an unlimited governor
 /// never reads the clock.
 #[derive(Debug)]

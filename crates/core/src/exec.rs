@@ -24,19 +24,23 @@ use crate::nav::Nav;
 use crate::trace::Tracer;
 
 /// Navigation, budget, tracing and memoization for one evaluation.
+///
+/// The fields stay crate-private so the memo can only be attached where
+/// the tier (b) gate is checked; callers outside the crate build a
+/// memo-free context with [`ExecCtx::new`].
 #[derive(Clone, Copy)]
 pub struct ExecCtx<'a> {
     /// Structural navigation over the evaluated document.
-    pub nav: Nav<'a>,
+    pub(crate) nav: Nav<'a>,
     /// The budget every operator charges.
-    pub gov: &'a Governor,
+    pub(crate) gov: &'a Governor,
     /// Where stages record their spans.
-    pub tracer: &'a Tracer<'a>,
+    pub(crate) tracer: &'a Tracer<'a>,
     /// The fixed-point memo. Evaluation entry points set it only under
     /// an unlimited, cancel-free policy: a memo hit skips the governor
     /// charges the computation would have made, which under a limited
     /// budget would move where the budget trips.
-    pub cache: Option<CacheRef<'a>>,
+    pub(crate) cache: Option<CacheRef<'a>>,
 }
 
 impl<'a> ExecCtx<'a> {

@@ -13,7 +13,9 @@
 //!   below pairwise joins and into fixed-point iterations;
 //! * [`ChooseFixpointMode`] — the §5 decision rule, delegating to
 //!   [`crate::cost::CostModel`];
-//! * [`execute`] — the physical interpreter, shared by every path;
+//! * [`execute_traced`] — the governed, traced plan interpreter under an
+//!   [`ExecCtx`], behind `explain`; [`execute`] is its plain unbudgeted
+//!   counterpart;
 //! * [`LogicalPlan::render`] — the indented evaluation-tree printer
 //!   (compare Figure 5 (a) and (b)).
 

@@ -384,11 +384,12 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     result.stats.cache_hits += lookup_stats.cache_hits;
     result.stats.cache_misses += lookup_stats.cache_misses;
     if let (Some(c), Some(key)) = (&cache, &key) {
-        result.stats.cache_misses += 1; // this evaluation did not reuse a result
-                                        // Empty-operand short-circuits are not cached: recomputing them
-                                        // costs one postings lookup, and keeping them out preserves
-                                        // exact fault-injection parity (the short-circuit path fires no
-                                        // `query:eval` fault point; the hit path does).
+        // This evaluation did not reuse a result. Empty-operand
+        // short-circuits are not cached: recomputing them costs one
+        // postings lookup, and keeping them out preserves exact
+        // fault-injection parity (the short-circuit path fires no
+        // `query:eval` fault point; the hit path does).
+        result.stats.cache_misses += 1;
         if !any_empty {
             c.cache.put_result(key, &result);
         }

@@ -7,9 +7,9 @@
 //! totals down per **stage**. Every evaluation stage — term lookup,
 //! fixed-point rounds, pairwise/powerset joins, reduce, filter push-down,
 //! the degradation-ladder rungs of [`crate::evaluate_budgeted`], logical
-//! plan operators, parallel join workers, and per-document collection
-//! evaluation — opens a [`Span`] that records its wall-clock time and the
-//! [`crate::EvalStats`] delta it produced, nested to mirror the call tree.
+//! plan operators, and per-document collection evaluation — opens a
+//! [`Span`] that records its wall-clock time and the [`crate::EvalStats`]
+//! delta it produced, nested to mirror the call tree.
 //!
 //! The layer is pay-for-what-you-use: evaluation code consults a
 //! [`Tracer`], and a tracer over the [`NoopSink`] reduces every span to a
@@ -56,7 +56,8 @@ pub struct Span {
 
 impl Span {
     /// A childless span built from already-measured values — used by
-    /// parallel workers, which record locally and attach afterwards.
+    /// the server's scatter sub-jobs, which are timed on other threads
+    /// and attached afterwards.
     pub fn leaf(stage: impl Into<String>, wall: Duration, stats_delta: EvalStats) -> Span {
         Span {
             stage: stage.into(),
@@ -154,8 +155,10 @@ static NOOP: NoopSink = NoopSink;
 /// A tracer owns a stack of open frames; [`Tracer::scoped`] pushes a
 /// frame, runs the stage, and on return folds the finished [`Span`] into
 /// the parent frame — or hands it to the sink when it is top-level.
-/// Single-threaded by design (parallel workers record their own leaf
-/// spans and [`Tracer::attach`] them from the coordinating thread).
+/// Single-threaded by design (work timed on other threads is recorded as
+/// leaf spans and [`Tracer::attach`]ed from the coordinating thread).
+/// A stage that unwinds drops its own frame, so a caller that catches
+/// the panic keeps recording at the right depth.
 pub struct Tracer<'a> {
     sink: &'a dyn TraceSink,
     enabled: bool,
@@ -245,7 +248,7 @@ impl<'a> Tracer<'a> {
         self.scoped(&label, stats, f)
     }
 
-    /// Attach an already-built span (e.g. from a parallel worker) as a
+    /// Attach an already-built span (e.g. a scatter sub-job's) as a
     /// child of the currently open stage, or as a top-level span.
     pub fn attach(&self, span: Span) {
         if !self.enabled {
