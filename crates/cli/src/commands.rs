@@ -16,8 +16,8 @@ use xfrag_core::trace::{
     format_duration, render_spans, spans_to_json, LatencyHistogram, RecordingSink, Span, Tracer,
 };
 use xfrag_core::{
-    evaluate_planned_cached_traced, overlap, plan_query, CacheRef, EvalStats, ExecCtx, ExecPolicy,
-    GenerationTag, Governor, LogicalPlan, Nav, Optimizer, PlanDecision, Query, QueryCache,
+    evaluate_planned_cached_traced, overlap, plan_query, CacheRef, EvalStats, ExecPolicy,
+    GenerationTag, Governor, LogicalPlan, Optimizer, PlanDecision, Query, QueryCache,
     StrategyChoice,
 };
 use xfrag_core::{FaultInjector, FaultPlan};
@@ -880,8 +880,6 @@ fn explain_impl<I: PostingsSource + ?Sized>(
     let q = build_query(a);
     let plan = LogicalPlan::for_query(&q).map_err(|e| CliError::Query(e.to_string()))?;
     let optimizer = Optimizer::standard(doc, index, CostModel::default());
-    let nav = Nav::new(doc, index.labels());
-    let untraced = Tracer::disabled();
 
     let mut out = String::new();
     for (stage, p) in optimizer.optimize_traced(plan) {
@@ -900,7 +898,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
             let start = std::time::Instant::now();
-            let res = execute_traced(&p, index, &ExecCtx::new(nav, &gov, &tracer), &mut st);
+            let res = execute_traced(&p, doc, index, &mut st, &gov, &tracer);
             let wall = start.elapsed();
             match res {
                 Ok(set) => writeln!(out, "-> {} fragment(s)", set.len()).unwrap(),
@@ -920,7 +918,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
             }
             out.push('\n');
         } else {
-            match execute_traced(&p, index, &ExecCtx::new(nav, &gov, &untraced), &mut st) {
+            match execute_traced(&p, doc, index, &mut st, &gov, &Tracer::disabled()) {
                 Ok(set) => writeln!(out, "-> {} fragment(s), {}\n", set.len(), st).unwrap(),
                 Err(breach) => {
                     writeln!(out, "-> not executable at this stage ({breach})\n").unwrap()
@@ -990,12 +988,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
     let optimized = Optimizer::standard(doc, index, CostModel::default()).optimize(plan);
     let gov = Governor::new(a.budget, None);
     let mut st = EvalStats::new();
-    match execute_traced(
-        &optimized,
-        index,
-        &ExecCtx::new(nav, &gov, &untraced),
-        &mut st,
-    ) {
+    match execute_traced(&optimized, doc, index, &mut st, &gov, &Tracer::disabled()) {
         Ok(set) => writeln!(
             out,
             "budget: {} checkpoint(s) passed, {} join(s) charged, {} fragment(s) within budget",

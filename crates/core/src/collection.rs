@@ -11,12 +11,14 @@ use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor};
 use crate::cache::{CacheRef, GenerationTag, QueryCache};
 use crate::cost::CostModel;
 use crate::fault::{panic_message, site};
+use crate::join::PowersetTooLarge;
 use crate::planner::{
     evaluate_decided_cached_traced, evaluate_planned_cached_traced, PickCounters, PlanCache,
     StrategyChoice,
 };
 use crate::query::{Query, QueryError, Strategy};
 use crate::rank::{score, RankConfig};
+use crate::set::FragmentSet;
 use crate::stats::EvalStats;
 use crate::trace::Tracer;
 use crate::Fragment;
@@ -57,17 +59,34 @@ impl CollectionResult {
 
 /// Evaluate a query against every candidate document of a collection:
 /// the forced `strategy` under an unlimited policy, over all documents.
+///
+/// Exact or an error, like [`crate::evaluate`]: brute force over a
+/// candidate document with an operand larger than
+/// [`crate::POWERSET_LIMIT`] fails with [`QueryError::PowersetTooLarge`]
+/// (for the first such document and operand), and degradation is off, so
+/// no answer ever comes from a ladder rung below the requested strategy.
 pub fn evaluate_collection(
     collection: &Collection,
     query: &Query,
     strategy: Strategy,
 ) -> Result<CollectionResult, QueryError> {
+    if strategy == Strategy::BruteForce {
+        for id in collection.candidate_docs(&query.terms) {
+            let index = collection.index(id);
+            let operands: Vec<FragmentSet> = query
+                .terms
+                .iter()
+                .map(|t| FragmentSet::of_nodes(index.postings(t).iter().copied()))
+                .collect();
+            PowersetTooLarge::check(&operands)?;
+        }
+    }
     let all: Vec<DocId> = collection.ids().collect();
     let r = evaluate_collection_planned_cached_traced(
         collection,
         query,
         StrategyChoice::Forced(strategy),
-        &ExecPolicy::unlimited(),
+        &ExecPolicy::unlimited().with_degrade(DegradeMode::Off),
         &Tracer::disabled(),
         None,
         &all,
@@ -157,7 +176,8 @@ impl BudgetedCollectionResult {
 /// verifies across strategies, policies, and fault plans.
 ///
 /// Only documents in `docs` are considered — the shard-serving
-/// primitive. Because candidacy, evaluation, planning and stats are all
+/// primitive. `docs` must be in ascending id order, as
+/// [`Collection::ids`] yields them. Because candidacy, evaluation, planning and stats are all
 /// per-document and deterministic, evaluating a partition of the
 /// collection shard by shard and concatenating the results (answers and
 /// failures re-sorted by [`DocId`], counters summed) reproduces the
@@ -180,9 +200,13 @@ pub fn evaluate_collection_planned_cached_traced(
         return Err(QueryError::NoTerms);
     }
     let gov = Governor::new(policy.budget, policy.cancel.clone()).with_fault(policy.fault.clone());
+    debug_assert!(
+        docs.windows(2).all(|w| w[0] < w[1]),
+        "docs must be in ascending id order"
+    );
     let candidates: Vec<DocId> = collection
         .candidate_docs(&query.terms)
-        .filter(|id| docs.contains(id))
+        .filter(|id| docs.binary_search(id).is_ok())
         .collect();
     let mut out = BudgetedCollectionResult {
         docs_pruned: docs.len() - candidates.len(),
@@ -588,6 +612,27 @@ mod tests {
                 "one checkpoint per candidate either way (shards={shards})"
             );
         }
+    }
+
+    #[test]
+    fn brute_force_over_oversized_operand_fails_instead_of_degrading() {
+        // d1.xml holds "alpha" in 20 leaves, past the powerset limit;
+        // d0.xml is small and answers on its own.
+        let mut c = Collection::new();
+        c.add("d0.xml", parse_str("<r><p>alpha beta</p></r>").unwrap());
+        let leaves: String = (0..20).map(|i| format!("<p>alpha {i}</p>")).collect();
+        c.add(
+            "d1.xml",
+            parse_str(&format!("<r>{leaves}<p>beta</p></r>")).unwrap(),
+        );
+        let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
+        match evaluate_collection(&c, &q, Strategy::BruteForce) {
+            Err(QueryError::PowersetTooLarge(e)) => assert_eq!(e.len, 20),
+            other => panic!("expected PowersetTooLarge, got {other:?}"),
+        }
+        // The same collection answers exactly under push-down.
+        let r = evaluate_collection(&c, &q, Strategy::PushDown).unwrap();
+        assert_eq!(r.answers.len(), 2);
     }
 
     #[test]

@@ -25,11 +25,11 @@ use crate::trace::Tracer;
 
 /// Navigation, budget, tracing and memoization for one evaluation.
 ///
-/// The fields stay crate-private so the memo can only be attached where
-/// the tier (b) gate is checked; callers outside the crate build a
-/// memo-free context with [`ExecCtx::new`].
+/// Crate-private: public entry points take the governor and tracer
+/// themselves and build the context, so the memo can only be attached
+/// where the tier (b) gate is checked.
 #[derive(Clone, Copy)]
-pub struct ExecCtx<'a> {
+pub(crate) struct ExecCtx<'a> {
     /// Structural navigation over the evaluated document.
     pub(crate) nav: Nav<'a>,
     /// The budget every operator charges.
@@ -45,7 +45,7 @@ pub struct ExecCtx<'a> {
 
 impl<'a> ExecCtx<'a> {
     /// A context without a fixed-point memo.
-    pub fn new(nav: Nav<'a>, gov: &'a Governor, tracer: &'a Tracer<'a>) -> Self {
+    pub(crate) fn new(nav: Nav<'a>, gov: &'a Governor, tracer: &'a Tracer<'a>) -> Self {
         ExecCtx {
             nav,
             gov,

@@ -10,7 +10,7 @@
 //! * [`fixed_point_reduced`] — §3.1.2 + Theorem 1: `|⊖(F)|` iterations are
 //!   always enough, so run exactly that many with no stabilization checks.
 //! * [`powerset_via_fixpoint`] — Theorem 2: `F1 ⋈* F2 = F1⁺ ⋈ F2⁺`.
-//! * [`ExecCtx::filtered_fixed_point`] — §3.3: the fixed point with an
+//! * `ExecCtx::filtered_fixed_point` — §3.3: the fixed point with an
 //!   anti-monotonic selection applied inside every round (push-down).
 //!
 //! Monotonicity (`F ⊆ F ⋈ F`, from idempotency of `⋈` on elements) makes
@@ -18,7 +18,7 @@
 //! finite universe, so the fixed point always exists and the naive loop
 //! terminates.
 //!
-//! Each operator is implemented once, as an [`ExecCtx`] method that
+//! Each operator is implemented once, as an `ExecCtx` method that
 //! charges the context's governor (a checkpoint before every round, every
 //! join kernel inside it) and records its spans; the public functions are
 //! the plain paper-level forms under an unlimited context.

@@ -26,9 +26,9 @@
 //!   the replicated server arms per replica;
 //! * [`cache`] — generation-keyed, sharded LRU memoization of postings,
 //!   fixed points and full results for repeated query traffic;
-//! * [`exec`] — the execution context ([`ExecCtx`]: navigation, governor,
-//!   tracer, fixed-point memo) that every operator's one implementation
-//!   runs under;
+//! * `exec` (crate-private) — the execution context (`ExecCtx`:
+//!   navigation, governor, tracer, fixed-point memo) that every
+//!   operator's one implementation runs under;
 //! * [`trace`] — span-based stage tracing of every evaluation stage,
 //!   powering `--profile` and `explain --analyze`;
 //! * [`fault`] — deterministic, seeded fault injection at named sites,
@@ -63,7 +63,7 @@ pub mod budget;
 pub mod cache;
 pub mod collection;
 pub mod cost;
-pub mod exec;
+mod exec;
 pub mod fault;
 pub mod filter;
 pub mod fixpoint;
@@ -94,7 +94,6 @@ pub use collection::{
     BudgetedCollectionResult, CollectionResult, DocAnswers,
 };
 pub use cost::{CostEstimate, CostModel};
-pub use exec::ExecCtx;
 pub use fault::{FaultAction, FaultInjector, FaultPlan};
 pub use filter::{select, FilterExpr};
 pub use fixpoint::{

@@ -13,13 +13,12 @@
 //!   below pairwise joins and into fixed-point iterations;
 //! * [`ChooseFixpointMode`] — the §5 decision rule, delegating to
 //!   [`crate::cost::CostModel`];
-//! * [`execute_traced`] — the governed, traced plan interpreter under an
-//!   [`ExecCtx`], behind `explain`; [`execute`] is its plain unbudgeted
-//!   counterpart;
+//! * [`execute_traced`] — the governed, traced plan interpreter behind
+//!   `explain`; [`execute`] is its plain unbudgeted counterpart;
 //! * [`LogicalPlan::render`] — the indented evaluation-tree printer
 //!   (compare Figure 5 (a) and (b)).
 
-use crate::budget::Breach;
+use crate::budget::{Breach, Governor};
 use crate::cost::CostModel;
 use crate::exec::{self, ExecCtx};
 use crate::filter::{select, FilterExpr};
@@ -29,6 +28,7 @@ use crate::nav::Nav;
 use crate::query::{Query, QueryError};
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
+use crate::trace::Tracer;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use xfrag_doc::{Document, PostingsSource};
@@ -658,8 +658,8 @@ pub fn execute<I: PostingsSource + ?Sized>(
     }
 }
 
-/// Evaluate a logical plan under an [`ExecCtx`]: a budget checkpoint runs
-/// at every operator boundary (so even a deep plan observes deadlines and
+/// Evaluate a logical plan under a [`Governor`] and a [`Tracer`]: a budget
+/// checkpoint runs at every operator boundary (so even a deep plan observes deadlines and
 /// cancellation promptly), every join and fixed-point operator charges
 /// the governor, and every operator opens a span labeled by
 /// [`LogicalPlan::label`], nested to mirror the plan tree, with
@@ -668,6 +668,19 @@ pub fn execute<I: PostingsSource + ?Sized>(
 /// [`crate::POWERSET_LIMIT`] surface as [`Breach::PowersetLimit`] instead
 /// of a hard error.
 pub fn execute_traced<I: PostingsSource + ?Sized>(
+    plan: &LogicalPlan,
+    doc: &Document,
+    index: &I,
+    stats: &mut EvalStats,
+    gov: &Governor,
+    tracer: &Tracer<'_>,
+) -> Result<FragmentSet, Breach> {
+    let cx = ExecCtx::new(Nav::new(doc, index.labels()), gov, tracer);
+    execute_in(plan, index, &cx, stats)
+}
+
+/// The interpreter behind [`execute_traced`], one operator per call.
+fn execute_in<I: PostingsSource + ?Sized>(
     plan: &LogicalPlan,
     index: &I,
     cx: &ExecCtx<'_>,
@@ -683,12 +696,12 @@ pub fn execute_traced<I: PostingsSource + ?Sized>(
                     Ok(crate::query::term_operand(index, term, cx.tracer, stats))
                 }
                 LogicalPlan::Select { filter, input } => {
-                    let f = execute_traced(input, index, cx, stats)?;
+                    let f = execute_in(input, index, cx, stats)?;
                     Ok(select(cx.nav.doc(), filter, &f, stats))
                 }
                 LogicalPlan::PairwiseJoin { left, right } => {
-                    let l = execute_traced(left, index, cx, stats)?;
-                    let r = execute_traced(right, index, cx, stats)?;
+                    let l = execute_in(left, index, cx, stats)?;
+                    let r = execute_in(right, index, cx, stats)?;
                     if l.is_empty() || r.is_empty() {
                         return Ok(FragmentSet::new());
                     }
@@ -697,8 +710,8 @@ pub fn execute_traced<I: PostingsSource + ?Sized>(
                     })
                 }
                 LogicalPlan::PowersetJoin { left, right } => {
-                    let l = execute_traced(left, index, cx, stats)?;
-                    let r = execute_traced(right, index, cx, stats)?;
+                    let l = execute_in(left, index, cx, stats)?;
+                    let r = execute_in(right, index, cx, stats)?;
                     if l.is_empty() || r.is_empty() {
                         return Ok(FragmentSet::new());
                     }
@@ -709,7 +722,7 @@ pub fn execute_traced<I: PostingsSource + ?Sized>(
                     mode,
                     inner_filter,
                 } => {
-                    let f = execute_traced(input, index, cx, stats)?;
+                    let f = execute_in(input, index, cx, stats)?;
                     // An unbounded governor cannot stop an unfiltered closure
                     // blow-up, and Theorem 2 says |F⁺| can reach the powerset
                     // size — refuse it like the literal enumeration would.
@@ -727,8 +740,8 @@ pub fn execute_traced<I: PostingsSource + ?Sized>(
                     }
                 }
                 LogicalPlan::Union { left, right } => {
-                    let l = execute_traced(left, index, cx, stats)?;
-                    let r = execute_traced(right, index, cx, stats)?;
+                    let l = execute_in(left, index, cx, stats)?;
+                    let r = execute_in(right, index, cx, stats)?;
                     Ok(l.union(&r))
                 }
             }

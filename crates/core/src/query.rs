@@ -204,16 +204,7 @@ pub fn evaluate<I: PostingsSource + ?Sized>(
     query: &Query,
     strategy: Strategy,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_traced(
-        doc,
-        index,
-        query,
-        strategy,
-        None,
-        &Tracer::disabled(),
-        None,
-        None,
-    )
+    evaluate_unbudgeted(doc, index, query, strategy, &Tracer::disabled())
 }
 
 /// Evaluate `query` under an [`ExecPolicy`]: resource budgets, cooperative
@@ -273,8 +264,10 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
 /// children, joins, the final `select-top`).
 ///
 /// `policy: None` evaluates like [`evaluate`]: no ladder, no fault
-/// point, `budget_checkpoints` stays 0, and `cache` and `guard` are not
-/// consulted. `Some(policy)` evaluates like [`evaluate_budgeted`], and
+/// point, and `budget_checkpoints` stays 0. An unbudgeted run has no
+/// cache and no guard, so `cache` and `guard` must then be `None` — any
+/// other combination panics rather than being silently ignored.
+/// `Some(policy)` evaluates like [`evaluate_budgeted`], and
 /// every ladder rung that runs opens a `rung:{name}` span (named after
 /// [`Rung::name`]), so a profile shows exactly where the budget went
 /// before the answering rung — an abandoned rung's span ends at the
@@ -323,11 +316,14 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
     }
-    let nav = Nav::new(doc, index.labels());
     let Some(policy) = policy else {
-        let operands = term_operands(index, query, tracer, None, &mut EvalStats::new());
-        return evaluate_operands(nav, tracer, query, strategy, &operands);
+        assert!(
+            cache.is_none() && guard.is_none(),
+            "an unbudgeted evaluation takes neither a cache nor a guard"
+        );
+        return evaluate_unbudgeted(doc, index, query, strategy, tracer);
     };
+    let nav = Nav::new(doc, index.labels());
     let key = cache
         .as_ref()
         .map(|c| ResultKey::new(c.gen, c.doc, query, strategy, policy));
@@ -459,6 +455,25 @@ fn empty_result() -> QueryResult {
         stats: EvalStats::new(),
         degradation: Degradation::none(),
     }
+}
+
+/// [`evaluate`] with span recording: the operands are the document's
+/// keyword selections.
+fn evaluate_unbudgeted<I: PostingsSource + ?Sized>(
+    doc: &Document,
+    index: &I,
+    query: &Query,
+    strategy: Strategy,
+    tracer: &Tracer<'_>,
+) -> Result<QueryResult, QueryError> {
+    let operands = term_operands(index, query, tracer, None, &mut EvalStats::new());
+    evaluate_operands(
+        Nav::new(doc, index.labels()),
+        tracer,
+        query,
+        strategy,
+        &operands,
+    )
 }
 
 /// Unbudgeted evaluation over pre-built operand sets, shared by
