@@ -79,9 +79,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xfrag_bench::fixtures::{query_fixture, QueryFixture};
 use xfrag_core::{
-    evaluate, evaluate_collection_planned_cached_traced, evaluate_planned_cached_traced,
-    evaluate_traced, flight_key, Budget, CacheRef, CostModel, DocAnswers, ExecPolicy, FilterExpr,
-    Flight, GenerationTag, Query, QueryCache, Singleflight, Strategy, StrategyChoice, Tracer,
+    evaluate, evaluate_collection_traced, evaluate_traced, flight_key, Budget, CacheRef,
+    DocAnswers, ExecPolicy, FilterExpr, Flight, GenerationTag, Query, QueryCache, Singleflight,
+    Strategy, Tracer,
 };
 use xfrag_corpus::zipf::Zipf;
 use xfrag_doc::{encode_segment, store, Collection, DocId, InvertedIndex, SegmentIndex};
@@ -151,7 +151,6 @@ fn run_stream(
             Some(&policy),
             &tracer,
             cache,
-            None,
         )
         .expect("unlimited workload evaluation cannot fail");
         latencies.push(t0.elapsed());
@@ -215,7 +214,6 @@ fn delta_pass(
             Some(&policy),
             &tracer,
             Some(cref),
-            None,
         )
         .expect("unlimited workload evaluation cannot fail");
         std::hint::black_box(r.fragments.len());
@@ -517,16 +515,14 @@ fn scatter_scenario(pool: &[PoolEntry], smoke: bool) -> (String, bool) {
                     .filter(|docs| !docs.is_empty())
                     .map(|docs| {
                         s.spawn(move || {
-                            evaluate_collection_planned_cached_traced(
+                            evaluate_collection_traced(
                                 coll_r,
                                 query_r,
-                                StrategyChoice::Forced(strategy),
+                                strategy,
                                 policy_r,
                                 &Tracer::disabled(),
                                 None,
                                 docs,
-                                None,
-                                None,
                             )
                             .expect("unlimited scatter evaluation cannot fail")
                         })
@@ -591,7 +587,6 @@ fn scatter_scenario(pool: &[PoolEntry], smoke: bool) -> (String, bool) {
                             Some(&ExecPolicy::unlimited()),
                             &Tracer::disabled(),
                             Some(cref),
-                            None,
                         )
                         .expect("unlimited stampede evaluation cannot fail")
                     };
@@ -811,7 +806,8 @@ fn hedged_tail_scenario(smoke: bool) -> (String, bool) {
 }
 
 /// The strategy-picking scenario: returns the BENCH_10 JSON and whether
-/// both planner gates held.
+/// both gates held for the default strategy (`auto`, which runs
+/// push-down) against the four forced ones.
 ///
 /// The workload mixes term subsets and anti-monotonic filters over one
 /// document whose operand sizes sit inside brute force's powerset
@@ -819,11 +815,10 @@ fn hedged_tail_scenario(smoke: bool) -> (String, bool) {
 /// diverge: push-down prunes closures through the pushed selection,
 /// the fixpoints pay the uncapped closure, and brute force pays the
 /// full powerset enumeration regardless of the filter. Evaluation runs
-/// off the encoded v2 segment, so `auto`'s plans come from the
-/// persisted statistics — the production cold path — every arm is cold
-/// (no query cache), and the policy carries a (never-breached) budget
-/// exactly like a serve request, so guards stay disarmed and the
-/// comparison is pure strategy choice.
+/// off the encoded segment — the production cold path — every arm is
+/// cold (no query cache), and the policy carries a (never-breached)
+/// budget exactly like a serve request, so the comparison is pure
+/// strategy choice.
 fn planner_scenario(smoke: bool) -> (String, bool) {
     let (nodes, df, requests) = if smoke {
         (500usize, 7usize, 48usize)
@@ -850,47 +845,43 @@ fn planner_scenario(smoke: bool) -> (String, bool) {
     let mut rng = StdRng::seed_from_u64(SEED);
     let stream: Vec<usize> = (0..requests).map(|_| zipf.sample(&mut rng) - 1).collect();
 
-    // A budget far above anything the workload can spend: `is_limited`,
-    // so the divergence guard never arms — replans are a CLI-unlimited
-    // safety net, not part of the serving-path comparison.
+    // A budget far above anything the workload can spend, shaped like a
+    // serve request's.
     let policy = ExecPolicy::with_budget(Budget::unlimited().with_max_joins(1 << 40));
-    let model = CostModel::default();
-    // One pass over the stream; returns latencies plus the pick
-    // distribution in Strategy::ALL order and the re-plan count.
-    let run = |choice: StrategyChoice| -> (Vec<Duration>, [u64; 4], u64) {
-        let mut lat = Vec::with_capacity(stream.len());
-        let mut picks = [0u64; 4];
-        let mut replans = 0u64;
-        for &i in &stream {
+    // The default, which `auto` also names, then the four forced arms.
+    let auto = Strategy::PushDown;
+    let arms: Vec<Strategy> = std::iter::once(auto).chain(Strategy::ALL).collect();
+    // Arms are interleaved per request, in an order that reverses every
+    // request, and each timed evaluation follows an untimed run of the
+    // same arm on the same query, so no arm is timed on heap or cache
+    // state another arm left behind. Timed pass after pass, or in a
+    // fixed order, the two identical push-down arms (`auto` and forced)
+    // read up to 1.9x apart.
+    let eval = |strategy: Strategy, query: &Query| {
+        evaluate_traced(
+            &fx.doc,
+            &seg,
+            query,
+            strategy,
+            Some(&policy),
+            &Tracer::disabled(),
+            None,
+        )
+        .expect("unlimited planner workload cannot fail")
+    };
+    let mut lat = vec![Vec::with_capacity(stream.len()); arms.len()];
+    for (k, &i) in stream.iter().enumerate() {
+        for j in 0..arms.len() {
+            let a = if k % 2 == 0 { j } else { arms.len() - 1 - j };
+            std::hint::black_box(eval(arms[a], &pool[i]).fragments.len());
             let t0 = Instant::now();
-            let (r, decision) = evaluate_planned_cached_traced(
-                &fx.doc,
-                &seg,
-                &pool[i],
-                choice,
-                &policy,
-                &Tracer::disabled(),
-                None,
-                &model,
-            )
-            .expect("unlimited planner workload cannot fail");
-            lat.push(t0.elapsed());
-            let at = Strategy::ALL
-                .iter()
-                .position(|&s| s == decision.effective)
-                .expect("Strategy::ALL is exhaustive");
-            picks[at] += 1;
-            replans += u64::from(decision.replanned);
+            let r = eval(arms[a], &pool[i]);
+            lat[a].push(t0.elapsed());
             std::hint::black_box(r.fragments.len());
         }
-        (lat, picks, replans)
-    };
-
-    let (auto_lat, auto_picks, auto_replans) = run(StrategyChoice::Auto);
-    let forced: Vec<(Strategy, Vec<Duration>)> = Strategy::ALL
-        .iter()
-        .map(|&s| (s, run(StrategyChoice::Forced(s)).0))
-        .collect();
+    }
+    let auto_lat = lat.remove(0);
+    let forced: Vec<(Strategy, Vec<Duration>)> = Strategy::ALL.into_iter().zip(lat).collect();
 
     let auto_p50 = percentile_us(&auto_lat, 50.0);
     let (mut best, mut worst) = (&forced[0], &forced[0]);
@@ -918,12 +909,6 @@ fn planner_scenario(smoke: bool) -> (String, bool) {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let picks_json = Strategy::ALL
-        .iter()
-        .zip(auto_picks)
-        .map(|(s, n)| format!("\"{}\": {n}", s.name()))
-        .collect::<Vec<_>>()
-        .join(", ");
     let json = format!(
         concat!(
             "{{\n",
@@ -935,8 +920,7 @@ fn planner_scenario(smoke: bool) -> (String, bool) {
             "  \"df\": {df},\n",
             "  \"requests\": {requests},\n",
             "  \"pool_size\": {pool_size},\n",
-            "  \"auto\": {{\"p50_us\": {ap50:.2}, \"p95_us\": {ap95:.2}, ",
-            "\"replans\": {replans}, \"picks\": {{{picks}}}}},\n",
+            "  \"auto\": {{\"strategy\": \"{auto}\", \"p50_us\": {ap50:.2}, \"p95_us\": {ap95:.2}}},\n",
             "  \"forced\": {{\n{forced}\n  }},\n",
             "  \"best_forced\": \"{best}\",\n",
             "  \"worst_forced\": \"{worst}\",\n",
@@ -953,8 +937,7 @@ fn planner_scenario(smoke: bool) -> (String, bool) {
         pool_size = pool.len(),
         ap50 = auto_p50,
         ap95 = percentile_us(&auto_lat, 95.0),
-        replans = auto_replans,
-        picks = picks_json,
+        auto = auto.name(),
         forced = forced_json,
         best = best.0.name(),
         worst = worst.0.name(),

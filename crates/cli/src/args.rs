@@ -2,7 +2,7 @@
 //! dependency set minimal; a CLI parser crate is not on the list).
 
 use crate::serve::ServeArgs;
-use xfrag_core::{Budget, DegradeMode, FilterExpr, StrategyChoice};
+use xfrag_core::{Budget, DegradeMode, FilterExpr, Strategy};
 
 /// Usage text shown on parse errors.
 pub const USAGE: &str = "\
@@ -23,9 +23,8 @@ options:
   --height N      keep fragments of height at most N (anti-monotonic)
   --width N       keep fragments of document-order span at most N
   --min-size N    keep fragments with at least N nodes (not anti-monotonic)
-  --strategy S    auto | brute | naive | reduced | pushdown  (default: auto —
-                  a cost-based planner picks per document from index
-                  statistics; see README \"Strategy picking\")
+  --strategy S    auto | brute | naive | reduced | pushdown  (default: auto,
+                  which runs push-down; see README \"Strategy picking\")
   --strict        require every keyword at a fragment leaf (Definition 8)
   --maximal       hide overlapping sub-fragments (show maximal answers only)
   --ids           print node-id lists instead of XML
@@ -211,9 +210,9 @@ pub struct SearchArgs {
     pub keywords: Vec<String>,
     /// The assembled selection predicate.
     pub filter: FilterExpr,
-    /// Evaluation strategy: planner-chosen (`auto`, the default) or
-    /// forced.
-    pub strategy: StrategyChoice,
+    /// Evaluation strategy (default push-down, which `auto` also
+    /// names).
+    pub strategy: Strategy,
     /// Definition 8 strict leaf semantics.
     pub strict: bool,
     /// Present maximal answers only.
@@ -383,7 +382,7 @@ fn parse_search(rest: &[String]) -> Result<SearchArgs, String> {
     let mut file = None;
     let mut keywords = Vec::new();
     let mut filters = Vec::new();
-    let mut strategy = StrategyChoice::Auto;
+    let mut strategy = Strategy::PushDown;
     let mut strict = false;
     let mut maximal = false;
     let mut ids = false;
@@ -422,7 +421,7 @@ fn parse_search(rest: &[String]) -> Result<SearchArgs, String> {
             }
             "--strategy" => {
                 let v = rest.get(i + 1).ok_or("--strategy needs a value")?;
-                strategy = v.parse::<StrategyChoice>()?;
+                strategy = v.parse::<Strategy>()?;
                 i += 1;
             }
             "--timeout-ms" => {
@@ -596,7 +595,7 @@ mod tests {
                 assert_eq!(a.file, "doc.xml");
                 assert_eq!(a.keywords, vec!["xquery", "optimization"]);
                 assert_eq!(a.filter, FilterExpr::MaxSize(3));
-                assert_eq!(a.strategy, StrategyChoice::Auto);
+                assert_eq!(a.strategy, Strategy::PushDown);
                 assert!(a.stats);
                 assert!(!a.strict);
             }
@@ -620,16 +619,12 @@ mod tests {
 
     #[test]
     fn parse_strategy_aliases() {
-        use xfrag_core::Strategy;
         for (alias, expect) in [
-            ("auto", StrategyChoice::Auto),
-            ("brute", StrategyChoice::Forced(Strategy::BruteForce)),
-            ("naive", StrategyChoice::Forced(Strategy::FixedPointNaive)),
-            (
-                "reduced",
-                StrategyChoice::Forced(Strategy::FixedPointReduced),
-            ),
-            ("pushdown", StrategyChoice::Forced(Strategy::PushDown)),
+            ("auto", Strategy::PushDown),
+            ("brute", Strategy::BruteForce),
+            ("naive", Strategy::FixedPointNaive),
+            ("reduced", Strategy::FixedPointReduced),
+            ("pushdown", Strategy::PushDown),
         ] {
             let cmd = parse(&argv(&format!("search d.xml k --strategy {alias}"))).unwrap();
             match cmd {

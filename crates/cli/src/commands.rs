@@ -5,9 +5,7 @@ use crate::args::{Command, ProfileMode, SearchArgs};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
-use xfrag_core::collection::{
-    evaluate_collection_planned_cached_traced, top_k_collection, CollectionResult,
-};
+use xfrag_core::collection::{evaluate_collection_traced, top_k_collection, CollectionResult};
 use xfrag_core::cost::CostModel;
 use xfrag_core::plan::execute_traced;
 use xfrag_core::rank::RankConfig;
@@ -16,9 +14,8 @@ use xfrag_core::trace::{
     format_duration, render_spans, spans_to_json, LatencyHistogram, RecordingSink, Span, Tracer,
 };
 use xfrag_core::{
-    evaluate_planned_cached_traced, overlap, plan_query, CacheRef, EvalStats, ExecPolicy,
-    GenerationTag, Governor, LogicalPlan, Optimizer, PlanDecision, Query, QueryCache,
-    StrategyChoice,
+    evaluate_traced, overlap, CacheRef, EvalStats, ExecPolicy, GenerationTag, Governor,
+    LogicalPlan, Optimizer, Query, QueryCache,
 };
 use xfrag_core::{FaultInjector, FaultPlan};
 use xfrag_doc::atomic::{write_atomic, WriteFault, WriteFaultHook};
@@ -546,7 +543,7 @@ pub fn multi_search(coll: &Collection, a: &SearchArgs) -> Result<String, CliErro
     let all: Vec<xfrag_doc::DocId> = coll.ids().collect();
     if cache_arg.is_some() {
         // Cold fill pass; the reported pass below runs warm.
-        evaluate_collection_planned_cached_traced(
+        evaluate_collection_traced(
             coll,
             &q,
             a.strategy,
@@ -554,12 +551,10 @@ pub fn multi_search(coll: &Collection, a: &SearchArgs) -> Result<String, CliErro
             &Tracer::disabled(),
             cache_arg,
             &all,
-            None,
-            None,
         )
         .map_err(|e| CliError::Query(e.to_string()))?;
     }
-    let r = evaluate_collection_planned_cached_traced(
+    let r = evaluate_collection_traced(
         coll,
         &q,
         a.strategy,
@@ -567,8 +562,6 @@ pub fn multi_search(coll: &Collection, a: &SearchArgs) -> Result<String, CliErro
         &tracer,
         cache_arg,
         &all,
-        None,
-        None,
     )
     .map_err(|e| CliError::Query(e.to_string()))?;
     let mut out = String::new();
@@ -675,21 +668,6 @@ fn exec_policy(a: &SearchArgs) -> ExecPolicy {
     ExecPolicy::with_budget(a.budget).with_degrade(a.degrade)
 }
 
-/// The strategy tag shown in the result header: the forced name, or
-/// `auto→<picked>` (with a re-plan marker) so the planner's choice is
-/// always visible.
-fn strategy_label(choice: StrategyChoice, decision: &PlanDecision) -> String {
-    match choice {
-        StrategyChoice::Forced(s) => s.name().to_string(),
-        StrategyChoice::Auto if decision.replanned => format!(
-            "auto→{} after re-plan from {}",
-            decision.effective.name(),
-            decision.picked.name()
-        ),
-        StrategyChoice::Auto => format!("auto→{}", decision.effective.name()),
-    }
-}
-
 /// Render recorded spans per the `--profile` mode: a `profile:` header
 /// with the indented span tree (text) or one JSON line (json).
 fn profile_block(mode: ProfileMode, spans: &[Span]) -> String {
@@ -768,30 +746,28 @@ fn search_impl<I: PostingsSource + ?Sized>(
         gen: *g,
         doc: 0,
     });
-    let model = CostModel::default();
+    let policy = exec_policy(a);
     if let Some(cref) = cache_ref {
         // Cold fill pass; the reported pass below runs warm.
-        evaluate_planned_cached_traced(
+        evaluate_traced(
             doc,
             index,
             &q,
             a.strategy,
-            &exec_policy(a),
+            Some(&policy),
             &Tracer::disabled(),
             Some(cref),
-            &model,
         )
         .map_err(|e| CliError::Query(e.to_string()))?;
     }
-    let (result, decision) = evaluate_planned_cached_traced(
+    let result = evaluate_traced(
         doc,
         index,
         &q,
         a.strategy,
-        &exec_policy(a),
+        Some(&policy),
         &tracer,
         cache_ref,
-        &model,
     )
     .map_err(|e| CliError::Query(e.to_string()))?;
     let answers = if a.maximal {
@@ -806,7 +782,7 @@ fn search_impl<I: PostingsSource + ?Sized>(
         "{} fragment(s) for {:?} [{}]",
         answers.len(),
         a.keywords,
-        strategy_label(a.strategy, &decision),
+        a.strategy.name(),
     )
     .unwrap();
     if result.degradation.is_degraded() {
@@ -834,9 +810,6 @@ fn search_impl<I: PostingsSource + ?Sized>(
     }
     if a.stats {
         writeln!(out, "stats: {}", result.stats).unwrap();
-        if a.strategy == StrategyChoice::Auto {
-            writeln!(out, "plan: {}", decision.rationale).unwrap();
-        }
         if let Some(seg) = seg {
             writeln!(out, "{}", segment_stats_line(seg)).unwrap();
         }
@@ -938,50 +911,6 @@ fn explain_impl<I: PostingsSource + ?Sized>(
         )
         .unwrap();
     }
-    // The §5 planner's verdict for this (query, document) pair — printed
-    // whether or not the strategy was forced, so EXPLAIN always shows
-    // what `auto` would do and why.
-    let mut plan_scratch = EvalStats::new();
-    let dec = plan_query(doc, index, &q, &CostModel::default(), &mut plan_scratch);
-    let est_line = xfrag_core::Strategy::ALL
-        .iter()
-        .map(|&s| format!("{}≈{}", s.name(), dec.estimate_for(s).joins))
-        .collect::<Vec<_>>()
-        .join(", ");
-    writeln!(out, "plan: estimated joins {est_line}").unwrap();
-    for o in &dec.operands {
-        writeln!(
-            out,
-            "plan: operand {:?}: n={} RF={:.2} depth-span={} ({})",
-            o.term,
-            o.n,
-            o.rf,
-            o.depth_span,
-            if o.from_segment {
-                "segment stats"
-            } else {
-                "live sample"
-            }
-        )
-        .unwrap();
-    }
-    match a.strategy {
-        StrategyChoice::Auto => writeln!(
-            out,
-            "plan: auto picks {} — {}",
-            dec.picked.name(),
-            dec.rationale
-        )
-        .unwrap(),
-        StrategyChoice::Forced(s) => writeln!(
-            out,
-            "plan: --strategy forces {}; auto would pick {} — {}",
-            s.name(),
-            dec.picked.name(),
-            dec.rationale
-        )
-        .unwrap(),
-    }
     // Budget checkpoints: re-run the fully optimized plan under a governor
     // for the configured budget and report where governance would bite.
     let plan = LogicalPlan::for_query(&q).map_err(|e| CliError::Query(e.to_string()))?;
@@ -1018,29 +947,26 @@ fn explain_impl<I: PostingsSource + ?Sized>(
         };
         let policy = exec_policy(a);
         writeln!(out, "== cache (cold fill, then warm re-run) ==").unwrap();
-        let model = CostModel::default();
-        evaluate_planned_cached_traced(
+        evaluate_traced(
             doc,
             index,
             &q,
             a.strategy,
-            &policy,
+            Some(&policy),
             &Tracer::disabled(),
             Some(cref),
-            &model,
         )
         .map_err(|e| CliError::Query(e.to_string()))?;
         let sink = RecordingSink::new();
         let tracer = Tracer::new(&sink);
-        let (warm, _) = evaluate_planned_cached_traced(
+        let warm = evaluate_traced(
             doc,
             index,
             &q,
             a.strategy,
-            &policy,
+            Some(&policy),
             &tracer,
             Some(cref),
-            &model,
         )
         .map_err(|e| CliError::Query(e.to_string()))?;
         writeln!(
@@ -1090,7 +1016,7 @@ pub fn demo() -> String {
         file: "<built-in figure 1>".into(),
         keywords: vec!["XQuery".into(), "optimization".into()],
         filter: xfrag_core::FilterExpr::MaxSize(3),
-        strategy: StrategyChoice::Forced(xfrag_core::Strategy::PushDown),
+        strategy: xfrag_core::Strategy::PushDown,
         strict: false,
         maximal: false,
         ids: true,
@@ -1120,7 +1046,7 @@ mod tests {
             file: String::new(),
             keywords: keywords.iter().map(|s| s.to_string()).collect(),
             filter,
-            strategy: StrategyChoice::Forced(Strategy::PushDown),
+            strategy: Strategy::PushDown,
             strict: false,
             maximal: false,
             ids: true,
@@ -1322,7 +1248,7 @@ mod multi_tests {
             file: dir.to_string(),
             keywords: vec!["xml".into(), "search".into()],
             filter: FilterExpr::MaxSize(3),
-            strategy: StrategyChoice::Forced(Strategy::PushDown),
+            strategy: Strategy::PushDown,
             strict: false,
             maximal: false,
             ids: true,

@@ -11,7 +11,7 @@
 //! See README § "Serving queries over TCP" for the schema reference.
 
 use serde::{Deserialize, Serialize};
-use xfrag_core::{Budget, DegradeMode, EvalStats, FilterExpr, StrategyChoice};
+use xfrag_core::{Budget, DegradeMode, EvalStats, FilterExpr, Strategy};
 
 /// What a request asks the server to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub struct Request {
     /// Max document-order span.
     pub width: Option<u32>,
     /// Evaluation strategy name (`auto|brute|naive|reduced|pushdown`).
-    /// Absent means `auto`: the server's planner picks per document.
+    /// Absent means `auto`, which runs push-down.
     pub strategy: Option<String>,
     /// Per-request deadline in milliseconds, measured from *admission*.
     /// Clamped to the server's `--timeout-ms` when both are set.
@@ -80,11 +80,11 @@ impl Request {
         FilterExpr::and(parts)
     }
 
-    /// Parse the strategy choice (default [`StrategyChoice::Auto`]).
-    pub fn strategy(&self) -> Result<StrategyChoice, String> {
+    /// Parse the strategy (default [`Strategy::PushDown`]).
+    pub fn strategy(&self) -> Result<Strategy, String> {
         match &self.strategy {
-            None => Ok(StrategyChoice::Auto),
-            Some(s) => s.parse::<StrategyChoice>(),
+            None => Ok(Strategy::PushDown),
+            Some(s) => s.parse::<Strategy>(),
         }
     }
 
@@ -201,9 +201,6 @@ impl<'de> Deserialize<'de> for Request {
 ///     "workers": N, "queued": N, "in_flight": N,  // summed over replicas
 ///     "respawns": N, "evaluations": N,            // summed over replicas
 ///     "flights": {"led": N, "coalesced": N, "aborted": N},  // summed
-///     "plans": {"brute": N, "naive": N, "reduced": N,       // summed:
-///               "push_down": N, "forced": N, "replans": N,  // planner picks
-///               "cached": N, "planned": N, "invalidations": N},
 ///     "cache": {...} | null,             // aggregate of replica arenas
 ///     "replicas": [                      // one entry per replica, in order
 ///       {"replica": J,
@@ -215,9 +212,6 @@ impl<'de> Deserialize<'de> for Request {
 ///        "workers": N, "queued": N, "in_flight": N,
 ///        "respawns": N, "evaluations": N,
 ///        "flights": {"led": N, "coalesced": N, "aborted": N},
-///        "plans": {"brute": N, "naive": N, "reduced": N, "push_down": N,
-///                  "forced": N, "replans": N, "cached": N, "planned": N,
-///                  "invalidations": N},  // this replica's planner picks
 ///        "cache": {...} | null}]}]}      // this replica's own arena
 /// ```
 ///
@@ -344,9 +338,20 @@ mod tests {
         assert_eq!(r.id, 0);
         assert!(r.keywords.is_empty());
         assert_eq!(r.timeout_ms, None);
-        assert_eq!(r.strategy().unwrap(), StrategyChoice::Auto);
+        assert_eq!(r.strategy().unwrap(), Strategy::PushDown);
         assert_eq!(r.degrade().unwrap(), DegradeMode::Ladder);
         assert!(r.filter().is_true());
+        // `auto` is accepted and means the same as no strategy at all.
+        for (name, want) in [
+            ("auto", Strategy::PushDown),
+            ("pushdown", Strategy::PushDown),
+            ("brute", Strategy::BruteForce),
+        ] {
+            let r: Request =
+                serde_json::from_str(&format!(r#"{{"kind":"query","strategy":"{name}"}}"#))
+                    .unwrap();
+            assert_eq!(r.strategy().unwrap(), want, "{name}");
+        }
     }
 
     #[test]
@@ -361,10 +366,7 @@ mod tests {
         assert_eq!(r.id, 7);
         assert_eq!(r.keywords, vec!["xml", "search"]);
         assert_eq!(r.filter(), FilterExpr::MaxSize(3));
-        assert_eq!(
-            r.strategy().unwrap(),
-            StrategyChoice::Forced(xfrag_core::Strategy::FixedPointReduced)
-        );
+        assert_eq!(r.strategy().unwrap(), Strategy::FixedPointReduced);
         assert_eq!(r.timeout_ms, Some(250));
         assert_eq!(r.budget().max_joins, Some(1000));
         assert_eq!(r.degrade().unwrap(), DegradeMode::Off);

@@ -52,8 +52,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xfrag_core::breaker::{BreakerConfig, CircuitBreaker, Permit};
 use xfrag_core::collection::{
-    evaluate_collection_planned_cached_traced, top_k_collection, BudgetedCollectionResult,
-    CollectionResult,
+    evaluate_collection_traced, top_k_collection, BudgetedCollectionResult, CollectionResult,
 };
 use xfrag_core::fault::{panic_message, site};
 use xfrag_core::rank::RankConfig;
@@ -61,8 +60,7 @@ use xfrag_core::snippet::{snippet, SnippetConfig};
 use xfrag_core::trace::{serve_stage, LatencyHistogram, Span, Tracer};
 use xfrag_core::{
     flight_key, Breach, Budget, CacheStats, CancelToken, EvalStats, ExecPolicy, FaultInjector,
-    FaultPlan, Flight, GenerationTag, PickCounters, PickSnapshot, PlanCache, Query, QueryCache,
-    QueryError, RetryBudget, Singleflight,
+    FaultPlan, Flight, GenerationTag, Query, QueryCache, QueryError, RetryBudget, Singleflight,
 };
 use xfrag_doc::manifest;
 use xfrag_doc::{Collection, DocId, Document};
@@ -303,15 +301,6 @@ struct Replica {
     /// Hedge/failover sub-jobs to this replica whose reply won the
     /// group race, lifetime total.
     hedge_wins: AtomicU64,
-    /// Memoized planner decisions, keyed by the serving generation's
-    /// tag: a hot reload mints a fresh tag, so every cached plan is
-    /// invalidated on first use after a swap — plans can never outlive
-    /// the corpus state (postings, segment stats) they were computed
-    /// from. Per-replica for the same fault-isolation reason as `cache`.
-    plans: PlanCache,
-    /// Lifetime strategy-pick distribution (auto picks by strategy,
-    /// forced requests, mid-query re-plans) for this replica.
-    picks: PickCounters,
 }
 
 /// One shard's replica group: R independent [`Replica`]s over the same
@@ -507,7 +496,6 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
 
     let workers = args.workers.max(1);
     let replicas_n = args.replicas.max(1);
-    let gen_tag = generation.tag;
     // Split the cache budget evenly: each replica gets its own arena so
     // arenas never contend or share failure modes across fault domains.
     let per_replica_mb = (args.cache_mb / (shards_n * replicas_n) as u64).max(1);
@@ -534,8 +522,6 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
                     ewma_us: AtomicU64::new(0),
                     hedges: AtomicU64::new(0),
                     hedge_wins: AtomicU64::new(0),
-                    plans: PlanCache::new(gen_tag),
-                    picks: PickCounters::default(),
                 })
                 .collect(),
         })
@@ -1704,19 +1690,6 @@ fn cache_json(s: &Shared) -> String {
     }
 }
 
-/// One `"plans"` object for `stats`: a pick-distribution snapshot plus
-/// plan-cache accounting (`cached` = decisions served from the cache,
-/// `planned` = decisions computed fresh, `invalidations` = generation
-/// bumps that emptied the cache). Same shape per replica and summed
-/// per shard (see the schema comment in `protocol.rs`).
-fn plans_json(pk: &PickSnapshot, cached: u64, planned: u64, invalidations: u64) -> String {
-    format!(
-        "{{\"brute\":{},\"naive\":{},\"reduced\":{},\"push_down\":{},\"forced\":{},\"replans\":{},\"cached\":{},\"planned\":{},\"invalidations\":{}}}",
-        pk.brute, pk.naive, pk.reduced, pk.push_down, pk.forced, pk.replans,
-        cached, planned, invalidations,
-    )
-}
-
 fn stats_line(s: &Shared, id: u64) -> String {
     let gen = s.snapshot();
     // Quarantine detail (file + reason) so operators can see *why* a
@@ -1780,8 +1753,6 @@ fn stats_line(s: &Shared, id: u64) -> String {
             let (mut workers, mut queued, mut in_flight) = (0usize, 0usize, 0usize);
             let (mut respawns, mut evaluations) = (0u64, 0u64);
             let (mut led, mut coalesced, mut aborted) = (0u64, 0u64, 0u64);
-            let mut picks_sum = PickSnapshot::default();
-            let (mut plans_cached, mut plans_planned, mut plans_inv) = (0u64, 0u64, 0u64);
             let mut replicas: Vec<String> = Vec::with_capacity(group.replicas.len());
             for (j, rep) in group.replicas.iter().enumerate() {
                 let (w, q, f) = {
@@ -1799,18 +1770,12 @@ fn stats_line(s: &Shared, id: u64) -> String {
                 led += fl.led;
                 coalesced += fl.coalesced;
                 aborted += fl.aborted;
-                let pk = rep.picks.snapshot();
-                let (pc_hits, pc_misses, pc_inv) = rep.plans.counters();
-                picks_sum = PickCounters::merge(picks_sum, pk);
-                plans_cached += pc_hits;
-                plans_planned += pc_misses;
-                plans_inv += pc_inv;
                 let rep_cache = match &rep.cache {
                     None => "null".to_string(),
                     Some(c) => c.stats().to_json(),
                 };
                 replicas.push(format!(
-                    "{{\"replica\":{},\"state\":\"{}\",\"ewma_us\":{},\"hedges\":{},\"wins\":{},\"opens\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"plans\":{},\"cache\":{}}}",
+                    "{{\"replica\":{},\"state\":\"{}\",\"ewma_us\":{},\"hedges\":{},\"wins\":{},\"opens\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"cache\":{}}}",
                     j,
                     rep.breaker.state().name(),
                     rep.ewma_us.load(Ordering::Relaxed),
@@ -1825,7 +1790,6 @@ fn stats_line(s: &Shared, id: u64) -> String {
                     fl.led,
                     fl.coalesced,
                     fl.aborted,
-                    plans_json(&pk, pc_hits, pc_misses, pc_inv),
                     rep_cache,
                 ));
             }
@@ -1854,7 +1818,7 @@ fn stats_line(s: &Shared, id: u64) -> String {
                 agg.map_or("null".to_string(), |a| a.to_json())
             };
             format!(
-                "{{\"shard\":{},\"docs\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"plans\":{},\"cache\":{},\"replicas\":[{}]}}",
+                "{{\"shard\":{},\"docs\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"cache\":{},\"replicas\":[{}]}}",
                 i,
                 gen.shard_docs.get(i).map_or(0, Vec::len),
                 workers,
@@ -1865,7 +1829,6 @@ fn stats_line(s: &Shared, id: u64) -> String {
                 led,
                 coalesced,
                 aborted,
-                plans_json(&picks_sum, plans_cached, plans_planned, plans_inv),
                 sh_cache,
                 replicas.join(","),
             )
@@ -2034,7 +1997,7 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
     if req.keywords.is_empty() {
         return ShardReply::Error("query needs keywords".into());
     }
-    let choice = match req.strategy() {
+    let strategy = match req.strategy() {
         Ok(v) => v,
         Err(e) => return ShardReply::Error(e),
     };
@@ -2073,21 +2036,15 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
     });
     let docs = &gen.shard_docs[job.group];
     let cache_ref = shard.cache.as_deref().map(|c| (c, gen.tag));
-    // Serve requests always carry a limited budget (deadline or caps),
-    // so the planner's speculative guard never arms here: an `auto`
-    // pick runs under the request's own policy, and the observable
-    // planner state is the pick distribution and the plan cache.
     let run = || {
-        evaluate_collection_planned_cached_traced(
+        evaluate_collection_traced(
             coll,
             &q,
-            choice,
+            strategy,
             &policy,
             &Tracer::disabled(),
             cache_ref,
             docs,
-            Some((&shard.plans, gen.tag)),
-            Some(&shard.picks),
         )
     };
     let result = if shard.cache.is_none() {
@@ -2109,7 +2066,7 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
             req.size,
             req.height,
             req.width,
-            req.strategy,
+            strategy,
             req.degrade,
             req.max_joins,
             req.max_fragments,

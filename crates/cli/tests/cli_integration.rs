@@ -265,3 +265,57 @@ fn broken_pipe_is_not_an_error() {
     assert!(status.success(), "broken pipe became exit {status:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every strategy answers an indexed corpus identically: `msearch --ids`
+/// prints the same bytes under the default and under each forced
+/// strategy.
+#[test]
+fn msearch_ids_identical_under_every_strategy() {
+    let dir = tmpdir("strategies");
+    let (src, corpus) = (dir.join("src"), dir.join("corpus"));
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(
+        src.join("a.xml"),
+        "<doc><sec><par>xml retrieval alpha</par><par>retrieval systems</par></sec></doc>",
+    )
+    .unwrap();
+    std::fs::write(
+        src.join("b.xml"),
+        "<doc><par>xml models</par><par>retrieval of xml data</par></doc>",
+    )
+    .unwrap();
+    let out = xfrag()
+        .args(["index", src.to_str().unwrap(), corpus.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+
+    let msearch = |strategy: Option<&str>| {
+        let mut cmd = xfrag();
+        cmd.args([
+            "msearch",
+            corpus.to_str().unwrap(),
+            "xml",
+            "retrieval",
+            "--size",
+            "4",
+            "--ids",
+        ]);
+        if let Some(s) = strategy {
+            cmd.args(["--strategy", s]);
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{strategy:?}: {out:?}");
+        out.stdout
+    };
+    let default = msearch(None);
+    assert!(
+        String::from_utf8_lossy(&default).contains("fragment(s) in 2 of 2"),
+        "{}",
+        String::from_utf8_lossy(&default)
+    );
+    for s in ["brute", "naive", "reduced", "pushdown"] {
+        assert_eq!(msearch(Some(s)), default, "--strategy {s}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -973,26 +973,17 @@ fn request_retry_exit_codes_distinguish_retryable_from_permanent() {
     assert_eq!(o.status.code(), Some(1), "{o:?}");
 }
 
-/// Sum one counter across every `"plans"` object in a stats line. The
-/// schema repeats the object at shard level (the sum of that shard's
-/// replicas) and at replica level, so the grand total over all replicas
-/// is half the raw sum.
-fn plans_total(stats: &str, name: &str) -> u64 {
-    let mut sum = 0;
-    let mut rest = stats;
-    while let Some(i) = rest.find("\"plans\":{") {
-        let obj = &rest[i..];
-        sum += field_u64(obj, name);
-        rest = &obj["\"plans\":{".len()..];
-    }
-    sum / 2
+/// The reply up to its `"stats"` object: everything a client reads as
+/// the answer (id, status, answers), without the per-request counters
+/// that a cache hit changes.
+fn body_of(reply: &str) -> &str {
+    &reply[..reply.find(",\"stats\":").unwrap_or(reply.len())]
 }
 
-/// ISSUE 10 satellite: the planner in the full serving topology. `auto`
-/// is the wire default and byte-identical (answer payload) to every
-/// forced strategy; per-shard `plans` counters account for auto picks,
-/// forced requests and plan-cache traffic under the 6×5 concurrent
-/// soak; and a hot reload's fresh generation invalidates memoized plans.
+/// `auto` in the full serving topology: `"strategy":"auto"`, no strategy
+/// and `"pushdown"` get byte-identical replies, every forced strategy
+/// returns the same answers, the 6×5 concurrent soak on the default
+/// path loses nothing, and a hot reload serves the new content.
 #[test]
 fn planner_auto_default_under_sharded_soak() {
     let src = corpus("planner-src");
@@ -1003,61 +994,28 @@ fn planner_auto_default_under_sharded_soak() {
         &["--shards", "2", "--replicas", "2", "--cache-mb", "16"],
     );
 
-    // Omitting `strategy` means auto, and saying `"auto"` is the same
-    // request.
-    let auto = srv.rpc(r#"{"kind":"query","id":1,"keywords":["xml","search"]}"#);
-    assert_eq!(field_str(&auto, "status"), "ok", "{auto}");
-    let explicit =
-        srv.rpc(r#"{"kind":"query","id":2,"keywords":["xml","search"],"strategy":"auto"}"#);
-    assert_eq!(
-        answers_of(&explicit),
-        answers_of(&auto),
-        "auto not the default"
-    );
+    let default = srv.rpc(r#"{"kind":"query","id":1,"keywords":["xml","search"]}"#);
+    assert_eq!(field_str(&default, "status"), "ok", "{default}");
+    for s in ["auto", "pushdown"] {
+        let named = srv.rpc(&format!(
+            r#"{{"kind":"query","id":1,"keywords":["xml","search"],"strategy":"{s}"}}"#
+        ));
+        assert_eq!(body_of(&named), body_of(&default), "{s} vs no strategy");
+    }
 
-    // Byte-identity across the strategy matrix: whatever the planner
-    // picked per document, the merged answer payload must equal every
-    // forced strategy's.
-    for s in ["brute", "naive", "reduced", "pushdown"] {
+    for s in ["brute", "naive", "reduced"] {
         let forced = srv.rpc(&format!(
             r#"{{"kind":"query","id":3,"keywords":["xml","search"],"strategy":"{s}"}}"#
         ));
         assert_eq!(field_str(&forced, "status"), "ok", "{forced}");
         assert_eq!(
             answers_of(&forced),
-            answers_of(&auto),
-            "forced {s} diverged from auto"
+            answers_of(&default),
+            "forced {s} diverged from the default"
         );
     }
 
-    // Pick accounting so far: 2 auto requests and 4 forced requests,
-    // each evaluating 3 documents. Hedged sub-jobs can only add counts,
-    // so the bounds are one-sided.
-    let stats = srv.rpc(r#"{"kind":"stats","id":4}"#);
-    let auto_picks = |stats: &str| {
-        ["brute", "naive", "reduced", "push_down"]
-            .iter()
-            .map(|k| plans_total(stats, k))
-            .sum::<u64>()
-    };
-    let picks0 = auto_picks(&stats);
-    assert!(picks0 >= 6, "expected ≥ 6 auto picks: {stats}");
-    assert!(
-        plans_total(&stats, "forced") >= 12,
-        "expected ≥ 12 forced picks: {stats}"
-    );
-    assert!(
-        plans_total(&stats, "planned") >= 3,
-        "every document should have been planned once: {stats}"
-    );
-    assert_eq!(
-        plans_total(&stats, "replans"),
-        0,
-        "serve requests are budgeted; the guard must never arm: {stats}"
-    );
-
-    // The 6×5 soak on the default (auto) path: no responses lost, and
-    // repeated queries start hitting the per-replica plan cache.
+    // The 6×5 soak on the default path: no responses lost.
     const THREADS: u64 = 6;
     const PER_THREAD: u64 = 5;
     let mut handles = Vec::new();
@@ -1085,21 +1043,10 @@ fn planner_auto_default_under_sharded_soak() {
         }
     }
     assert_eq!(total, (THREADS * PER_THREAD) as usize, "lost responses");
-
     let stats = srv.rpc(r#"{"kind":"stats","id":5}"#);
-    assert!(
-        auto_picks(&stats) > picks0,
-        "soak picks not recorded: {stats}"
-    );
-    assert!(
-        plans_total(&stats, "cached") >= 1,
-        "30 identical requests never hit a plan cache: {stats}"
-    );
-    let inv0 = plans_total(&stats, "invalidations");
+    assert!(!stats.contains("\"plans\""), "{stats}");
 
-    // A hot reload mints a fresh generation; memoized plans must die
-    // with the old one — the first post-reload plan on a serving
-    // replica records an invalidation, and answers track new content.
+    // A hot reload: answers track the new content.
     std::fs::write(
         src.join("a.xml"),
         "<doc><title>xml regenerated</title><p>planner search regenerated</p></doc>",
@@ -1115,11 +1062,6 @@ fn planner_auto_default_under_sharded_soak() {
     assert!(
         fresh.contains("regenerated"),
         "stale content after reload: {fresh}"
-    );
-    let stats = srv.rpc(r#"{"kind":"stats","id":92}"#);
-    assert!(
-        plans_total(&stats, "invalidations") > inv0,
-        "reload did not invalidate cached plans: {stats}"
     );
 
     let (st, sum) = srv.shutdown_and_wait();

@@ -9,14 +9,9 @@
 
 use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor};
 use crate::cache::{CacheRef, GenerationTag, QueryCache};
-use crate::cost::CostModel;
 use crate::fault::{panic_message, site};
 use crate::join::PowersetTooLarge;
-use crate::planner::{
-    evaluate_decided_cached_traced, evaluate_planned_cached_traced, PickCounters, PlanCache,
-    StrategyChoice,
-};
-use crate::query::{Query, QueryError, Strategy};
+use crate::query::{evaluate_traced, Query, QueryError, Strategy};
 use crate::rank::{score, RankConfig};
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
@@ -82,16 +77,14 @@ pub fn evaluate_collection(
         }
     }
     let all: Vec<DocId> = collection.ids().collect();
-    let r = evaluate_collection_planned_cached_traced(
+    let r = evaluate_collection_traced(
         collection,
         query,
-        StrategyChoice::Forced(strategy),
+        strategy,
         &ExecPolicy::unlimited().with_degrade(DegradeMode::Off),
         &Tracer::disabled(),
         None,
         &all,
-        None,
-        None,
     )?;
     Ok(CollectionResult {
         answers: r.answers,
@@ -137,8 +130,8 @@ impl BudgetedCollectionResult {
     }
 }
 
-/// Evaluate a collection query under an [`ExecPolicy`] and a
-/// [`StrategyChoice`], over the routed subset `docs` of the collection.
+/// Evaluate a collection query with `strategy` under an [`ExecPolicy`],
+/// over the routed subset `docs` of the collection.
 ///
 /// Two budget scopes compose here:
 ///
@@ -157,11 +150,6 @@ impl BudgetedCollectionResult {
 /// Cancellation aborts with [`QueryError::Cancelled`]; any other breach
 /// with [`DegradeMode::Off`] aborts with [`QueryError::BudgetExceeded`].
 ///
-/// Forced choices evaluate the strategy as given; `auto` plans per
-/// (query, document) — optionally through a shared [`PlanCache`] —
-/// executes under the divergence guard, and records the pick
-/// distribution into `picks`.
-///
 /// Each candidate document runs under a `doc:{name}` span, so the
 /// per-document ladder rungs nest underneath it and the top-level `doc:`
 /// spans carry exactly one document's wall-clock and counter deltas —
@@ -177,24 +165,21 @@ impl BudgetedCollectionResult {
 ///
 /// Only documents in `docs` are considered — the shard-serving
 /// primitive. `docs` must be in ascending id order, as
-/// [`Collection::ids`] yields them. Because candidacy, evaluation, planning and stats are all
-/// per-document and deterministic, evaluating a partition of the
-/// collection shard by shard and concatenating the results (answers and
-/// failures re-sorted by [`DocId`], counters summed) reproduces the
-/// whole-collection result *exactly* —
+/// [`Collection::ids`] yields them. Because candidacy, evaluation and
+/// stats are all per-document and deterministic, evaluating a partition
+/// of the collection shard by shard and concatenating the results
+/// (answers and failures re-sorted by [`DocId`], counters summed)
+/// reproduces the whole-collection result *exactly* —
 /// `routed_partition_merges_to_whole_collection_result` below and the
 /// serve-layer shard differential both pin this down.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_collection_planned_cached_traced(
+pub fn evaluate_collection_traced(
     collection: &Collection,
     query: &Query,
-    choice: StrategyChoice,
+    strategy: Strategy,
     policy: &ExecPolicy,
     tracer: &Tracer<'_>,
     cache: Option<(&QueryCache, GenerationTag)>,
     docs: &[DocId],
-    plans: Option<(&PlanCache, GenerationTag)>,
-    picks: Option<&PickCounters>,
 ) -> Result<BudgetedCollectionResult, QueryError> {
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
@@ -212,7 +197,6 @@ pub fn evaluate_collection_planned_cached_traced(
         docs_pruned: docs.len() - candidates.len(),
         ..Default::default()
     };
-    let model = CostModel::default();
     for (i, &id) in candidates.iter().enumerate() {
         match gov.checkpoint() {
             Ok(()) => {}
@@ -249,37 +233,15 @@ pub fn evaluate_collection_planned_cached_traced(
                         gen,
                         doc: id.0,
                     });
-                    let (r, decision) = match (choice, plans) {
-                        (StrategyChoice::Auto, Some((plan_cache, plan_gen))) => {
-                            let mut decision = plan_cache.get_or_plan(
-                                plan_gen,
-                                id.0 as u64,
-                                doc,
-                                &index,
-                                query,
-                                &model,
-                            );
-                            let r = evaluate_decided_cached_traced(
-                                doc,
-                                &index,
-                                query,
-                                &mut decision,
-                                &per_doc,
-                                tracer,
-                                cache_ref,
-                            )?;
-                            (r, decision)
-                        }
-                        _ => evaluate_planned_cached_traced(
-                            doc, &index, query, choice, &per_doc, tracer, cache_ref, &model,
-                        )?,
-                    };
-                    if let Some(picks) = picks {
-                        match choice {
-                            StrategyChoice::Forced(_) => picks.record_forced(),
-                            StrategyChoice::Auto => picks.record(&decision),
-                        }
-                    }
+                    let r = evaluate_traced(
+                        doc,
+                        &index,
+                        query,
+                        strategy,
+                        Some(&per_doc),
+                        tracer,
+                        cache_ref,
+                    )?;
                     *stats += r.stats;
                     Ok(r)
                 },
@@ -350,17 +312,7 @@ mod tests {
         tracer: &Tracer<'_>,
     ) -> Result<BudgetedCollectionResult, QueryError> {
         let all: Vec<DocId> = c.ids().collect();
-        evaluate_collection_planned_cached_traced(
-            c,
-            q,
-            StrategyChoice::Forced(Strategy::PushDown),
-            policy,
-            tracer,
-            None,
-            &all,
-            None,
-            None,
-        )
+        evaluate_collection_traced(c, q, Strategy::PushDown, policy, tracer, None, &all)
     }
 
     fn collection() -> Collection {
@@ -573,16 +525,14 @@ mod tests {
             }
             let mut merged = BudgetedCollectionResult::default();
             for part in &parts {
-                let r = evaluate_collection_planned_cached_traced(
+                let r = evaluate_collection_traced(
                     &c,
                     &q,
-                    StrategyChoice::Forced(Strategy::PushDown),
+                    Strategy::PushDown,
                     &policy,
                     &tracer,
                     None,
                     part,
-                    None,
-                    None,
                 )
                 .unwrap();
                 merged.answers.extend(r.answers);

@@ -104,51 +104,6 @@ impl CostModel {
         reduce_cost.saturating_add(k.saturating_sub(1).saturating_mul(m).saturating_mul(n))
     }
 
-    /// Planner-grade estimate for one operand's fixed point, in joins and
-    /// output fragments.
-    ///
-    /// Unlike [`CostModel::estimate_plan`] — whose `2^k − 1` closure caps
-    /// are deliberate worst-case bounds for `explain --analyze` — the
-    /// planner needs estimates tight enough that "actuals diverged" is
-    /// detectable. This models convergence from the postings' depth
-    /// spread (`iters ≈ span + 2`: fragments can only grow along
-    /// root-paths between postings) and the closure as growing linearly
-    /// per round (`m ≈ base · iters`), where the base is `n` for the
-    /// naive fixed point and the post-`⊖` cardinality
-    /// `k = (1 − RF) · n` for the reduced one.
-    pub fn planner_fixpoint_estimate(
-        &self,
-        n: u64,
-        rf: f64,
-        depth_span: u64,
-        mode: FixpointMode,
-    ) -> CostEstimate {
-        if n == 0 {
-            return CostEstimate {
-                joins: 0,
-                fragments: 0,
-            };
-        }
-        let iters = depth_span.saturating_add(2);
-        match mode {
-            FixpointMode::Naive => {
-                let m = n.saturating_mul(iters);
-                CostEstimate {
-                    joins: self.naive_fixpoint_joins(n, m, iters),
-                    fragments: m,
-                }
-            }
-            FixpointMode::Reduced => {
-                let k = n.saturating_sub((rf * n as f64).round() as u64).max(1);
-                let m = k.saturating_mul(iters);
-                CostEstimate {
-                    joins: self.reduced_fixpoint_joins(n, m, k),
-                    fragments: m,
-                }
-            }
-        }
-    }
-
     /// Decide the fixed-point mode for one operand set: estimate RF by
     /// sampling and use [`FixpointMode::Reduced`] only above the threshold
     /// (§5's decision rule verbatim).

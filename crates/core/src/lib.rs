@@ -90,8 +90,8 @@ pub use cache::{
     SingleflightStats, TierCounters,
 };
 pub use collection::{
-    evaluate_collection, evaluate_collection_planned_cached_traced, top_k_collection,
-    BudgetedCollectionResult, CollectionResult, DocAnswers,
+    evaluate_collection, evaluate_collection_traced, top_k_collection, BudgetedCollectionResult,
+    CollectionResult, DocAnswers,
 };
 pub use cost::{CostEstimate, CostModel};
 pub use fault::{FaultAction, FaultInjector, FaultPlan};
@@ -107,10 +107,7 @@ pub use join::{
 };
 pub use nav::Nav;
 pub use plan::{execute_traced, LogicalPlan, Optimizer, OptimizerRule};
-pub use planner::{
-    evaluate_decided_cached_traced, evaluate_planned_cached_traced, plan_query, OperandProfile,
-    PickCounters, PickSnapshot, PlanCache, PlanDecision, StrategyChoice,
-};
+pub use planner::{evaluate_decided_cached_traced, PlanCache, PlanDecision};
 pub use query::{
     evaluate, evaluate_budgeted, evaluate_scoped, evaluate_traced, Query, QueryError, QueryResult,
     ScopedQueryError, Strategy,

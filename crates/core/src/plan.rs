@@ -14,16 +14,16 @@
 //! * [`ChooseFixpointMode`] — the §5 decision rule, delegating to
 //!   [`crate::cost::CostModel`];
 //! * [`execute_traced`] — the governed, traced plan interpreter behind
-//!   `explain`; [`execute`] is its plain unbudgeted counterpart;
+//!   `explain` (pass [`Governor::unlimited`] and [`Tracer::disabled`] for
+//!   a plain run);
 //! * [`LogicalPlan::render`] — the indented evaluation-tree printer
 //!   (compare Figure 5 (a) and (b)).
 
 use crate::budget::{Breach, Governor};
 use crate::cost::CostModel;
-use crate::exec::{self, ExecCtx};
+use crate::exec::ExecCtx;
 use crate::filter::{select, FilterExpr};
-use crate::fixpoint::{fixed_point, FixpointMode};
-use crate::join::{pairwise_join, powerset_join};
+use crate::fixpoint::FixpointMode;
 use crate::nav::Nav;
 use crate::query::{Query, QueryError};
 use crate::set::FragmentSet;
@@ -602,71 +602,21 @@ impl<'a> Optimizer<'a> {
     }
 }
 
-/// Evaluate a logical plan against a document. Structural questions go
-/// through a [`Nav`] built from the source's labels, so a persistent
-/// segment executes plans by label arithmetic, an in-memory index by
-/// tree walks.
-pub fn execute<I: PostingsSource + ?Sized>(
-    plan: &LogicalPlan,
-    doc: &Document,
-    index: &I,
-    stats: &mut EvalStats,
-) -> Result<FragmentSet, QueryError> {
-    let nav = Nav::new(doc, index.labels());
-    match plan {
-        LogicalPlan::KeywordSelect { term } => {
-            Ok(FragmentSet::of_nodes(index.postings(term).iter().copied()))
-        }
-        LogicalPlan::Select { filter, input } => {
-            let f = execute(input, doc, index, stats)?;
-            Ok(select(doc, filter, &f, stats))
-        }
-        LogicalPlan::PairwiseJoin { left, right } => {
-            let l = execute(left, doc, index, stats)?;
-            let r = execute(right, doc, index, stats)?;
-            if l.is_empty() || r.is_empty() {
-                return Ok(FragmentSet::new());
-            }
-            Ok(pairwise_join(nav, &l, &r, stats))
-        }
-        LogicalPlan::PowersetJoin { left, right } => {
-            let l = execute(left, doc, index, stats)?;
-            let r = execute(right, doc, index, stats)?;
-            if l.is_empty() || r.is_empty() {
-                return Ok(FragmentSet::new());
-            }
-            Ok(powerset_join(nav, &l, &r, stats)?)
-        }
-        LogicalPlan::FixedPoint {
-            input,
-            mode,
-            inner_filter,
-        } => {
-            let f = execute(input, doc, index, stats)?;
-            match inner_filter {
-                None => Ok(fixed_point(nav, &f, *mode, stats)),
-                Some(p) => Ok(exec::unlimited(nav, |cx| {
-                    cx.filtered_fixed_point(&f, p, stats)
-                })),
-            }
-        }
-        LogicalPlan::Union { left, right } => {
-            let l = execute(left, doc, index, stats)?;
-            let r = execute(right, doc, index, stats)?;
-            Ok(l.union(&r))
-        }
-    }
-}
-
 /// Evaluate a logical plan under a [`Governor`] and a [`Tracer`]: a budget
 /// checkpoint runs at every operator boundary (so even a deep plan observes deadlines and
 /// cancellation promptly), every join and fixed-point operator charges
 /// the governor, and every operator opens a span labeled by
 /// [`LogicalPlan::label`], nested to mirror the plan tree, with
 /// fixed-point operators contributing their per-round child spans — the
-/// execution side of `explain --analyze`. Powerset operands over
-/// [`crate::POWERSET_LIMIT`] surface as [`Breach::PowersetLimit`] instead
-/// of a hard error.
+/// execution side of `explain --analyze`. Structural questions go
+/// through a [`Nav`] built from the source's labels, so a persistent
+/// segment executes plans by label arithmetic, an in-memory index by
+/// tree walks.
+///
+/// A powerset join with an operand over [`crate::POWERSET_LIMIT`]
+/// fragments returns [`Breach::PowersetLimit`]; so does an unfiltered
+/// fixed point over more than that many under a governor without work
+/// limits, where nothing else would stop the closure blow-up.
 pub fn execute_traced<I: PostingsSource + ?Sized>(
     plan: &LogicalPlan,
     doc: &Document,
@@ -754,6 +704,23 @@ mod tests {
     use super::*;
     use crate::query::{evaluate, Strategy};
     use xfrag_doc::{DocumentBuilder, InvertedIndex};
+
+    /// A plain, unbudgeted, untraced plan run.
+    fn execute(
+        plan: &LogicalPlan,
+        doc: &Document,
+        index: &InvertedIndex,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        execute_traced(
+            plan,
+            doc,
+            index,
+            stats,
+            &Governor::unlimited(),
+            &Tracer::disabled(),
+        )
+    }
 
     fn doc() -> Document {
         let mut b = DocumentBuilder::new();

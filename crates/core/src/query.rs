@@ -21,9 +21,7 @@
 //! proptest enforce it. They differ (dramatically) in work performed,
 //! which [`crate::EvalStats`] exposes.
 
-use crate::budget::{
-    Breach, Budget, Degradation, DegradeMode, ExecPolicy, Governor, Rung, TOP_CANDIDATES,
-};
+use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor, Rung, TOP_CANDIDATES};
 use crate::cache::{CacheRef, ResultKey};
 use crate::exec::ExecCtx;
 use crate::filter::{select, FilterExpr};
@@ -130,9 +128,10 @@ impl std::str::FromStr for Strategy {
             "brute-force" | "brute" => Ok(Strategy::BruteForce),
             "fixpoint-naive" | "naive" => Ok(Strategy::FixedPointNaive),
             "fixpoint-reduced" | "reduced" => Ok(Strategy::FixedPointReduced),
-            "push-down" | "pushdown" => Ok(Strategy::PushDown),
+            // `auto` is what requests without a strategy run: push-down.
+            "push-down" | "pushdown" | "auto" => Ok(Strategy::PushDown),
             other => Err(format!(
-                "unknown strategy {other:?} (expected brute-force, fixpoint-naive, fixpoint-reduced or push-down)"
+                "unknown strategy {other:?} (expected auto, brute-force, fixpoint-naive, fixpoint-reduced or push-down)"
             )),
         }
     }
@@ -250,13 +249,11 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
         Some(policy),
         &Tracer::disabled(),
         None,
-        None,
     )
 }
 
 /// The query entry point that [`evaluate`] and [`evaluate_budgeted`] are
-/// plain forms of, with span recording, the query cache and the
-/// planner's guard.
+/// plain forms of, with span recording and the query cache.
 ///
 /// Spans: one `term-lookup:{term}` span per keyword selection (with an
 /// `index:load:{term}` child when the posting list is decoded from a
@@ -265,8 +262,8 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
 ///
 /// `policy: None` evaluates like [`evaluate`]: no ladder, no fault
 /// point, and `budget_checkpoints` stays 0. An unbudgeted run has no
-/// cache and no guard, so `cache` and `guard` must then be `None` — any
-/// other combination panics rather than being silently ignored.
+/// cache, so `cache` must then be `None` — passing one panics rather
+/// than being silently ignored.
 /// `Some(policy)` evaluates like [`evaluate_budgeted`], and
 /// every ladder rung that runs opens a `rung:{name}` span (named after
 /// [`Rung::name`]), so a profile shows exactly where the budget went
@@ -291,18 +288,6 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
 ///    no work limits, wall clock, or cancel token: a fixpoint hit skips
 ///    governor charges, which under a limited budget would change where
 ///    the budget trips.
-///
-/// `guard` is the planner's divergence guard (see [`crate::planner`]). It
-/// only replaces the [`Governor`]'s work caps; cache keys, the tier gates
-/// and the result's policy fingerprint all still come from `policy`, so a
-/// guarded run that completes is byte-identical to an unguarded one. When
-/// the guard trips, the run aborts with [`QueryError::BudgetExceeded`] at
-/// the breaching charge instead of walking the degradation ladder — the
-/// planner treats that as "actuals diverged from estimates" and re-plans
-/// with the conservative strategy. Callers must only arm a guard under an
-/// unlimited, non-cancellable `policy` (the planner's arming condition),
-/// where a breach can only mean guard divergence.
-#[allow(clippy::too_many_arguments)]
 pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,
@@ -311,16 +296,12 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     policy: Option<&ExecPolicy>,
     tracer: &Tracer<'_>,
     cache: Option<CacheRef<'_>>,
-    guard: Option<&Budget>,
 ) -> Result<QueryResult, QueryError> {
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
     }
     let Some(policy) = policy else {
-        assert!(
-            cache.is_none() && guard.is_none(),
-            "an unbudgeted evaluation takes neither a cache nor a guard"
-        );
+        assert!(cache.is_none(), "an unbudgeted evaluation takes no cache");
         return evaluate_unbudgeted(doc, index, query, strategy, tracer);
     };
     let nav = Nav::new(doc, index.labels());
@@ -363,19 +344,14 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     let mut result = if any_empty {
         empty_result()
     } else {
-        let gov = Governor::new(
-            guard.copied().unwrap_or(policy.budget),
-            policy.cancel.clone(),
-        )
-        .with_fault(policy.fault.clone());
-        // Tier (b) gate — see the doc comment above. Deliberately reads
-        // the caller's `policy`, not the guard: the guard must not change
-        // what gets cached or under which keys.
+        let gov =
+            Governor::new(policy.budget, policy.cancel.clone()).with_fault(policy.fault.clone());
+        // Tier (b) gate — see the doc comment above.
         let cx = ExecCtx {
             cache: cache.filter(|_| !policy.budget.is_limited() && policy.cancel.is_none()),
             ..ExecCtx::new(nav, &gov, tracer)
         };
-        run_ladder(&cx, query, strategy, &operands, policy, guard.is_some())?
+        run_ladder(&cx, query, strategy, &operands, policy)?
     };
     result.stats.cache_hits += lookup_stats.cache_hits;
     result.stats.cache_misses += lookup_stats.cache_misses;
@@ -514,15 +490,13 @@ fn evaluate_operands(
 }
 
 /// The degradation ladder of [`evaluate_budgeted`] over non-empty
-/// operand sets. With `guarded`, a rung-0 breach is the planner's
-/// divergence signal and aborts instead of degrading.
+/// operand sets.
 fn run_ladder(
     cx: &ExecCtx<'_>,
     query: &Query,
     strategy: Strategy,
     operands: &[FragmentSet],
     policy: &ExecPolicy,
-    guarded: bool,
 ) -> Result<QueryResult, QueryError> {
     let gov = cx.gov;
     let mut stats = EvalStats::new();
@@ -542,13 +516,6 @@ fn run_ladder(
     );
     let mut raw = match attempt {
         Ok(raw) => Some(raw),
-        // A tripped planner guard is a divergence signal, not a resource
-        // limit: surface it at this checkpoint so the planner can re-plan
-        // under the caller's real (unlimited) policy — the ladder's
-        // partial answers are never acceptable substitutes here.
-        Err(breach) if guarded => {
-            return Err(QueryError::BudgetExceeded(breach));
-        }
         Err(breach) => {
             handle_breach(Rung::Full, breach, policy, &mut trips)?;
             None

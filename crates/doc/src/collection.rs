@@ -33,8 +33,8 @@ impl std::fmt::Display for DocId {
 #[derive(Debug)]
 enum DocIndex {
     Mem(InvertedIndex),
-    // Boxed: the stats block makes SegmentIndex an order of magnitude
-    // larger than InvertedIndex's map header.
+    // Boxed: SegmentIndex is several times larger than InvertedIndex's
+    // map header.
     Seg(Box<SegmentIndex>),
 }
 
@@ -117,13 +117,6 @@ impl PostingsSource for IndexHandle<'_> {
 
     fn persistent(&self) -> bool {
         matches!(self.0, DocIndex::Seg(_))
-    }
-
-    fn term_stats(&self, term: &str) -> Option<crate::stats::TermStats> {
-        match self.0 {
-            DocIndex::Mem(_) => None,
-            DocIndex::Seg(s) => s.term_stats(term),
-        }
     }
 }
 

@@ -70,14 +70,6 @@ pub trait PostingsSource {
     fn persistent(&self) -> bool {
         false
     }
-
-    /// Index-time planner statistics for a term, when this source
-    /// persists them (v2 segments). Sources without stats return `None`
-    /// and the planner estimates live from the postings instead.
-    fn term_stats(&self, term: &str) -> Option<crate::stats::TermStats> {
-        let _ = term;
-        None
-    }
 }
 
 impl PostingsSource for InvertedIndex {

@@ -36,7 +36,6 @@ pub mod parse;
 pub mod path;
 pub mod segment;
 pub mod serialize;
-pub mod stats;
 pub mod store;
 pub mod text;
 pub mod tree;
@@ -49,5 +48,4 @@ pub use label::StructLabels;
 pub use parse::parse_str;
 pub use path::{select_path, PathExpr};
 pub use segment::{encode_segment, segment_file_name, SegmentIndex};
-pub use stats::{SegmentStats, TermStats};
 pub use tree::{Document, NodeId};

@@ -20,7 +20,7 @@
 //!
 //! ```text
 //! magic    4 bytes  "XIDX"
-//! version  u16      2 (v1 still decodes; it simply has no stats)
+//! version  u16      1 (v2, which older builds wrote, still decodes)
 //! nodes    u32      node count (pre-order)
 //! per node: u32     label length (= depth + 1)
 //! labels   u32 × Σ  flattened root paths, node order
@@ -31,14 +31,8 @@
 //!   offset u32      byte offset of this term's postings in the blob
 //! blob_len u32      postings blob length in bytes
 //! blob     bytes    u32 node ids, ascending, per directory order
-//! --- v2 only: planner statistics ---
-//! hist     u32 × 16 node count per depth bucket (clamped at 15)
-//! per term (directory order):
-//!   rf_elim  u16    sampled candidates eliminated by a pair join
-//!   rf_cand  u16    sampled candidate count (≤ RF_SAMPLE)
-//!   dmin     u32    minimum posting depth
-//!   dmax     u32    maximum posting depth
-//!   sketch   u64    hashed-posting membership bitmap
+//! --- v2 only: statistics for a retired strategy planner ---
+//! stats    bytes    64 + 20 × terms, bounds-checked and skipped
 //! --- end v2 ---
 //! checksum u64      FNV-1a over everything before it
 //! ```
@@ -53,9 +47,6 @@
 
 use crate::index::InvertedIndex;
 use crate::label::StructLabels;
-use crate::stats::{
-    compute_term_stats, depth_histogram, SegmentStats, TermStats, DEPTH_BUCKETS, RF_SAMPLE,
-};
 use crate::store::fnv1a;
 use crate::tree::{Document, NodeId};
 use std::collections::HashMap;
@@ -63,9 +54,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 const MAGIC: &[u8; 4] = b"XIDX";
-const VERSION: u16 = 2;
-/// Oldest version this build still decodes (v1 = no stats section).
-const MIN_VERSION: u16 = 1;
+/// The version this build writes.
+const VERSION: u16 = 1;
+/// Newest version this build still decodes (v2 = v1 plus a stats
+/// section, which is skipped).
+const MAX_VERSION: u16 = 2;
+/// Size of a v2 stats section: a fixed 64-byte depth histogram, then
+/// 20 bytes per directory term.
+const V2_STATS_FIXED: usize = 64;
+const V2_STATS_PER_TERM: usize = 20;
 
 /// Errors from decoding an index segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,19 +138,6 @@ pub fn encode_from(doc: &Document, index: &InvertedIndex) -> Vec<u8> {
     }
     buf.extend_from_slice(&(blob.len() as u32).to_le_bytes());
     buf.extend_from_slice(&blob);
-    // v2 stats section: depth histogram, then per-term planner stats in
-    // the same lexicographic order as the directory.
-    for c in depth_histogram(&labels) {
-        buf.extend_from_slice(&c.to_le_bytes());
-    }
-    for (_, postings) in index.terms() {
-        let ts = compute_term_stats(&labels, postings);
-        buf.extend_from_slice(&ts.rf_eliminated.to_le_bytes());
-        buf.extend_from_slice(&ts.rf_candidates.to_le_bytes());
-        buf.extend_from_slice(&ts.depth_min.to_le_bytes());
-        buf.extend_from_slice(&ts.depth_max.to_le_bytes());
-        buf.extend_from_slice(&ts.sketch.to_le_bytes());
-    }
     let checksum = fnv1a(&buf);
     buf.extend_from_slice(&checksum.to_le_bytes());
     buf
@@ -187,9 +171,6 @@ pub struct SegmentIndex {
     /// Total encoded segment size, for stats.
     bytes_len: usize,
     node_count: usize,
-    /// v2 planner statistics; `None` for v1 segments or when the stats
-    /// section failed its sanity checks.
-    stats: Option<SegmentStats>,
     loaded: Mutex<HashMap<String, Arc<[NodeId]>>>,
     terms_loaded: AtomicU64,
 }
@@ -227,13 +208,6 @@ impl<'a> Reader<'a> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
-
-    fn u64_le(&mut self) -> Result<u64, SegmentError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
 }
 
 impl SegmentIndex {
@@ -253,7 +227,7 @@ impl SegmentIndex {
             return Err(SegmentError::BadMagic);
         }
         let version = r.u16_le()?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if !(VERSION..=MAX_VERSION).contains(&version) {
             return Err(SegmentError::UnsupportedVersion(version));
         }
         let n = r.u32_le()? as usize;
@@ -311,35 +285,11 @@ impl SegmentIndex {
         }
         let blob_len = r.u32_le()? as usize;
         let blob = r.take(blob_len)?.to_vec();
-        // v2 planner statistics. The section is advisory: a segment whose
-        // stats fail their own sanity checks (only reachable by re-stamped
-        // corruption) still decodes — with `stats: None`, so the planner
-        // falls back to its heuristic default rather than mis-planning.
-        let stats = if version >= 2 {
-            let mut depth_hist = [0u32; DEPTH_BUCKETS];
-            for c in depth_hist.iter_mut() {
-                *c = r.u32_le()?;
-            }
-            let mut terms = Vec::with_capacity(tcount);
-            let mut valid = depth_hist.iter().map(|&c| c as u64).sum::<u64>() == n as u64;
-            for d in &dirs {
-                let ts = TermStats {
-                    rf_eliminated: r.u16_le()?,
-                    rf_candidates: r.u16_le()?,
-                    depth_min: r.u32_le()?,
-                    depth_max: r.u32_le()?,
-                    sketch: r.u64_le()?,
-                };
-                valid &= ts.rf_eliminated <= ts.rf_candidates
-                    && ts.rf_candidates as usize <= RF_SAMPLE
-                    && (d.count == 0
-                        || (ts.depth_min <= ts.depth_max && (ts.depth_max as usize) < n));
-                terms.push(ts);
-            }
-            valid.then_some(SegmentStats { depth_hist, terms })
-        } else {
-            None
-        };
+        if version == 2 {
+            // Written by older builds for a since-retired planner; the
+            // checksum above covered it, nothing reads it.
+            r.take(V2_STATS_FIXED + V2_STATS_PER_TERM * tcount)?;
+        }
         if r.remaining() > 0 {
             return Err(SegmentError::StructuralError("trailing bytes".into()));
         }
@@ -382,7 +332,6 @@ impl SegmentIndex {
             blob,
             bytes_len: data.len(),
             node_count: n,
-            stats,
             loaded: Mutex::new(HashMap::new()),
             terms_loaded: AtomicU64::new(0),
         })
@@ -415,25 +364,6 @@ impl SegmentIndex {
     /// How many distinct terms have been lazily materialized so far.
     pub fn terms_loaded(&self) -> u64 {
         self.terms_loaded.load(Ordering::Relaxed)
-    }
-
-    /// The planner statistics persisted with this segment, when present
-    /// and sane (`None` for v1 segments and corrupt-but-restamped stats).
-    #[inline]
-    pub fn stats(&self) -> Option<&SegmentStats> {
-        self.stats.as_ref()
-    }
-
-    /// Planner statistics for one term — directory only, no posting
-    /// decode. `None` when the segment carries no stats or the term is
-    /// absent.
-    pub fn term_stats(&self, term: &str) -> Option<TermStats> {
-        let stats = self.stats.as_ref()?;
-        let i = self
-            .term_order
-            .binary_search_by(|t| t.as_str().cmp(term))
-            .ok()?;
-        stats.terms.get(i).copied()
     }
 
     /// Document frequency of a term — directory only, no posting decode.
@@ -511,10 +441,6 @@ impl crate::index::PostingsSource for SegmentIndex {
 
     fn persistent(&self) -> bool {
         true
-    }
-
-    fn term_stats(&self, term: &str) -> Option<TermStats> {
-        SegmentIndex::term_stats(self, term)
     }
 }
 
@@ -630,80 +556,56 @@ mod tests {
         assert!(SegmentIndex::from_bytes(&restamp(v)).is_err());
     }
 
-    /// Rewrite a v2 segment as v1: drop the stats section, stamp
-    /// version 1, re-checksum. This is byte-identical to what the v1
-    /// encoder produced, so it exercises true backward compatibility.
-    fn downgrade_to_v1(d: &Document) -> Vec<u8> {
-        let v2 = encode_segment(d);
-        let idx = InvertedIndex::build(d);
-        let stats_len = DEPTH_BUCKETS * 4 + idx.term_count() * 20;
-        let payload_end = v2.len() - 8 - stats_len;
-        let mut v1 = v2[..payload_end].to_vec();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let csum = fnv1a(&v1);
-        v1.extend_from_slice(&csum.to_le_bytes());
-        v1
+    /// Rebuild a v1 encoding in the v2 layout older builds wrote: a
+    /// zeroed stats section after the postings blob, version 2, and a
+    /// restamped checksum.
+    fn upgrade_to_v2(v1: &[u8], terms: usize) -> Vec<u8> {
+        let mut v2 = v1[..v1.len() - 8].to_vec();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        v2.resize(v2.len() + V2_STATS_FIXED + V2_STATS_PER_TERM * terms, 0);
+        let csum = fnv1a(&v2);
+        v2.extend_from_slice(&csum.to_le_bytes());
+        v2
     }
 
     #[test]
-    fn v2_roundtrip_carries_stats() {
+    fn v2_segments_still_decode() {
         let d = sample();
-        let idx = InvertedIndex::build(&d);
-        let labels = StructLabels::build(&d);
-        let seg = SegmentIndex::from_bytes(&encode_segment(&d)).unwrap();
-        let stats = seg.stats().expect("v2 segment has stats");
-        assert_eq!(
-            stats.depth_hist.iter().map(|&c| c as usize).sum::<usize>(),
-            d.len()
-        );
-        assert_eq!(stats.terms.len(), idx.term_count());
-        for (term, postings) in idx.terms() {
+        let v1 = encode_segment(&d);
+        assert_eq!(v1[4..6], 1u16.to_le_bytes(), "the encoder writes v1");
+        let old = SegmentIndex::from_bytes(&v1).unwrap();
+        let v2 = upgrade_to_v2(&v1, old.term_count());
+        let seg = SegmentIndex::from_bytes(&v2).unwrap();
+        assert_eq!(seg.labels(), old.labels());
+        assert_eq!(seg.doc_len(), old.doc_len());
+        assert!(seg.term_names().eq(old.term_names()));
+        for term in old.term_names() {
+            assert_eq!(seg.df(term), old.df(term), "df {term}");
+            assert_eq!(seg.lookup(term), old.lookup(term), "postings {term}");
+        }
+        // The checksum still covers the skipped stats section.
+        for pos in v1.len() - 8..v2.len() - 8 {
+            let mut c = v2.clone();
+            c[pos] ^= 0x20;
             assert_eq!(
-                seg.term_stats(term),
-                Some(compute_term_stats(&labels, postings)),
-                "stats for {term}"
+                SegmentIndex::from_bytes(&c).unwrap_err(),
+                SegmentError::ChecksumMismatch,
+                "flip at {pos}"
             );
         }
-        assert_eq!(seg.term_stats("absent"), None);
-    }
-
-    #[test]
-    fn v1_segments_still_decode_without_stats() {
-        let d = sample();
-        let idx = InvertedIndex::build(&d);
-        let seg = SegmentIndex::from_bytes(&downgrade_to_v1(&d)).unwrap();
-        assert!(seg.stats().is_none());
-        assert_eq!(seg.term_stats("alpha"), None);
-        // Postings and labels are unaffected by the missing stats.
-        assert_eq!(seg.doc_len(), d.len());
-        for (term, postings) in idx.terms() {
-            assert_eq!(&*seg.lookup(term), postings, "postings {term}");
-        }
-        assert_eq!(seg.labels(), &StructLabels::build(&d));
-    }
-
-    #[test]
-    fn restamped_stats_corruption_decodes_without_stats() {
-        let d = sample();
-        let good = encode_segment(&d);
-        let idx = InvertedIndex::build(&d);
-        let stats_start = good.len() - 8 - (DEPTH_BUCKETS * 4 + idx.term_count() * 20);
-        // Stomp the depth histogram so it no longer sums to the node
-        // count: the section fails validation, the segment still loads.
-        let mut v = good.clone();
-        v[stats_start..stats_start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let seg = SegmentIndex::from_bytes(&restamp(v)).unwrap();
-        assert!(seg.stats().is_none());
-        // Stomp one term's rf counters so eliminated > candidates.
-        let mut v = good.clone();
-        let t0 = stats_start + DEPTH_BUCKETS * 4;
-        v[t0..t0 + 4].copy_from_slice(&[0xff, 0xff, 0x00, 0x00]);
-        let seg = SegmentIndex::from_bytes(&restamp(v)).unwrap();
-        assert!(seg.stats().is_none());
-        // Either way answers are unaffected.
-        for (term, postings) in idx.terms() {
-            assert_eq!(&*seg.lookup(term), postings);
-        }
+        // The section is bounds-checked: one byte short or one byte over
+        // fails even with a valid checksum.
+        let short = restamp(v2[..v2.len() - 1].to_vec());
+        assert_eq!(
+            SegmentIndex::from_bytes(&short).unwrap_err(),
+            SegmentError::Truncated
+        );
+        let mut long = v2.clone();
+        long.insert(v2.len() - 8, 0);
+        assert!(matches!(
+            SegmentIndex::from_bytes(&restamp(long)).unwrap_err(),
+            SegmentError::StructuralError(_)
+        ));
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   [`InvertedIndex`], for raw query terms in any case, punctuation, or
 //!   script, because every path normalizes through
 //!   [`normalize_term`](xfrag_doc::text::normalize_term).
+//! * **Corruption** — any single flipped byte of an encoded segment is
+//!   caught by the trailing checksum; the decoder never serves garbage.
 
 use proptest::prelude::*;
 use xfrag_doc::text::normalize_term;
@@ -158,5 +160,23 @@ proptest! {
         prop_assert!(InvertedIndex::scan_select(&doc, absent).is_empty());
         prop_assert!(idx.lookup_raw(absent).is_empty());
         prop_assert!(seg.lookup(absent).is_empty());
+    }
+
+    /// Flipping any single byte of an encoded segment makes decoding
+    /// fail.
+    #[test]
+    fn corrupted_segment_never_decodes(
+        choices in prop::collection::vec(any::<usize>(), 0..22),
+        words in prop::collection::vec(arb_word(), 1..8),
+        at in any::<usize>(),
+    ) {
+        let doc = build_tree(&choices, &words);
+        let mut bytes = encode_segment(&doc);
+        let i = at % bytes.len();
+        bytes[i] ^= 0x5a;
+        prop_assert!(
+            SegmentIndex::from_bytes(&bytes).is_err(),
+            "flipped byte {} of {} went unnoticed", i, bytes.len()
+        );
     }
 }

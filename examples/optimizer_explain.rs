@@ -6,7 +6,9 @@
 //! ```
 
 use xfrag::core::cost::CostModel;
-use xfrag::core::plan::execute;
+use xfrag::core::plan::execute_traced;
+use xfrag::core::trace::Tracer;
+use xfrag::core::Governor;
 use xfrag::prelude::*;
 
 fn main() {
@@ -26,7 +28,14 @@ fn main() {
         println!("═══ {stage} ═══");
         print!("{}", p.render());
         let mut st = EvalStats::new();
-        match execute(&p, doc, &index, &mut st) {
+        match execute_traced(
+            &p,
+            doc,
+            &index,
+            &mut st,
+            &Governor::unlimited(),
+            &Tracer::disabled(),
+        ) {
             Ok(answers) => println!(
                 "→ {} answers | joins {} | filter evals {} | pruned {}\n",
                 answers.len(),

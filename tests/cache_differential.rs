@@ -78,16 +78,7 @@ fn run(
     policy: &ExecPolicy,
     cache: Option<CacheRef<'_>>,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_traced(
-        doc,
-        idx,
-        q,
-        s,
-        Some(policy),
-        &Tracer::disabled(),
-        cache,
-        None,
-    )
+    evaluate_traced(doc, idx, q, s, Some(policy), &Tracer::disabled(), cache)
 }
 
 /// Assert the cached pipeline (cold fill, then warm replay) is observably

@@ -16,9 +16,9 @@ use std::time::Duration;
 
 use xfrag::core::trace::Tracer;
 use xfrag::core::{
-    evaluate, evaluate_budgeted, evaluate_collection, evaluate_collection_planned_cached_traced,
-    Budget, BudgetedCollectionResult, CancelToken, DegradeMode, ExecPolicy, FilterExpr, Query,
-    QueryError, QueryResult, Strategy, StrategyChoice,
+    evaluate, evaluate_budgeted, evaluate_collection, evaluate_collection_traced, Budget,
+    BudgetedCollectionResult, CancelToken, DegradeMode, ExecPolicy, FilterExpr, Query, QueryError,
+    QueryResult, Strategy,
 };
 use xfrag::corpus::adversarial::{comb, deep_chain, wide_star};
 use xfrag::doc::{Collection, DocId, Document, InvertedIndex};
@@ -38,16 +38,14 @@ fn evaluate_collection_budgeted(
     policy: &ExecPolicy,
 ) -> Result<BudgetedCollectionResult, QueryError> {
     let all: Vec<DocId> = coll.ids().collect();
-    evaluate_collection_planned_cached_traced(
+    evaluate_collection_traced(
         coll,
         query,
-        StrategyChoice::Forced(strategy),
+        strategy,
         policy,
         &Tracer::disabled(),
         None,
         &all,
-        None,
-        None,
     )
 }
 

@@ -3,12 +3,31 @@
 //! optimization stage end-to-end through the interpreter.
 
 use xfrag::core::cost::CostModel;
-use xfrag::core::plan::{execute, PowersetToFixpoint, PushDownSelection};
+use xfrag::core::plan::{execute_traced, PowersetToFixpoint, PushDownSelection};
+use xfrag::core::trace::Tracer;
 use xfrag::core::{
-    evaluate, EvalStats, FilterExpr, LogicalPlan, Optimizer, OptimizerRule, Query, Strategy,
+    evaluate, Breach, EvalStats, FilterExpr, FragmentSet, Governor, LogicalPlan, Optimizer,
+    OptimizerRule, Query, Strategy,
 };
 use xfrag::corpus::figure1;
-use xfrag::doc::InvertedIndex;
+use xfrag::doc::{Document, InvertedIndex};
+
+/// A plain, unbudgeted, untraced plan run.
+fn execute(
+    plan: &LogicalPlan,
+    doc: &Document,
+    index: &InvertedIndex,
+    stats: &mut EvalStats,
+) -> Result<FragmentSet, Breach> {
+    execute_traced(
+        plan,
+        doc,
+        index,
+        stats,
+        &Governor::unlimited(),
+        &Tracer::disabled(),
+    )
+}
 
 #[test]
 fn figure5_trees_render() {

@@ -26,7 +26,7 @@ fn all_strategies_agree_traced_and_untraced() {
 
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
-            let traced = evaluate_traced(d, &idx, &q, s, None, &tracer, None, None).unwrap();
+            let traced = evaluate_traced(d, &idx, &q, s, None, &tracer, None).unwrap();
 
             // Identical answers AND identical counters, field for field.
             assert_eq!(traced.fragments, plain.fragments, "{s:?} {filter}");
@@ -64,7 +64,7 @@ fn generated_corpora_agree_traced_and_untraced() {
             let plain = evaluate(&d, &idx, &q, s).unwrap();
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
-            let traced = evaluate_traced(&d, &idx, &q, s, None, &tracer, None, None).unwrap();
+            let traced = evaluate_traced(&d, &idx, &q, s, None, &tracer, None).unwrap();
             assert_eq!(traced.fragments, plain.fragments, "seed {seed} {s:?}");
             assert_eq!(traced.stats, plain.stats, "seed {seed} {s:?}");
         }
@@ -85,8 +85,7 @@ fn budgeted_evaluation_agrees_traced_and_untraced() {
             let plain = evaluate_budgeted(d, &idx, &q, s, &policy).unwrap();
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
-            let traced =
-                evaluate_traced(d, &idx, &q, s, Some(&policy), &tracer, None, None).unwrap();
+            let traced = evaluate_traced(d, &idx, &q, s, Some(&policy), &tracer, None).unwrap();
             assert_eq!(traced.fragments, plain.fragments, "{s:?}");
             assert_eq!(traced.stats, plain.stats, "{s:?}");
             assert_eq!(traced.degradation.rung, plain.degradation.rung, "{s:?}");
@@ -115,7 +114,6 @@ fn span_trees_sum_and_emit() {
         Strategy::FixedPointReduced,
         None,
         &tracer,
-        None,
         None,
     )
     .unwrap();
