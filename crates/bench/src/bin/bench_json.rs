@@ -80,8 +80,8 @@ use rand::SeedableRng;
 use xfrag_bench::fixtures::{query_fixture, QueryFixture};
 use xfrag_core::{
     evaluate, evaluate_collection_traced, evaluate_traced, flight_key, Budget, CacheRef,
-    DocAnswers, ExecPolicy, FilterExpr, Flight, GenerationTag, Query, QueryCache, Singleflight,
-    Strategy, Tracer,
+    CacheStats, DocAnswers, ExecPolicy, FilterExpr, Flight, GenerationTag, Query, QueryCache,
+    Singleflight, Strategy, Tracer,
 };
 use xfrag_corpus::zipf::Zipf;
 use xfrag_doc::{encode_segment, store, Collection, DocId, InvertedIndex, SegmentIndex};
@@ -1036,8 +1036,8 @@ fn main() {
     // run repeats both passes and keeps the fastest wall time per pass
     // (standard min-of-N to shed scheduler noise); latency percentiles
     // come from the corresponding pass's samples.
-    // (cold wall, cold latencies, warm wall, warm latencies, cache JSON).
-    type BestPass = (Duration, Vec<Duration>, Duration, Vec<Duration>, String);
+    // (cold wall, cold latencies, warm wall, warm latencies, cache stats).
+    type BestPass = (Duration, Vec<Duration>, Duration, Vec<Duration>, CacheStats);
     let mut best: Option<BestPass> = None;
     for _ in 0..repeats {
         let t0 = Instant::now();
@@ -1053,36 +1053,22 @@ fn main() {
         let t1 = Instant::now();
         let warm_lat = run_stream(&fx, &pool, &stream, Some(cref));
         let warm_wall = t1.elapsed();
-        let cache_json = cache.stats().to_json();
+        let cache_stats = cache.stats();
 
         let better = match &best {
             None => true,
             Some((cw, _, ww, _, _)) => cold_wall + warm_wall < *cw + *ww,
         };
         if better {
-            best = Some((cold_wall, cold_lat, warm_wall, warm_lat, cache_json));
+            best = Some((cold_wall, cold_lat, warm_wall, warm_lat, cache_stats));
         }
     }
-    let (cold_wall, cold_lat, warm_wall, warm_lat, cache_json) =
+    let (cold_wall, cold_lat, warm_wall, warm_lat, cache_stats) =
         best.expect("at least one repeat ran");
 
-    // Hit rate of the warm pass, recomputed from the kept pass's cache
-    // counters so the JSON is self-consistent.
-    let tier = |name: &str| -> (u64, u64) {
-        let seg = &cache_json[cache_json.find(&format!("\"{name}\":{{")).unwrap()..];
-        let grab = |field: &str| -> u64 {
-            let pat = format!("\"{field}\":");
-            let s = seg.find(&pat).unwrap() + pat.len();
-            seg[s..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        };
-        (grab("hits"), grab("misses"))
-    };
-    let (rh, rm) = tier("result");
+    // Hit rate of the warm pass, from the kept pass's cache counters so
+    // the JSON is self-consistent.
+    let (rh, rm) = (cache_stats.result.hits, cache_stats.result.misses);
     let hit_rate = rh as f64 / ((rh + rm) as f64).max(1.0);
 
     let cold = measure(&cold_lat, cold_wall);
@@ -1122,7 +1108,7 @@ fn main() {
         wqps = warm.qps,
         hr = hit_rate,
         speedup = cold.p50_us / warm.p50_us.max(1e-9),
-        cache = cache_json,
+        cache = cache_stats.to_json(),
     );
 
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {

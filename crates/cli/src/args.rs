@@ -678,7 +678,7 @@ mod tests {
         // Defaults: unlimited budget, ladder degradation.
         match parse(&argv("search d.xml k")).unwrap() {
             Command::Search(a) => {
-                assert!(!a.budget.is_limited());
+                assert_eq!(a.budget, Budget::unlimited());
                 assert_eq!(a.degrade, DegradeMode::Ladder);
             }
             _ => unreachable!(),

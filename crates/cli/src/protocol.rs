@@ -191,7 +191,12 @@ impl<'de> Deserialize<'de> for Request {
 ///            "invalid": N, "worker_panics": N, "accept_errors": N},
 ///  "eval": { ...summed EvalStats... },
 ///  "latency": { ...histogram buckets... },
-///  "cache": {...} | null,                 // aggregate across all arenas
+///  "cache": {                             // aggregate across all arenas
+///    "postings": {"hits": N, "misses": N},   // term postings tier
+///    "result": {"hits": N, "misses": N},     // exact-answer tier
+///    "evictions": N, "insertions": N, "bytes": N, "entries": N,
+///    "shards": [{"hits": N, "misses": N,     // one per lock shard; probes
+///                "evictions": N, "bytes": N, "entries": N}]} | null,
 ///  "delta": {"parent_chain": [...], "chain_depth": N,
 ///            "docs_carried": N, "docs_rewritten": N,
 ///            "carry_over": {"kept": N, "rekeyed": N, "evicted": N}},
@@ -201,7 +206,7 @@ impl<'de> Deserialize<'de> for Request {
 ///     "workers": N, "queued": N, "in_flight": N,  // summed over replicas
 ///     "respawns": N, "evaluations": N,            // summed over replicas
 ///     "flights": {"led": N, "coalesced": N, "aborted": N},  // summed
-///     "cache": {...} | null,             // aggregate of replica arenas
+///     "cache": {...} | null,             // same shape; replica arenas summed
 ///     "replicas": [                      // one entry per replica, in order
 ///       {"replica": J,
 ///        "state": "closed" | "open" | "half-open",  // circuit breaker
@@ -212,7 +217,7 @@ impl<'de> Deserialize<'de> for Request {
 ///        "workers": N, "queued": N, "in_flight": N,
 ///        "respawns": N, "evaluations": N,
 ///        "flights": {"led": N, "coalesced": N, "aborted": N},
-///        "cache": {...} | null}]}]}      // this replica's own arena
+///        "cache": {...} | null}]}]}      // same shape; this replica's arena
 /// ```
 ///
 /// Grouping invariants: reload counters live only under `"reloads"`,

@@ -59,8 +59,8 @@ use xfrag_core::rank::RankConfig;
 use xfrag_core::snippet::{snippet, SnippetConfig};
 use xfrag_core::trace::{serve_stage, LatencyHistogram, Span, Tracer};
 use xfrag_core::{
-    flight_key, Breach, Budget, CacheStats, CancelToken, EvalStats, ExecPolicy, FaultInjector,
-    FaultPlan, Flight, GenerationTag, Query, QueryCache, QueryError, RetryBudget, Singleflight,
+    flight_key, Breach, Budget, CancelToken, EvalStats, ExecPolicy, FaultInjector, FaultPlan,
+    Flight, GenerationTag, Query, QueryCache, QueryError, RetryBudget, Singleflight,
 };
 use xfrag_doc::manifest;
 use xfrag_doc::{Collection, DocId, Document};
@@ -868,7 +868,7 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
     // generation bump, per replica arena. Manifest checksums vouch for
     // byte identity: equal sums on both sides mean the same file bytes,
     // hence the same parse tree and `NodeId`s, hence entry-for-entry
-    // identical cache contents — so postings/fixpoint/result entries
+    // identical cache contents — so postings and result entries
     // for untouched documents are rekeyed to the new tag instead of
     // dropped. Changed, removed, quarantined, or unverifiable
     // (unversioned) documents get no mapping and their entries are
@@ -1657,37 +1657,19 @@ fn health_line(s: &Shared, id: u64) -> String {
     )
 }
 
-/// The aggregate cache block for `stats`: replica arenas folded into
-/// one [`CacheStats`] (tier counters summed, per-lock-shard counter
-/// lists concatenated in (group, replica) order), or `null` when
-/// caching is off. With one shard and one replica this is bit-for-bit
-/// the old single-arena block.
-fn cache_json(s: &Shared) -> String {
-    let mut agg: Option<CacheStats> = None;
-    for rep in s.groups.iter().flat_map(|g| &g.replicas) {
-        let Some(c) = &rep.cache else { continue };
-        let st = c.stats();
-        match &mut agg {
-            None => agg = Some(st),
-            Some(a) => {
-                a.postings.hits += st.postings.hits;
-                a.postings.misses += st.postings.misses;
-                a.fixpoint.hits += st.fixpoint.hits;
-                a.fixpoint.misses += st.fixpoint.misses;
-                a.result.hits += st.result.hits;
-                a.result.misses += st.result.misses;
-                a.evictions += st.evictions;
-                a.insertions += st.insertions;
-                a.bytes += st.bytes;
-                a.entries += st.entries;
-                a.shards.extend(st.shards);
-            }
-        }
-    }
-    match agg {
-        None => "null".to_string(),
-        Some(a) => a.to_json(),
-    }
+/// A cache block for `stats`: the given replicas' arenas folded with
+/// [`xfrag_core::CacheStats::absorb`] (per-lock-shard counter lists
+/// concatenated in replica order), or `null` when caching is off. Over
+/// one replica this is that replica's own block.
+fn cache_json<'a>(replicas: impl IntoIterator<Item = &'a Replica>) -> String {
+    replicas
+        .into_iter()
+        .filter_map(|rep| rep.cache.as_ref().map(|c| c.stats()))
+        .reduce(|mut agg, st| {
+            agg.absorb(st);
+            agg
+        })
+        .map_or_else(|| "null".to_string(), |agg| agg.to_json())
 }
 
 fn stats_line(s: &Shared, id: u64) -> String {
@@ -1710,7 +1692,7 @@ fn stats_line(s: &Shared, id: u64) -> String {
     let st = s.stats.lock().unwrap();
     // `"cache":null` under `--no-cache`, the aggregate tier/shard
     // counter object otherwise (see `cache_json`).
-    let cache = cache_json(s);
+    let cache = cache_json(s.groups.iter().flat_map(|g| &g.replicas));
     // Delta lineage: the serving manifest's parent chain (nearest
     // ancestor first), how many documents it carries vs rewrote, and
     // the lifetime cache carry-over counters.
@@ -1770,10 +1752,7 @@ fn stats_line(s: &Shared, id: u64) -> String {
                 led += fl.led;
                 coalesced += fl.coalesced;
                 aborted += fl.aborted;
-                let rep_cache = match &rep.cache {
-                    None => "null".to_string(),
-                    Some(c) => c.stats().to_json(),
-                };
+                let rep_cache = cache_json([rep]);
                 replicas.push(format!(
                     "{{\"replica\":{},\"state\":\"{}\",\"ewma_us\":{},\"hedges\":{},\"wins\":{},\"opens\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"cache\":{}}}",
                     j,
@@ -1793,30 +1772,7 @@ fn stats_line(s: &Shared, id: u64) -> String {
                     rep_cache,
                 ));
             }
-            let sh_cache = {
-                let mut agg: Option<CacheStats> = None;
-                for rep in &group.replicas {
-                    let Some(c) = &rep.cache else { continue };
-                    let st = c.stats();
-                    match &mut agg {
-                        None => agg = Some(st),
-                        Some(a) => {
-                            a.postings.hits += st.postings.hits;
-                            a.postings.misses += st.postings.misses;
-                            a.fixpoint.hits += st.fixpoint.hits;
-                            a.fixpoint.misses += st.fixpoint.misses;
-                            a.result.hits += st.result.hits;
-                            a.result.misses += st.result.misses;
-                            a.evictions += st.evictions;
-                            a.insertions += st.insertions;
-                            a.bytes += st.bytes;
-                            a.entries += st.entries;
-                            a.shards.extend(st.shards);
-                        }
-                    }
-                }
-                agg.map_or("null".to_string(), |a| a.to_json())
-            };
+            let sh_cache = cache_json(&group.replicas);
             format!(
                 "{{\"shard\":{},\"docs\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"cache\":{},\"replicas\":[{}]}}",
                 i,

@@ -786,6 +786,77 @@ fn no_cache_flag_disables_caching_entirely() {
     assert!(st.success());
 }
 
+/// The top-level keys, in order, of the compact JSON object that opens
+/// at `obj[0]`. Brace matching ignores strings, which is enough for a
+/// cache block: its only strings are its keys.
+fn object_keys(obj: &str) -> Vec<String> {
+    let (mut keys, mut depth) = (Vec::new(), 0usize);
+    for (i, ch) in obj.char_indices() {
+        match ch {
+            '{' | '[' => depth += 1,
+            '}' | ']' if depth == 1 => return keys,
+            '}' | ']' => depth -= 1,
+            '"' if depth == 1 && matches!(obj[..i].chars().last(), Some('{' | ',')) => {
+                let len = obj[i + 1..].find('"').expect("closed key");
+                keys.push(obj[i + 1..i + 1 + len].to_string());
+            }
+            _ => {}
+        }
+    }
+    panic!("unterminated object: {obj}");
+}
+
+/// Every cache block of `stats` — the aggregate, each shard's and each
+/// replica's — carries exactly the two tiers and the occupancy counters.
+#[test]
+fn stats_cache_blocks_have_exactly_the_tier_keys() {
+    let dir = corpus("cache-keys");
+    let srv = Server::start(&dir, &["--shards", "2", "--replicas", "2"]);
+    let q = srv.rpc(r#"{"kind":"query","id":1,"keywords":["xml","search"]}"#);
+    assert_eq!(field_str(&q, "status"), "ok", "{q}");
+    let stats = srv.rpc(r#"{"kind":"stats","id":2}"#);
+    let blocks: Vec<Vec<String>> = stats
+        .match_indices("\"cache\":{")
+        .map(|(at, pat)| object_keys(&stats[at + pat.len() - 1..]))
+        .collect();
+    // One aggregate, two shards, two replicas per shard.
+    assert_eq!(blocks.len(), 1 + 2 + 2 * 2, "{stats}");
+    let expected = [
+        "postings",
+        "result",
+        "evictions",
+        "insertions",
+        "bytes",
+        "entries",
+        "shards",
+    ];
+    for keys in &blocks {
+        assert_eq!(keys, &expected, "{stats}");
+    }
+    let (st, _) = srv.shutdown_and_wait();
+    assert!(st.success());
+}
+
+/// A line that is not JSON gets a structured `bad request` error reply,
+/// and the same connection goes on answering.
+#[test]
+fn bad_request_line_gets_an_error_reply_and_the_connection_survives() {
+    let dir = corpus("badreq");
+    let srv = Server::start(&dir, &[]);
+    let mut conn = srv.connect();
+    let bad = conn.rpc("this is not json");
+    assert!(bad.starts_with("{\"id\":0,"), "{bad}");
+    assert_eq!(field_str(&bad, "status"), "error", "{bad}");
+    assert!(bad.contains("bad request"), "{bad}");
+    let q = conn.rpc(r#"{"kind":"query","id":2,"keywords":["xml","search"]}"#);
+    assert_eq!(field_str(&q, "status"), "ok", "{q}");
+    assert!(q.starts_with("{\"id\":2,"), "{q}");
+    drop(conn);
+    let (st, sum) = srv.shutdown_and_wait();
+    assert!(st.success());
+    assert!(sum.contains("0 in flight"), "{sum}");
+}
+
 #[test]
 fn corrupt_next_generation_never_replaces_the_serving_one() {
     let src = corpus("corrupt-src");

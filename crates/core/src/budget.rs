@@ -74,14 +74,6 @@ impl Budget {
         self.max_nodes_merged = Some(n);
         self
     }
-
-    /// Whether any limit is set.
-    pub fn is_limited(&self) -> bool {
-        self.wall_clock.is_some()
-            || self.max_joins.is_some()
-            || self.max_fragments.is_some()
-            || self.max_nodes_merged.is_some()
-    }
 }
 
 /// A shared flag for cooperative cancellation. Clone freely; all clones

@@ -10,16 +10,12 @@
 //! `Arc` keep hitting their own coherent entries until LRU pressure
 //! ages them out.
 //!
-//! Three tiers are cached, mirroring the evaluation pipeline:
+//! Two tiers are cached, mirroring the evaluation pipeline:
 //!
 //! * **postings** — the `σ_{keyword=k}` leaf sets per `(generation,
 //!   document, term)`, i.e. the operand sets of Definition 7 queries;
-//! * **fixpoint** — the fixed points `F⁺` (Definition 9) per
-//!   `(generation, document, term, mode)`, the dominant cost of the
-//!   §3.1 strategies;
-//! * **result** — full per-document answers per `(generation, document,
-//!   normalized query, strategy, budget-policy fingerprint, achieved
-//!   degradation rung)`.
+//! * **result** — exact per-document answers per `(generation, document,
+//!   normalized query, strategy, budget-policy fingerprint)`.
 //!
 //! # Key normalization
 //!
@@ -28,19 +24,17 @@
 //! so `Q{a,b}` and `Q{b,a}` share one entry (conjunction is
 //! order-insensitive).
 //!
-//! # Degradation-rung soundness
+//! # Degraded answers are never stored
 //!
 //! A degraded answer is a sound *subset* of the exact answer — correct
-//! for the budget that produced it, wrong for a roomier one. Result
-//! entries therefore carry both the **policy fingerprint** (the
+//! for the budget that produced it, wrong for a roomier one — so
+//! [`QueryCache::put_result`] drops it and only exact answers are
+//! cached. Result keys still carry the **policy fingerprint** (the
 //! configured work limits and degrade mode — wall-clock and cancel
 //! presence only, since serve recomputes the remaining deadline per
-//! request) and the **achieved rung**. Lookups always probe the exact
-//! (rung 0) entry first; entries on lower rungs are probed only when the
-//! fingerprint is deterministic (no wall-clock, no cancel token), where
-//! an identical request provably lands on the identical rung. A
-//! full-budget request has a different fingerprint from any limited one,
-//! so it can never be answered from a degraded entry.
+//! request): a request whose tight budget would make it degrade must
+//! recompute and degrade exactly as an uncached run would, not be
+//! served the exact answer a roomier policy stored.
 //!
 //! # Sharding and locking
 //!
@@ -54,8 +48,7 @@
 //! admitted at all (a single whale would otherwise evict everything and
 //! then itself).
 
-use crate::budget::{Degradation, DegradeMode, ExecPolicy, Rung};
-use crate::fixpoint::FixpointMode;
+use crate::budget::{DegradeMode, ExecPolicy};
 use crate::query::{Query, QueryResult, Strategy};
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
@@ -98,8 +91,7 @@ impl GenerationTag {
 /// request may observe. Work limits are kept verbatim; the wall clock
 /// and cancel token are reduced to presence flags because their values
 /// vary per request (serve derives the remaining deadline from
-/// admission time) and any policy with either is nondeterministic
-/// anyway.
+/// admission time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PolicyFp {
     wall_clocked: bool,
@@ -122,16 +114,9 @@ impl PolicyFp {
             ladder: matches!(policy.degrade, DegradeMode::Ladder),
         }
     }
-
-    /// Whether two runs under this policy provably do the same work —
-    /// no wall clock and no cancel token, so only deterministic work
-    /// limits can trip. Degraded entries are reusable exactly then.
-    pub fn is_deterministic(&self) -> bool {
-        !self.wall_clocked && !self.cancellable
-    }
 }
 
-/// Cache key for one per-document query result (tier c), minus the rung.
+/// Cache key for one per-document query result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResultKey {
     gen: GenerationTag,
@@ -168,36 +153,17 @@ impl ResultKey {
             policy: PolicyFp::of(policy),
         }
     }
-
-    /// The policy fingerprint baked into this key.
-    pub fn policy(&self) -> PolicyFp {
-        self.policy
-    }
 }
 
-/// Stable wire code for the achieved rung: `0` = completed exactly,
-/// `1..=4` = the ladder rungs in order.
-fn rung_code(rung: Option<Rung>) -> u8 {
-    match rung {
-        None => 0,
-        Some(Rung::Full) => 1,
-        Some(Rung::ReducedSets) => 2,
-        Some(Rung::TopCandidates) => 3,
-        Some(Rung::SlcaApprox) => 4,
-    }
-}
-
-/// A stored per-document answer: the fragments, the *pure compute*
-/// counters (cache observability fields zeroed, so a replay reports
-/// exactly what an uncached run would), and the degradation report.
+/// A stored exact per-document answer: the fragments and the *pure
+/// compute* counters (cache observability fields zeroed, so a replay
+/// reports exactly what an uncached run would).
 #[derive(Debug, Clone)]
 pub struct CachedResult {
     /// Answer fragments, in their original insertion order.
     pub fragments: FragmentSet,
     /// Compute counters of the run that produced the entry.
     pub stats: EvalStats,
-    /// How that run degraded (or [`Degradation::none`]).
-    pub degradation: Degradation,
 }
 
 /// Everything an evaluation call needs to talk to the cache: the shared
@@ -220,30 +186,15 @@ enum Key {
         doc: u32,
         term: String,
     },
-    Fixpoint {
-        gen: GenerationTag,
-        doc: u32,
-        term: String,
-        reduced: bool,
-    },
-    Result {
-        base: ResultKey,
-        rung: u8,
-    },
+    Result(ResultKey),
 }
 
 impl Key {
-    fn generation(&self) -> GenerationTag {
+    /// The snapshot identity and document id the entry belongs to.
+    fn owner(&self) -> (GenerationTag, u32) {
         match self {
-            Key::Postings { gen, .. } | Key::Fixpoint { gen, .. } => *gen,
-            Key::Result { base, .. } => base.gen,
-        }
-    }
-
-    fn doc(&self) -> u32 {
-        match self {
-            Key::Postings { doc, .. } | Key::Fixpoint { doc, .. } => *doc,
-            Key::Result { base, .. } => base.doc,
+            Key::Postings { gen, doc, .. } => (*gen, *doc),
+            Key::Result(base) => (base.gen, base.doc),
         }
     }
 
@@ -252,16 +203,7 @@ impl Key {
     fn rekey(self, gen: GenerationTag, doc: u32) -> Key {
         match self {
             Key::Postings { term, .. } => Key::Postings { gen, doc, term },
-            Key::Fixpoint { term, reduced, .. } => Key::Fixpoint {
-                gen,
-                doc,
-                term,
-                reduced,
-            },
-            Key::Result { base, rung } => Key::Result {
-                base: ResultKey { gen, doc, ..base },
-                rung,
-            },
+            Key::Result(base) => Key::Result(ResultKey { gen, doc, ..base }),
         }
     }
 }
@@ -269,7 +211,6 @@ impl Key {
 #[derive(Debug, Clone)]
 enum Value {
     Postings(FragmentSet),
-    Fixpoint { set: FragmentSet, delta: EvalStats },
     Result(CachedResult),
 }
 
@@ -329,31 +270,28 @@ fn set_bytes(set: &FragmentSet) -> u64 {
 fn value_bytes(key: &Key, value: &Value) -> u64 {
     let key_bytes = match key {
         Key::Postings { term, .. } => 32 + term.len() as u64,
-        Key::Fixpoint { term, .. } => 40 + term.len() as u64,
-        Key::Result { base, .. } => {
+        Key::Result(base) => {
             64 + base.terms.iter().map(|t| 24 + t.len() as u64).sum::<u64>()
                 + base.filter.len() as u64
         }
     };
     let value_bytes = match value {
         Value::Postings(set) => set_bytes(set),
-        Value::Fixpoint { set, .. } => set_bytes(set) + 96,
         Value::Result(r) => set_bytes(&r.fragments) + 192,
     };
     key_bytes + value_bytes
 }
 
 const TIER_POSTINGS: usize = 0;
-const TIER_FIXPOINT: usize = 1;
-const TIER_RESULT: usize = 2;
+const TIER_RESULT: usize = 1;
 
 /// Sharded, size-bounded, generation-keyed LRU cache — see the module
 /// docs for the tier layout and soundness argument.
 pub struct QueryCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_bytes: u64,
-    tier_hits: [AtomicU64; 3],
-    tier_misses: [AtomicU64; 3],
+    tier_hits: [AtomicU64; 2],
+    tier_misses: [AtomicU64; 2],
 }
 
 impl std::fmt::Debug for QueryCache {
@@ -387,9 +325,8 @@ impl QueryCache {
         &self.shards[h.finish() as usize % self.shards.len()]
     }
 
-    /// Raw probe: touches the LRU and bumps per-shard probe counters,
-    /// but not the logical tier counters (one logical lookup may probe
-    /// several rungs).
+    /// Raw probe: touches the LRU and bumps the per-shard probe
+    /// counters; callers bump the logical tier counter.
     fn probe(&self, key: &Key) -> Option<Value> {
         // invariant (here and below): shard mutexes only guard plain
         // counter/map updates that cannot panic, so they are never
@@ -438,7 +375,7 @@ impl QueryCache {
         self.tier_misses[tier].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Tier (a): the `σ_{keyword=term}` operand set for one document.
+    /// Postings tier: the `σ_{keyword=term}` operand set for one document.
     pub fn get_postings(&self, gen: GenerationTag, doc: u32, term: &str) -> Option<FragmentSet> {
         let key = Key::Postings {
             gen,
@@ -457,7 +394,7 @@ impl QueryCache {
         }
     }
 
-    /// Store a tier (a) operand set.
+    /// Store a postings-tier operand set.
     pub fn put_postings(&self, gen: GenerationTag, doc: u32, term: &str, set: &FragmentSet) {
         self.store(
             Key::Postings {
@@ -469,95 +406,31 @@ impl QueryCache {
         );
     }
 
-    /// Tier (b): `F⁺` for one `(document, term, mode)`, together with
-    /// the [`EvalStats`] delta its computation cost (replayed on hit so
-    /// cached and uncached runs report identical compute counters; the
-    /// delta differs between naive and reduced mode, hence mode is part
-    /// of the key even though the *set* is mode-independent).
-    pub fn get_fixpoint(
-        &self,
-        gen: GenerationTag,
-        doc: u32,
-        term: &str,
-        mode: FixpointMode,
-    ) -> Option<(FragmentSet, EvalStats)> {
-        let key = Key::Fixpoint {
-            gen,
-            doc,
-            term: term.to_string(),
-            reduced: mode == FixpointMode::Reduced,
-        };
-        match self.probe(&key) {
-            Some(Value::Fixpoint { set, delta }) => {
-                self.tier_hit(TIER_FIXPOINT);
-                Some((set, delta))
+    /// Result tier: an exact per-document answer.
+    pub fn get_result(&self, key: &ResultKey) -> Option<CachedResult> {
+        match self.probe(&Key::Result(key.clone())) {
+            Some(Value::Result(r)) => {
+                self.tier_hit(TIER_RESULT);
+                Some(r)
             }
             _ => {
-                self.tier_miss(TIER_FIXPOINT);
+                self.tier_miss(TIER_RESULT);
                 None
             }
         }
     }
 
-    /// Store a tier (b) fixed point and its compute delta.
-    pub fn put_fixpoint(
-        &self,
-        gen: GenerationTag,
-        doc: u32,
-        term: &str,
-        mode: FixpointMode,
-        set: &FragmentSet,
-        delta: EvalStats,
-    ) {
-        self.store(
-            Key::Fixpoint {
-                gen,
-                doc,
-                term: term.to_string(),
-                reduced: mode == FixpointMode::Reduced,
-            },
-            Value::Fixpoint {
-                set: set.clone(),
-                delta: delta.without_cache_counters(),
-            },
-        );
-    }
-
-    /// Tier (c): a full per-document answer. Probes the exact (rung 0)
-    /// entry first; degraded rungs are probed only for deterministic
-    /// policy fingerprints — see the module docs.
-    pub fn get_result(&self, key: &ResultKey) -> Option<CachedResult> {
-        let max_code: u8 = if key.policy.is_deterministic() { 4 } else { 0 };
-        for rung in 0..=max_code {
-            if let Some(Value::Result(r)) = self.probe(&Key::Result {
-                base: key.clone(),
-                rung,
-            }) {
-                self.tier_hit(TIER_RESULT);
-                return Some(r);
-            }
-        }
-        self.tier_miss(TIER_RESULT);
-        None
-    }
-
-    /// Store a tier (c) answer under its achieved rung. Degraded
-    /// answers under nondeterministic fingerprints are not stored at
-    /// all: no future lookup would be allowed to observe them.
+    /// Store a result-tier answer. A degraded answer is not stored at
+    /// all — see the module docs.
     pub fn put_result(&self, key: &ResultKey, result: &QueryResult) {
-        let rung = rung_code(result.degradation.rung);
-        if rung != 0 && !key.policy.is_deterministic() {
+        if result.degradation.is_degraded() {
             return;
         }
         self.store(
-            Key::Result {
-                base: key.clone(),
-                rung,
-            },
+            Key::Result(key.clone()),
             Value::Result(CachedResult {
                 fragments: result.fragments.clone(),
                 stats: result.stats.without_cache_counters(),
-                degradation: result.degradation.clone(),
             }),
         );
     }
@@ -568,12 +441,11 @@ impl QueryCache {
     /// to the `new` snapshot; entries for changed or removed documents
     /// are dropped.
     ///
-    /// Soundness: all three tiers are per-document. A document whose
-    /// file bytes are identical across generations decodes to the
-    /// identical tree with the identical `NodeId`s, so its postings,
-    /// fixed points, and full per-document answers — including the
-    /// policy fingerprint and achieved degradation rung baked into
-    /// result keys — are byte-identical to what a cold evaluation
+    /// Soundness: both tiers are per-document. A document whose file
+    /// bytes are identical across generations decodes to the identical
+    /// tree with the identical `NodeId`s, so its postings and exact
+    /// per-document answers — including the policy fingerprint baked
+    /// into result keys — are byte-identical to what a cold evaluation
     /// against the new snapshot would compute. The caller is
     /// responsible for mapping only such documents.
     ///
@@ -593,16 +465,17 @@ impl QueryCache {
             let old_keys: Vec<Key> = s
                 .map
                 .keys()
-                .filter(|k| k.generation() == old)
+                .filter(|k| k.owner().0 == old)
                 .cloned()
                 .collect();
             for k in old_keys {
                 // invariant: key came from the map under this lock.
                 let e = s.map.remove(&k).unwrap();
                 s.bytes -= e.bytes;
-                match doc_map.get(&k.doc()) {
+                let doc = k.owner().1;
+                match doc_map.get(&doc) {
                     Some(&new_doc) => {
-                        if new_doc == k.doc() {
+                        if new_doc == doc {
                             out.kept += 1;
                         } else {
                             out.rekeyed += 1;
@@ -632,7 +505,6 @@ impl QueryCache {
         };
         let mut out = CacheStats {
             postings: tier(TIER_POSTINGS),
-            fixpoint: tier(TIER_FIXPOINT),
             result: tier(TIER_RESULT),
             ..CacheStats::default()
         };
@@ -686,9 +558,9 @@ pub struct TierCounters {
     pub misses: u64,
 }
 
-/// Raw probe/occupancy counters for one lock shard. Shard hit/miss
-/// counters count *probes* (a single logical result lookup may probe up
-/// to five rung slots), so they need not sum to the tier counters.
+/// Raw probe/occupancy counters for one lock shard. Every logical
+/// lookup is one probe, so the shards' hits and misses sum to the tier
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
     /// Probes that found a live entry.
@@ -706,11 +578,9 @@ pub struct ShardCounters {
 /// Point-in-time snapshot of every cache counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Tier (a) — term postings.
+    /// Term postings.
     pub postings: TierCounters,
-    /// Tier (b) — fixed points.
-    pub fixpoint: TierCounters,
-    /// Tier (c) — full results.
+    /// Exact per-document results.
     pub result: TierCounters,
     /// Total LRU evictions across shards.
     pub evictions: u64,
@@ -725,14 +595,29 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Logical hits summed over the three tiers.
-    pub fn hits(&self) -> u64 {
-        self.postings.hits + self.fixpoint.hits + self.result.hits
+    /// Fold another cache's counters into this one: tier and total
+    /// counters summed, per-shard counters appended (serve folds its
+    /// replica caches this way).
+    pub fn absorb(&mut self, other: CacheStats) {
+        self.postings.hits += other.postings.hits;
+        self.postings.misses += other.postings.misses;
+        self.result.hits += other.result.hits;
+        self.result.misses += other.result.misses;
+        self.evictions += other.evictions;
+        self.insertions += other.insertions;
+        self.bytes += other.bytes;
+        self.entries += other.entries;
+        self.shards.extend(other.shards);
     }
 
-    /// Logical misses summed over the three tiers.
+    /// Logical hits summed over both tiers.
+    pub fn hits(&self) -> u64 {
+        self.postings.hits + self.result.hits
+    }
+
+    /// Logical misses summed over both tiers.
     pub fn misses(&self) -> u64 {
-        self.postings.misses + self.fixpoint.misses + self.result.misses
+        self.postings.misses + self.result.misses
     }
 
     /// Hit rate over all logical lookups; 0 when nothing was looked up.
@@ -750,9 +635,8 @@ impl CacheStats {
     pub fn to_json(&self) -> String {
         let tier = |t: &TierCounters| format!("{{\"hits\":{},\"misses\":{}}}", t.hits, t.misses);
         let mut out = format!(
-            "{{\"postings\":{},\"fixpoint\":{},\"result\":{},\"evictions\":{},\"insertions\":{},\"bytes\":{},\"entries\":{},\"shards\":[",
+            "{{\"postings\":{},\"result\":{},\"evictions\":{},\"insertions\":{},\"bytes\":{},\"entries\":{},\"shards\":[",
             tier(&self.postings),
-            tier(&self.fixpoint),
             tier(&self.result),
             self.evictions,
             self.insertions,
@@ -985,7 +869,7 @@ pub fn flight_key<H: Hash>(value: &H) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::Budget;
+    use crate::budget::{Budget, Degradation, Rung};
     use crate::filter::FilterExpr;
     use xfrag_doc::NodeId;
 
@@ -1018,28 +902,6 @@ mod tests {
         assert_eq!(st.postings.misses, 3);
         assert_eq!(st.entries, 1);
         assert!(st.bytes > 0);
-    }
-
-    #[test]
-    fn fixpoint_tier_is_mode_keyed() {
-        let cache = QueryCache::with_capacity_mb(4);
-        let g = GenerationTag::fresh();
-        let set = nodes([4, 5]);
-        let delta = EvalStats {
-            joins: 7,
-            cache_hits: 99, // must be stripped on store
-            ..EvalStats::default()
-        };
-        cache.put_fixpoint(g, 2, "xml", FixpointMode::Naive, &set, delta);
-        let (got, d) = cache
-            .get_fixpoint(g, 2, "xml", FixpointMode::Naive)
-            .unwrap();
-        assert_eq!(got, set);
-        assert_eq!(d.joins, 7);
-        assert_eq!(d.cache_hits, 0, "stored deltas are pure compute");
-        assert!(cache
-            .get_fixpoint(g, 2, "xml", FixpointMode::Reduced)
-            .is_none());
     }
 
     fn result(frags: FragmentSet, degradation: Degradation) -> QueryResult {
@@ -1075,49 +937,28 @@ mod tests {
     }
 
     #[test]
-    fn degraded_entry_never_serves_a_full_budget_request() {
+    fn degraded_answers_are_never_stored() {
         let g = GenerationTag::fresh();
         let q = Query::new(["alpha"], FilterExpr::True);
-        let tight = ExecPolicy::with_budget(Budget::unlimited().with_max_joins(1));
-        let open = ExecPolicy::unlimited();
-        let cache = QueryCache::with_capacity_mb(4);
-
-        let degraded = Degradation {
-            rung: Some(Rung::SlcaApprox),
-            ..Degradation::default()
-        };
-        let key_tight = ResultKey::new(g, 0, &q, Strategy::FixedPointNaive, &tight);
-        cache.put_result(&key_tight, &result(nodes([1]), degraded));
-
-        // Same (deterministic) policy: the degraded entry is reusable.
-        assert!(cache.get_result(&key_tight).is_some());
-        // Full-budget fingerprint differs: it can never observe it.
-        let key_open = ResultKey::new(g, 0, &q, Strategy::FixedPointNaive, &open);
-        assert!(cache.get_result(&key_open).is_none());
-    }
-
-    #[test]
-    fn nondeterministic_policies_reuse_only_exact_answers() {
-        let g = GenerationTag::fresh();
-        let q = Query::new(["alpha"], FilterExpr::True);
-        let timed = ExecPolicy::with_budget(
-            Budget::unlimited().with_wall_clock(std::time::Duration::from_secs(3600)),
-        );
-        let key = ResultKey::new(g, 0, &q, Strategy::PushDown, &timed);
-        assert!(!key.policy().is_deterministic());
-        let cache = QueryCache::with_capacity_mb(4);
-
-        // A degraded answer under a wall-clocked policy is not stored…
         let degraded = Degradation {
             rung: Some(Rung::TopCandidates),
             ..Degradation::default()
         };
-        cache.put_result(&key, &result(nodes([1]), degraded));
-        assert!(cache.get_result(&key).is_none());
+        let work_limited = ExecPolicy::with_budget(Budget::unlimited().with_max_joins(1));
+        let wall_clocked = ExecPolicy::with_budget(
+            Budget::unlimited().with_wall_clock(std::time::Duration::from_secs(3600)),
+        );
+        for policy in [work_limited, wall_clocked] {
+            let cache = QueryCache::with_capacity_mb(4);
+            let key = ResultKey::new(g, 0, &q, Strategy::PushDown, &policy);
+            cache.put_result(&key, &result(nodes([1]), degraded.clone()));
+            assert_eq!(cache.stats().insertions, 0, "{policy:?}");
+            assert!(cache.get_result(&key).is_none(), "{policy:?}");
 
-        // …but an exact answer is stored and reused.
-        cache.put_result(&key, &result(nodes([2]), Degradation::none()));
-        assert!(cache.get_result(&key).is_some());
+            cache.put_result(&key, &result(nodes([2]), Degradation::none()));
+            let hit = cache.get_result(&key).expect("exact answers are stored");
+            assert_eq!(hit.fragments, nodes([2]));
+        }
     }
 
     #[test]
@@ -1193,14 +1034,7 @@ mod tests {
 
         // Doc 0: unchanged (same id). Doc 1: shifts to id 5. Doc 2: changed.
         cache.put_postings(g1, 0, "alpha", &nodes([1]));
-        cache.put_fixpoint(
-            g1,
-            0,
-            "alpha",
-            FixpointMode::Reduced,
-            &nodes([1, 2]),
-            EvalStats::default(),
-        );
+        cache.put_postings(g1, 0, "beta", &nodes([1, 2]));
         let k0 = ResultKey::new(g1, 0, &q, Strategy::PushDown, &policy);
         cache.put_result(&k0, &result(nodes([1]), Degradation::none()));
         cache.put_postings(g1, 1, "alpha", &nodes([7]));
@@ -1214,9 +1048,7 @@ mod tests {
 
         // Carried entries answer under the new tag and mapped ids…
         assert_eq!(cache.get_postings(g2, 0, "alpha"), Some(nodes([1])));
-        assert!(cache
-            .get_fixpoint(g2, 0, "alpha", FixpointMode::Reduced)
-            .is_some());
+        assert_eq!(cache.get_postings(g2, 0, "beta"), Some(nodes([1, 2])));
         let k0_new = ResultKey::new(g2, 0, &q, Strategy::PushDown, &policy);
         assert_eq!(
             cache.get_result(&k0_new).unwrap().fragments,
@@ -1263,6 +1095,11 @@ mod tests {
         let st = cache.stats();
         assert_eq!(st.hits() + st.misses(), 2);
         assert!((st.hit_rate() - 0.5).abs() < 1e-9);
+        let probes = st
+            .shards
+            .iter()
+            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses));
+        assert_eq!(probes, (st.hits(), st.misses()), "one probe per lookup");
     }
 
     #[test]

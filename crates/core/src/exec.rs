@@ -9,9 +9,7 @@
 //! * the [`Nav`] that answers structural questions (tree walks or label
 //!   arithmetic);
 //! * the [`Governor`] every join kernel and round is charged to;
-//! * the [`Tracer`] stages record their spans in;
-//! * an optional [`CacheRef`] through which fixed points over keyword
-//!   operands are memoized (tier (b) of [`crate::cache`]).
+//! * the [`Tracer`] stages record their spans in.
 //!
 //! The plain paper-level forms ([`crate::pairwise_join`],
 //! [`crate::fixed_point`], [`crate::reduce`], …) run the same methods
@@ -19,15 +17,13 @@
 //! branch, so the plain forms pay nothing for the context.
 
 use crate::budget::{Breach, Governor};
-use crate::cache::CacheRef;
 use crate::nav::Nav;
 use crate::trace::Tracer;
 
-/// Navigation, budget, tracing and memoization for one evaluation.
+/// Navigation, budget and tracing for one evaluation.
 ///
 /// Crate-private: public entry points take the governor and tracer
-/// themselves and build the context, so the memo can only be attached
-/// where the tier (b) gate is checked.
+/// themselves and build the context.
 #[derive(Clone, Copy)]
 pub(crate) struct ExecCtx<'a> {
     /// Structural navigation over the evaluated document.
@@ -36,22 +32,12 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) gov: &'a Governor,
     /// Where stages record their spans.
     pub(crate) tracer: &'a Tracer<'a>,
-    /// The fixed-point memo. Evaluation entry points set it only under
-    /// an unlimited, cancel-free policy: a memo hit skips the governor
-    /// charges the computation would have made, which under a limited
-    /// budget would move where the budget trips.
-    pub(crate) cache: Option<CacheRef<'a>>,
 }
 
 impl<'a> ExecCtx<'a> {
-    /// A context without a fixed-point memo.
+    /// A context over `nav` charging `gov` and recording into `tracer`.
     pub(crate) fn new(nav: Nav<'a>, gov: &'a Governor, tracer: &'a Tracer<'a>) -> Self {
-        ExecCtx {
-            nav,
-            gov,
-            tracer,
-            cache: None,
-        }
+        ExecCtx { nav, gov, tracer }
     }
 }
 

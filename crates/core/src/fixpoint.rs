@@ -55,7 +55,7 @@ pub fn fixed_point_naive<'n>(
     stats: &mut EvalStats,
 ) -> FragmentSet {
     exec::unlimited(nav.into(), |cx| {
-        cx.fixed_point(f, FixpointMode::Naive, None, stats)
+        cx.fixed_point(f, FixpointMode::Naive, stats)
     })
 }
 
@@ -119,7 +119,7 @@ pub fn fixed_point_reduced<'n>(
     stats: &mut EvalStats,
 ) -> FragmentSet {
     exec::unlimited(nav.into(), |cx| {
-        cx.fixed_point(f, FixpointMode::Reduced, None, stats)
+        cx.fixed_point(f, FixpointMode::Reduced, stats)
     })
 }
 
@@ -130,7 +130,7 @@ pub fn fixed_point<'n>(
     mode: FixpointMode,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    exec::unlimited(nav.into(), |cx| cx.fixed_point(f, mode, None, stats))
+    exec::unlimited(nav.into(), |cx| cx.fixed_point(f, mode, stats))
 }
 
 /// Theorem 2: `F1 ⋈* F2 = F1⁺ ⋈ F2⁺` — the rewrite that makes powerset
@@ -155,52 +155,16 @@ impl ExecCtx<'_> {
     /// `F⁺` in the given mode: a `fixpoint-naive` or `fixpoint-reduced`
     /// span with one `round` child per iteration (plus `reduce` and
     /// `safety-check` children in reduced mode).
-    ///
-    /// `memo` names the keyword `f` was selected by. When it is set and
-    /// the context carries a cache, the result goes through the tier (b)
-    /// memo keyed `(generation, doc, term, mode)`: a hit replays the
-    /// stored [`EvalStats`] delta, so cached and uncached runs report
-    /// identical compute counters; a miss computes, then stores the set
-    /// with the delta it cost. The stored delta's `budget_checkpoints`
-    /// carries the governor checkpoints the computation consumed (the
-    /// computation itself never writes that field), so a budgeted
-    /// evaluation reports the same checkpoint total on a hit.
     pub(crate) fn fixed_point(
         &self,
         f: &FragmentSet,
         mode: FixpointMode,
-        memo: Option<&str>,
         stats: &mut EvalStats,
     ) -> Result<FragmentSet, Breach> {
-        let (Some(c), Some(term)) = (self.cache, memo) else {
-            return match mode {
-                FixpointMode::Naive => self.fixed_point_naive(f, stats),
-                FixpointMode::Reduced => self.fixed_point_reduced(f, stats),
-            };
-        };
-        if let Some((set, delta)) = c.cache.get_fixpoint(c.gen, c.doc, term, mode) {
-            self.tracer.scoped_lazy(
-                || format!("fixpoint-cache:{term}"),
-                stats,
-                |stats| {
-                    stats.cache_hits += 1;
-                    *stats += delta;
-                },
-            );
-            return Ok(set);
+        match mode {
+            FixpointMode::Naive => self.fixed_point_naive(f, stats),
+            FixpointMode::Reduced => self.fixed_point_reduced(f, stats),
         }
-        stats.cache_misses += 1;
-        let before = *stats;
-        let checkpoints_before = self.gov.checkpoints_passed();
-        let out = ExecCtx {
-            cache: None,
-            ..*self
-        }
-        .fixed_point(f, mode, None, stats)?;
-        let mut delta = stats.delta_since(&before);
-        delta.budget_checkpoints = self.gov.checkpoints_passed() - checkpoints_before;
-        c.cache.put_fixpoint(c.gen, c.doc, term, mode, &out, delta);
-        Ok(out)
     }
 
     fn fixed_point_naive(

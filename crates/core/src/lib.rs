@@ -24,10 +24,10 @@
 //!   ([`evaluate_budgeted`]);
 //! * [`breaker`] — circuit breakers (closed → open → half-open) that
 //!   the replicated server arms per replica;
-//! * [`cache`] — generation-keyed, sharded LRU memoization of postings,
-//!   fixed points and full results for repeated query traffic;
+//! * [`cache`] — generation-keyed, sharded LRU memoization of postings
+//!   and exact per-document results for repeated query traffic;
 //! * `exec` (crate-private) — the execution context (`ExecCtx`:
-//!   navigation, governor, tracer, fixed-point memo) that every
+//!   navigation, governor, tracer) that every
 //!   operator's one implementation runs under;
 //! * [`trace`] — span-based stage tracing of every evaluation stage,
 //!   powering `--profile` and `explain --analyze`;

@@ -685,7 +685,7 @@ fn execute_in<I: PostingsSource + ?Sized>(
                         return Err(Breach::PowersetLimit);
                     }
                     match inner_filter {
-                        None => cx.fixed_point(&f, *mode, None, stats),
+                        None => cx.fixed_point(&f, *mode, stats),
                         Some(p) => cx.filtered_fixed_point(&f, p, stats),
                     }
                 }

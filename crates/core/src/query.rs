@@ -272,22 +272,21 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
 ///
 /// With `cache: None` this is exactly the uncached path. With a cache:
 ///
-/// 1. **Tier (c)** — probe the full-result cache under the normalized
-///    [`ResultKey`] (sorted terms, filter fingerprint, strategy, policy
-///    fingerprint, achieved rung). A hit is charged to a governor
+/// 1. **Result tier** — probe the exact-answer cache under the
+///    normalized [`ResultKey`] (sorted terms, filter fingerprint,
+///    strategy, policy fingerprint). A hit is charged to a governor
 ///    built from the policy — a cancelled token still aborts, an armed
 ///    `query:eval` fault still fires, and a pre-expired deadline makes
 ///    the hit unservable (falls through to normal evaluation, which
 ///    degrades or times out exactly as an uncached run would). Served
 ///    hits replay the stored compute [`EvalStats`], so cached and
 ///    uncached evaluation report identical non-cache counters.
-/// 2. **Tier (a)** — operand sets come from the postings cache; misses
-///    compute and fill. Postings construction is ungoverned, so this
-///    tier is sound under every policy.
-/// 3. **Tier (b)** — fixed points are memoized only when the policy has
-///    no work limits, wall clock, or cancel token: a fixpoint hit skips
-///    governor charges, which under a limited budget would change where
-///    the budget trips.
+/// 2. **Postings tier** — operand sets come from the postings cache;
+///    misses compute and fill. Postings construction is ungoverned, so
+///    this tier is sound under every policy.
+///
+/// A computed answer is then stored in the result tier unless it
+/// degraded (see [`QueryCache::put_result`](crate::QueryCache::put_result)).
 pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,
@@ -326,7 +325,7 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
                     return Ok(QueryResult {
                         fragments: entry.fragments,
                         stats,
-                        degradation: entry.degradation,
+                        degradation: Degradation::none(),
                     });
                 }
                 Err(Breach::Cancelled) => return Err(QueryError::Cancelled),
@@ -346,11 +345,7 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     } else {
         let gov =
             Governor::new(policy.budget, policy.cancel.clone()).with_fault(policy.fault.clone());
-        // Tier (b) gate — see the doc comment above.
-        let cx = ExecCtx {
-            cache: cache.filter(|_| !policy.budget.is_limited() && policy.cancel.is_none()),
-            ..ExecCtx::new(nav, &gov, tracer)
-        };
+        let cx = ExecCtx::new(nav, &gov, tracer);
         run_ladder(&cx, query, strategy, &operands, policy)?
     };
     result.stats.cache_hits += lookup_stats.cache_hits;
@@ -540,7 +535,7 @@ fn run_ladder(
                         if !gov.is_work_bounded() && reduced.len() > crate::join::POWERSET_LIMIT {
                             return Err(Breach::PowersetLimit);
                         }
-                        cx.fixed_point(&reduced, FixpointMode::Naive, None, stats)
+                        cx.fixed_point(&reduced, FixpointMode::Naive, stats)
                     })
                     .collect::<Result<_, Breach>>()?;
                 join_fold(cx, fps, stats)
@@ -596,10 +591,7 @@ fn run_ladder(
 
     let fragments = select_top(cx, query, &raw, &mut stats);
 
-    // `+=`, not `=`: fixpoint-cache hits replay the checkpoints their
-    // original computation passed (see `ExecCtx::fixed_point`), and
-    // those replays land in `stats` before this line.
-    stats.budget_checkpoints += gov.checkpoints_passed();
+    stats.budget_checkpoints = gov.checkpoints_passed();
     let degradation = match rung {
         None => Degradation::none(),
         Some(rung) => Degradation {
@@ -659,8 +651,7 @@ fn strategy_raw(
     };
     let fps: Vec<FragmentSet> = operands
         .iter()
-        .zip(&query.terms)
-        .map(|(f, t)| cx.fixed_point(f, mode, Some(t), stats))
+        .map(|f| cx.fixed_point(f, mode, stats))
         .collect::<Result<_, _>>()?;
     join_fold(cx, fps, stats)
 }
