@@ -45,8 +45,8 @@ resource limits (see README \"Resource limits & degradation\"):
   --max-fragments N  cap on intermediate fragments materialized
   --max-joins N      cap on binary join kernels
   --degrade M        off | ladder   what to do when a budget trips
-                     (default: ladder — answer with a sound subset from
-                     the cheapest plan the remaining budget affords)
+                     (default: ladder — answer with the sound subset that
+                     the slca-approx fallback finds; off fails instead)
 
 corpus updates (see README \"Corpus updates & recovery\"):
   index compiles every .xml in <src-dir> into <corpus-dir> as a new

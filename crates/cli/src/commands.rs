@@ -929,7 +929,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
         Err(breach) => writeln!(
             out,
             "budget: tripped ({breach}) after {} checkpoint(s), {} join(s) — \
-             `search --degrade ladder` would fall back to a cheaper plan",
+             `search --degrade ladder` would answer from slca-approx",
             gov.checkpoints_passed(),
             gov.joins_spent()
         )

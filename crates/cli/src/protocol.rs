@@ -58,7 +58,8 @@ pub struct Request {
     pub max_joins: Option<u64>,
     /// Materialized-fragment budget.
     pub max_fragments: Option<u64>,
-    /// `off | ladder` (default ladder).
+    /// `off | ladder` (default ladder): on a budget breach, fail with the
+    /// breach or answer from the `slca-approx` fallback.
     pub degrade: Option<String>,
     /// How many ranked answers to return (default 10).
     pub top_k: Option<usize>,

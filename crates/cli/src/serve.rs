@@ -43,7 +43,7 @@
 use crate::commands::CliError;
 use crate::protocol::{status, Answer, Request, RequestKind, Response, ShardOutcome};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -60,7 +60,7 @@ use xfrag_core::snippet::{snippet, SnippetConfig};
 use xfrag_core::trace::{serve_stage, LatencyHistogram, Span, Tracer};
 use xfrag_core::{
     flight_key, Breach, Budget, CancelToken, EvalStats, ExecPolicy, FaultInjector, FaultPlan,
-    Flight, GenerationTag, Query, QueryCache, QueryError, RetryBudget, Singleflight,
+    Flight, GenerationTag, Query, QueryCache, QueryError, RetryBudget, Singleflight, SLCA_APPROX,
 };
 use xfrag_doc::manifest;
 use xfrag_doc::{Collection, DocId, Document};
@@ -917,6 +917,11 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
 /// answered with a structured rejection rather than a hangup.
 const DRAIN_POLL: Duration = Duration::from_millis(500);
 
+/// Longest request line a connection may send, newline excluded. A
+/// longer line gets a `bad request` reply and the connection closes, so
+/// a client streaming bytes with no newline cannot grow server memory.
+const MAX_REQUEST_LINE: u64 = 1 << 20;
+
 /// Decrements the shared connection count (and wakes the drain loop)
 /// when a handler exits, on every exit path.
 struct ConnGuard(Arc<Shared>);
@@ -943,19 +948,21 @@ fn handle_conn(s: Arc<Shared>, stream: TcpStream) {
         Err(_) => return,
     };
     let mut writer = stream;
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        // Assemble one line, riding out poll timeouts (which preserve
-        // any partial bytes already appended to `line`).
+        buf.clear();
+        // Assemble one line of at most MAX_REQUEST_LINE + 1 bytes, riding
+        // out poll timeouts (which preserve any partial bytes already
+        // appended to `buf`).
         let n = loop {
-            match reader.read_line(&mut line) {
+            let room = MAX_REQUEST_LINE + 1 - buf.len() as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut buf) {
                 Ok(n) => break n,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
                 {
-                    if s.shutdown.load(Ordering::SeqCst) && line.is_empty() {
+                    if s.shutdown.load(Ordering::SeqCst) && buf.is_empty() {
                         return;
                     }
                 }
@@ -965,11 +972,20 @@ fn handle_conn(s: Arc<Shared>, stream: TcpStream) {
         if n == 0 {
             return; // EOF: client closed.
         }
-        if line.trim().is_empty() {
+        let too_long = !buf.ends_with(b"\n") && buf.len() as u64 > MAX_REQUEST_LINE;
+        let line = if too_long {
+            Err(format!("request line exceeds {MAX_REQUEST_LINE} bytes"))
+        } else {
+            std::str::from_utf8(&buf).map_err(|e| format!("request line is not UTF-8: {e}"))
+        };
+        if matches!(line, Ok(l) if l.trim().is_empty()) {
             continue;
         }
-        let line = line.trim_end_matches(['\r', '\n']);
-        let out = match serde_json::from_str::<Request>(line) {
+        let request = line.and_then(|l| {
+            serde_json::from_str::<Request>(l.trim_end_matches(['\r', '\n']))
+                .map_err(|e| e.to_string())
+        });
+        let out = match request {
             Err(e) => {
                 {
                     let mut st = s.stats.lock().unwrap();
@@ -1036,6 +1052,14 @@ fn handle_conn(s: Arc<Shared>, stream: TcpStream) {
             .and_then(|_| writer.write_all(b"\n"))
             .and_then(|_| writer.flush());
         if wrote.is_err() {
+            return;
+        }
+        if too_long {
+            // Send FIN after the reply, then discard (a bounded amount of)
+            // the rest of the line: closing with unread input would reset
+            // the connection and could destroy the reply in flight.
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+            let _ = std::io::copy(&mut reader.take(MAX_REQUEST_LINE), &mut std::io::sink());
             return;
         }
         // One reply per connection once the drain has begun.
@@ -1584,18 +1608,14 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
         })
         .collect();
     if degraded {
-        // Assembled from counters and rung names only — never
+        // Assembled from counters and names only — never
         // elapsed times — to keep response bytes deterministic.
         let mut notes = Vec::new();
         if merged.docs_skipped > 0 {
             notes.push(format!("{} doc(s) skipped", merged.docs_skipped));
         }
-        for (doc_id, d) in &merged.degraded_docs {
-            notes.push(format!(
-                "{} degraded to {}",
-                coll.name(*doc_id),
-                d.rung.map(|rg| rg.name()).unwrap_or("none")
-            ));
+        for (doc_id, _) in &merged.degraded_docs {
+            notes.push(format!("{} degraded to {SLCA_APPROX}", coll.name(*doc_id)));
         }
         for (doc_id, msg) in &merged.docs_failed {
             notes.push(format!(

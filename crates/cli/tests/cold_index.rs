@@ -53,11 +53,16 @@ fn cold_queries_run_off_checksummed_segments_and_match_tree_walks() {
     )
     .unwrap();
     std::fs::write(src.join("c.xml"), "<doc><par>unrelated text</par></doc>").unwrap();
-    let status = Command::new(env!("CARGO_BIN_EXE_xfrag"))
+    let o = Command::new(env!("CARGO_BIN_EXE_xfrag"))
         .args(["index", src.to_str().unwrap(), out.to_str().unwrap()])
-        .status()
+        .output()
         .expect("run xfrag index");
-    assert!(status.success(), "index failed");
+    assert!(o.status.success(), "index failed");
+    let stdout = String::from_utf8(o.stdout).unwrap();
+    assert!(
+        stdout.contains("3 document(s) + 3 index segment(s)"),
+        "{stdout}"
+    );
 
     // The committed manifest carries one segment per document, each
     // checksummed, byte-accurate, and decodable.

@@ -120,20 +120,24 @@ impl Drop for Server {
     }
 }
 
-/// Commit a new corpus generation with the real `xfrag index` binary.
-fn run_index(src: &Path, out: &Path) -> String {
+/// Run the real `xfrag` binary to success and return its stdout.
+fn run_xfrag<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> String {
     let o = Command::new(env!("CARGO_BIN_EXE_xfrag"))
-        .arg("index")
-        .arg(src)
-        .arg(out)
+        .args(args)
         .output()
-        .expect("run xfrag index");
+        .expect("run xfrag");
     assert!(
         o.status.success(),
-        "index failed: {}",
+        "xfrag {:?} failed: {}",
+        args.iter().map(|a| a.as_ref()).collect::<Vec<_>>(),
         String::from_utf8_lossy(&o.stderr)
     );
     String::from_utf8_lossy(&o.stdout).into_owned()
+}
+
+/// Commit a new corpus generation with the real `xfrag index` binary.
+fn run_index(src: &Path, out: &Path) -> String {
+    run_xfrag(&["index".as_ref(), src.as_os_str(), out.as_os_str()])
 }
 
 /// An empty scratch directory for a generation-committed corpus.
@@ -640,18 +644,51 @@ fn hot_reload_invalidates_cache_under_concurrent_load() {
 
 /// Commit a delta generation with the real `xfrag index --delta` binary.
 fn run_delta(src: &Path, out: &Path) -> String {
-    let o = Command::new(env!("CARGO_BIN_EXE_xfrag"))
-        .args(["index", "--delta"])
-        .arg(src)
-        .arg(out)
-        .output()
-        .expect("run xfrag index --delta");
+    run_xfrag(&[
+        "index".as_ref(),
+        "--delta".as_ref(),
+        src.as_os_str(),
+        out.as_os_str(),
+    ])
+}
+
+/// Compacting a delta chain changes no answer: a query served from the
+/// compacted generation is byte-identical to the reply served from the
+/// delta chain it replaced (`--no-cache` replies carry no varying
+/// counters).
+#[test]
+fn compacted_generation_answers_byte_identically_to_the_delta_chain() {
+    let src = corpus("compact-src");
+    let out = gen_corpus("compact");
+    run_index(&src, &out);
+    std::fs::write(
+        src.join("a.xml"),
+        "<doc><title>xml search alpha two</title><p>ranked xml search regenerated</p></doc>",
+    )
+    .unwrap();
+    let msg = run_delta(&src, &out);
     assert!(
-        o.status.success(),
-        "delta index failed: {}",
-        String::from_utf8_lossy(&o.stderr)
+        msg.contains("committed delta generation 2 (parent 1)"),
+        "{msg}"
     );
-    String::from_utf8_lossy(&o.stdout).into_owned()
+
+    let q = r#"{"kind":"query","id":1,"keywords":["xml","search"],"top_k":3}"#;
+    let srv = Server::start(&out, &["--no-cache"]);
+    let chained = srv.rpc(q);
+    assert_eq!(field_str(&chained, "status"), "ok", "{chained}");
+    assert!(chained.contains("regenerated"), "{chained}");
+    assert!(srv.shutdown_and_wait().0.success());
+
+    let msg = run_xfrag(&["compact".as_ref(), out.as_os_str()]);
+    assert!(
+        msg.contains("compacted generation 2 -> 3: 3 document(s)"),
+        "{msg}"
+    );
+    let srv = Server::start(&out, &["--no-cache"]);
+    assert_eq!(srv.rpc(q), chained);
+    let stats = srv.rpc(r#"{"kind":"stats","id":2}"#);
+    assert!(stats.contains("\"generation\":3"), "{stats}");
+    assert!(srv.shutdown_and_wait().0.success());
 }
 
 /// ISSUE 6 satellite: a 1-document delta reload under the 6×5 soak
@@ -851,6 +888,60 @@ fn bad_request_line_gets_an_error_reply_and_the_connection_survives() {
     let q = conn.rpc(r#"{"kind":"query","id":2,"keywords":["xml","search"]}"#);
     assert_eq!(field_str(&q, "status"), "ok", "{q}");
     assert!(q.starts_with("{\"id\":2,"), "{q}");
+    drop(conn);
+    let (st, sum) = srv.shutdown_and_wait();
+    assert!(st.success());
+    assert!(sum.contains("0 in flight"), "{sum}");
+}
+
+/// A request line longer than the server's 1 MiB cap gets a `bad
+/// request` reply and then EOF, instead of growing server memory until a
+/// newline arrives; a fresh connection still answers queries.
+#[test]
+fn over_long_request_line_is_refused_and_the_server_survives() {
+    const CAP: usize = 1 << 20;
+    let dir = corpus("longline");
+    let srv = Server::start(&dir, &[]);
+    let mut conn = srv.connect();
+    let mut line = vec![b'a'; CAP + 4096];
+    line.push(b'\n');
+    conn.w.write_all(&line).unwrap();
+    let mut reply = String::new();
+    conn.r.read_line(&mut reply).expect("read refusal");
+    assert_eq!(
+        reply.trim_end(),
+        r#"{"id":0,"status":"error","answers":[],"note":null,"error":"bad request: request line exceeds 1048576 bytes","stats":null,"complete":true,"shards":null}"#
+    );
+    let mut rest = String::new();
+    conn.r.read_line(&mut rest).expect("read EOF");
+    assert_eq!(rest, "", "the connection must close after the refusal");
+    let q = srv.rpc(r#"{"kind":"query","id":2,"keywords":["xml","search"]}"#);
+    assert_eq!(field_str(&q, "status"), "ok", "{q}");
+    let (st, sum) = srv.shutdown_and_wait();
+    assert!(st.success());
+    assert!(sum.contains("0 in flight"), "{sum}");
+}
+
+/// A request line that is not UTF-8 gets a `bad request` reply like any
+/// other malformed line, and the connection goes on answering.
+#[test]
+fn non_utf8_request_line_gets_an_error_reply_and_the_connection_survives() {
+    let dir = corpus("nonutf8");
+    let srv = Server::start(&dir, &[]);
+    let mut conn = srv.connect();
+    conn.w.write_all(b"{\"kind\":\"health\xff\"}\n").unwrap();
+    let mut bad = String::new();
+    conn.r.read_line(&mut bad).expect("read error reply");
+    assert!(!bad.is_empty(), "server hung up instead of replying");
+    assert_eq!(field_str(&bad, "status"), "error", "{bad}");
+    assert!(
+        bad.contains("bad request: request line is not UTF-8"),
+        "{bad}"
+    );
+    let q = conn.rpc(r#"{"kind":"query","id":2,"keywords":["xml","search"]}"#);
+    assert_eq!(field_str(&q, "status"), "ok", "{q}");
+    let fresh = srv.rpc(r#"{"kind":"query","id":3,"keywords":["xml","search"]}"#);
+    assert_eq!(field_str(&fresh, "status"), "ok", "{fresh}");
     drop(conn);
     let (st, sum) = srv.shutdown_and_wait();
     assert!(st.success());

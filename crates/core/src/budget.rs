@@ -11,11 +11,11 @@
 //! nodes merged) and a [`CancelToken`].
 //!
 //! Tripping a budget is **not an error** when degradation is enabled:
-//! [`crate::query::evaluate_budgeted`] walks a ladder of progressively
-//! cheaper — and progressively less complete — evaluation plans, each of
-//! which returns a *sound subset* of the exact answer set (see
-//! [`Rung`]). Cancellation, by contrast, always aborts with an error:
-//! a cancelled caller wants no answer at all.
+//! [`crate::query::evaluate_budgeted`] then answers from an ungoverned
+//! SLCA approximation ([`SLCA_APPROX`]), a *sound subset* of the exact
+//! answer set, and reports the breach in a [`Degradation`].
+//! Cancellation, by contrast, always aborts with an error: a cancelled
+//! caller wants no answer at all.
 //!
 //! Checking is cooperative and sampled: counters are plain atomic adds,
 //! and the clock/cancel flag are consulted every [`CHECK_INTERVAL`] join
@@ -113,8 +113,8 @@ pub enum Breach {
     /// The nodes-merged (memory proxy) budget was exhausted.
     NodesMerged,
     /// A literal powerset enumeration exceeded
-    /// [`crate::POWERSET_LIMIT`] — treated as a budget breach because
-    /// the ladder has cheaper plans for exactly this situation.
+    /// [`crate::POWERSET_LIMIT`] — treated as a budget breach, so the
+    /// ladder answers from [`SLCA_APPROX`] as for any other breach.
     PowersetLimit,
     /// The [`CancelToken`] was triggered.
     Cancelled,
@@ -373,8 +373,7 @@ impl RetryBudget {
 pub enum DegradeMode {
     /// Surface the breach as an error.
     Off,
-    /// Walk the degradation ladder and return the best sound subset the
-    /// remaining budget affords.
+    /// Answer from [`SLCA_APPROX`], a sound subset of the exact answer.
     #[default]
     Ladder,
 }
@@ -392,78 +391,22 @@ impl std::str::FromStr for DegradeMode {
     }
 }
 
-/// The rungs of the degradation ladder, cheapest last. Every rung's
-/// output is a **sound subset** of the exact answer: each answer it
-/// emits is the join of a non-empty sub-collection of operand fragments
-/// (hence a member of the exact raw powerset-join result) that passed
-/// the query's selection predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Rung {
-    /// The requested strategy, governed but otherwise exact.
-    Full,
-    /// Fixed points over the *reduced* operand sets `⊖(Fi)`
-    /// (Definition 10). `⊖(F) ⊆ F` and the fixed point is monotone in
-    /// its operand, so `(⊖(F))⁺ ⊆ F⁺`: cheaper, sound, possibly
-    /// incomplete for general operand sets.
-    ReducedSets,
-    /// No fixed points at all: truncate each operand to its first
-    /// [`TOP_CANDIDATES`] fragments (document order) and fold a single
-    /// pairwise join across operands.
-    TopCandidates,
-    /// SLCA-style approximation: one answer per smallest-LCA node,
-    /// built by joining one occurrence of each term inside that node's
-    /// subtree. Linear in document size; needs no join budget.
-    SlcaApprox,
-}
-
-impl Rung {
-    /// All rungs in ladder order (cheapest last). The ladder walks this
-    /// array top to bottom; `ALL[n]` is the rung that answers after `n`
-    /// budget trips.
-    pub const ALL: [Rung; 4] = [
-        Rung::Full,
-        Rung::ReducedSets,
-        Rung::TopCandidates,
-        Rung::SlcaApprox,
-    ];
-
-    /// Short stable name for reports and CLI output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Rung::Full => "full",
-            Rung::ReducedSets => "reduced-sets",
-            Rung::TopCandidates => "top-candidates",
-            Rung::SlcaApprox => "slca-approx",
-        }
-    }
-}
-
-impl std::fmt::Display for Rung {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Operand truncation width of [`Rung::TopCandidates`].
-pub const TOP_CANDIDATES: usize = 8;
+/// Name of the degradation ladder's fallback rung: the SLCA
+/// approximation that answers once the full strategy breaches.
+pub const SLCA_APPROX: &str = "slca-approx";
 
 /// Report of how an evaluation degraded (or that it did not).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Degradation {
-    /// The rung that produced the returned answer; `None` when the full
-    /// strategy completed within budget.
-    pub rung: Option<Rung>,
-    /// The breaches that forced each abandoned rung, in ladder order:
-    /// `(rung that was attempted, breach that stopped it)`.
-    pub trips: Vec<(Rung, Breach)>,
-    /// Operand fragments dropped by truncation (rungs at or below
-    /// [`Rung::TopCandidates`]).
-    pub truncated_fragments: u64,
-    /// Join kernels spent across all rungs.
+    /// The breach that stopped the full strategy, after which the answer
+    /// came from [`SLCA_APPROX`]; `None` when the full strategy completed
+    /// within budget.
+    pub breach: Option<Breach>,
+    /// Join kernels spent.
     pub joins_spent: u64,
-    /// Fragments materialized across all rungs.
+    /// Fragments materialized.
     pub fragments_spent: u64,
-    /// Nodes merged across all rungs.
+    /// Nodes merged.
     pub nodes_spent: u64,
     /// Wall-clock spent (zero when no deadline was set — the governor
     /// does not read the clock unnecessarily).
@@ -479,32 +422,20 @@ impl Degradation {
     /// Whether the answer is (potentially) a proper subset of the exact
     /// answer.
     pub fn is_degraded(&self) -> bool {
-        self.rung.is_some()
+        self.breach.is_some()
     }
 }
 
 impl std::fmt::Display for Degradation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.rung {
+        match self.breach {
             None => write!(f, "exact (no degradation)"),
-            Some(r) => {
-                write!(f, "degraded to {r}")?;
-                for (rung, breach) in &self.trips {
-                    write!(f, "; {rung} stopped by {breach}")?;
-                }
-                if self.truncated_fragments > 0 {
-                    write!(
-                        f,
-                        "; {} operand fragments truncated",
-                        self.truncated_fragments
-                    )?;
-                }
-                write!(
-                    f,
-                    " (spent: {} joins, {} fragments, {} nodes)",
-                    self.joins_spent, self.fragments_spent, self.nodes_spent
-                )
-            }
+            Some(breach) => write!(
+                f,
+                "degraded to {SLCA_APPROX}; full stopped by {breach} \
+                 (spent: {} joins, {} fragments, {} nodes)",
+                self.joins_spent, self.fragments_spent, self.nodes_spent
+            ),
         }
     }
 }
@@ -525,8 +456,9 @@ pub struct ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// Unlimited budget, no cancellation, ladder degradation (which can
-    /// never fire without limits).
+    /// Unlimited budget, no cancellation, ladder degradation (which fires
+    /// without limits only when brute force meets an operand past
+    /// [`crate::POWERSET_LIMIT`]).
     pub fn unlimited() -> Self {
         ExecPolicy::default()
     }
@@ -645,21 +577,17 @@ mod tests {
     fn degradation_report_display() {
         assert_eq!(Degradation::none().to_string(), "exact (no degradation)");
         let d = Degradation {
-            rung: Some(Rung::TopCandidates),
-            trips: vec![
-                (Rung::Full, Breach::Joins),
-                (Rung::ReducedSets, Breach::Joins),
-            ],
-            truncated_fragments: 12,
+            breach: Some(Breach::Joins),
             joins_spent: 64,
             fragments_spent: 32,
             nodes_spent: 512,
             elapsed: Duration::ZERO,
         };
-        let s = d.to_string();
-        assert!(s.contains("top-candidates"));
-        assert!(s.contains("stopped by joins"));
-        assert!(s.contains("12 operand fragments truncated"));
+        assert_eq!(
+            d.to_string(),
+            "degraded to slca-approx; full stopped by joins \
+             (spent: 64 joins, 32 fragments, 512 nodes)"
+        );
     }
 
     #[test]

@@ -869,7 +869,7 @@ pub fn flight_key<H: Hash>(value: &H) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::{Budget, Degradation, Rung};
+    use crate::budget::{Breach, Budget, Degradation};
     use crate::filter::FilterExpr;
     use xfrag_doc::NodeId;
 
@@ -941,7 +941,7 @@ mod tests {
         let g = GenerationTag::fresh();
         let q = Query::new(["alpha"], FilterExpr::True);
         let degraded = Degradation {
-            rung: Some(Rung::TopCandidates),
+            breach: Some(Breach::Joins),
             ..Degradation::default()
         };
         let work_limited = ExecPolicy::with_budget(Budget::unlimited().with_max_joins(1));

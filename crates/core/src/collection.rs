@@ -59,7 +59,7 @@ impl CollectionResult {
 /// candidate document with an operand larger than
 /// [`crate::POWERSET_LIMIT`] fails with [`QueryError::PowersetTooLarge`]
 /// (for the first such document and operand), and degradation is off, so
-/// no answer ever comes from a ladder rung below the requested strategy.
+/// no answer ever comes from the `slca-approx` fallback.
 pub fn evaluate_collection(
     collection: &Collection,
     query: &Query,
@@ -109,8 +109,8 @@ pub struct BudgetedCollectionResult {
     /// Panic isolation is per document: the rest of the collection still
     /// answers, and the caller's process survives.
     pub docs_failed: Vec<(DocId, String)>,
-    /// Documents whose answers came from a degraded ladder rung, with the
-    /// per-document degradation report.
+    /// Documents whose answers came from the `slca-approx` fallback, with
+    /// the per-document degradation report.
     pub degraded_docs: Vec<(DocId, Degradation)>,
     /// Aggregated operation counters.
     pub stats: EvalStats,

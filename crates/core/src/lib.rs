@@ -82,7 +82,8 @@ pub mod trace;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Permit};
 pub use budget::{
-    Breach, Budget, CancelToken, Degradation, DegradeMode, ExecPolicy, Governor, RetryBudget, Rung,
+    Breach, Budget, CancelToken, Degradation, DegradeMode, ExecPolicy, Governor, RetryBudget,
+    SLCA_APPROX,
 };
 pub use cache::{
     flight_key, CacheRef, CacheStats, CachedResult, CarryOver, Flight, FlightFollower, FlightLease,

@@ -21,7 +21,7 @@
 //! proptest enforce it. They differ (dramatically) in work performed,
 //! which [`crate::EvalStats`] exposes.
 
-use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor, Rung, TOP_CANDIDATES};
+use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor};
 use crate::cache::{CacheRef, ResultKey};
 use crate::exec::ExecCtx;
 use crate::filter::{select, FilterExpr};
@@ -210,29 +210,24 @@ pub fn evaluate<I: PostingsSource + ?Sized>(
 /// cancellation, and — when the budget trips — the graceful-degradation
 /// ladder.
 ///
-/// The ladder runs the rungs of [`Rung`] in order, all charging one shared
-/// [`Governor`] (so later rungs only get the budget earlier rungs left
-/// over), and returns the first rung that completes:
+/// The ladder has two rungs:
 ///
-/// 1. **full** — the requested strategy, governed.
-/// 2. **reduced-sets** — fixed points over `⊖(Fi)` (Definition 10).
-///    `⊖(F) ⊆ F` and the fixed point and pairwise join are monotone, so
-///    the fold over reduced operands is a subset of the exact raw set.
-/// 3. **top-candidates** — each operand truncated to its first
-///    [`TOP_CANDIDATES`] fragments, one pairwise fold, no fixed points.
-///    Every output is the join of one fragment per operand — a powerset
-///    join candidate, hence in the exact raw set.
-/// 4. **slca-approx** — one answer per smallest-LCA node, ungoverned and
-///    linear in document size, so the ladder always terminates with an
-///    answer.
+/// 1. **full** — the requested strategy, charging one [`Governor`].
+/// 2. **slca-approx** — once `full` breaches (any [`Breach`] but
+///    cancellation, including [`Breach::PowersetLimit`]), one answer per
+///    smallest-LCA node, ungoverned and linear in document size, so the
+///    ladder always terminates with an answer. A breached counter stays
+///    past its limit, so no other plan that joins could run on what is
+///    left. For a one-term query the answer is every occurrence with no
+///    other occurrence below it.
 ///
-/// All rungs pass their raw set through the query's selection `σ_P`, so
-/// every returned fragment satisfies the predicate: each rung yields a
+/// Both rungs pass their raw set through the query's selection `σ_P`, so
+/// every returned fragment satisfies the predicate and each rung yields a
 /// **sound subset** of the exact answer. [`QueryResult::degradation`]
-/// reports which rung answered and what each abandoned rung spent.
+/// names the breach that stopped `full` and what it spent.
 ///
 /// Cancellation ([`Breach::Cancelled`]) never degrades — it surfaces as
-/// [`QueryError::Cancelled`]. With [`DegradeMode::Off`], the first breach
+/// [`QueryError::Cancelled`]. With [`DegradeMode::Off`], the breach
 /// surfaces as [`QueryError::BudgetExceeded`].
 pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
     doc: &Document,
@@ -265,10 +260,10 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
 /// cache, so `cache` must then be `None` — passing one panics rather
 /// than being silently ignored.
 /// `Some(policy)` evaluates like [`evaluate_budgeted`], and
-/// every ladder rung that runs opens a `rung:{name}` span (named after
-/// [`Rung::name`]), so a profile shows exactly where the budget went
-/// before the answering rung — an abandoned rung's span ends at the
-/// moment its budget tripped.
+/// each ladder rung that runs opens a `rung:full` or `rung:slca-approx`
+/// span, so a profile shows where the budget went before the fallback
+/// answered — an abandoned `rung:full` span ends at the moment its
+/// budget tripped.
 ///
 /// With `cache: None` this is exactly the uncached path. With a cache:
 ///
@@ -500,104 +495,35 @@ fn run_ladder(
     if gov.fault_point(crate::fault::site::QUERY_EVAL).is_err() {
         return Err(QueryError::Cancelled);
     }
-    let mut trips: Vec<(Rung, Breach)> = Vec::new();
-    let mut truncated_fragments = 0u64;
-
-    // Rung 0: the requested strategy, governed.
-    let attempt = cx.tracer.scoped_lazy(
-        || format!("rung:{}", Rung::Full.name()),
-        &mut stats,
-        |stats| strategy_raw(cx, query, strategy, operands, stats),
-    );
-    let mut raw = match attempt {
-        Ok(raw) => Some(raw),
+    // The `full` rung: the requested strategy, governed.
+    let attempt = cx.tracer.scoped("rung:full", &mut stats, |stats| {
+        strategy_raw(cx, query, strategy, operands, stats)
+    });
+    // A breached counter stays past its limit (a passed deadline stays
+    // passed), so any further plan that joins would trip at its first
+    // charge or checkpoint: the ungoverned SLCA approximation answers
+    // instead.
+    let (raw, breach) = match attempt {
+        Ok(raw) => (raw, None),
+        Err(Breach::Cancelled) => return Err(QueryError::Cancelled),
+        Err(breach) if policy.degrade == DegradeMode::Off => {
+            return Err(QueryError::BudgetExceeded(breach))
+        }
         Err(breach) => {
-            handle_breach(Rung::Full, breach, policy, &mut trips)?;
-            None
+            let raw = cx.tracer.scoped("rung:slca-approx", &mut stats, |stats| {
+                slca_approximation(cx.nav, operands, stats)
+            });
+            (raw, Some(breach))
         }
-    };
-
-    // Rung 1: fixed points over the reduced operand sets ⊖(Fi).
-    if raw.is_none() {
-        let attempt = cx.tracer.scoped_lazy(
-            || format!("rung:{}", Rung::ReducedSets.name()),
-            &mut stats,
-            |stats| {
-                let fps: Vec<FragmentSet> = operands
-                    .iter()
-                    .map(|f| {
-                        let reduced = cx.reduce(f, stats)?;
-                        // An unbounded governor (reachable here via a
-                        // PowersetLimit trip with no budget set) cannot stop
-                        // a closure blow-up, and Theorem 2 says |F⁺| can
-                        // reach the powerset size — so apply the literal
-                        // enumeration's own guard.
-                        if !gov.is_work_bounded() && reduced.len() > crate::join::POWERSET_LIMIT {
-                            return Err(Breach::PowersetLimit);
-                        }
-                        cx.fixed_point(&reduced, FixpointMode::Naive, stats)
-                    })
-                    .collect::<Result<_, Breach>>()?;
-                join_fold(cx, fps, stats)
-            },
-        );
-        match attempt {
-            Ok(r) => raw = Some(r),
-            Err(breach) => handle_breach(Rung::ReducedSets, breach, policy, &mut trips)?,
-        }
-    }
-
-    // Rung 2: truncate operands, single pairwise fold, no fixed points.
-    if raw.is_none() {
-        let attempt = cx.tracer.scoped_lazy(
-            || format!("rung:{}", Rung::TopCandidates.name()),
-            &mut stats,
-            |stats| {
-                let mut truncated = 0u64;
-                let tops: Vec<FragmentSet> = operands
-                    .iter()
-                    .map(|f| {
-                        let keep: Vec<_> = f.iter().take(TOP_CANDIDATES).cloned().collect();
-                        truncated += (f.len().saturating_sub(keep.len())) as u64;
-                        FragmentSet::from_iter(keep)
-                    })
-                    .collect();
-                join_fold(cx, tops, stats).map(|r| (r, truncated))
-            },
-        );
-        match attempt {
-            Ok((r, truncated)) => {
-                truncated_fragments = truncated;
-                raw = Some(r);
-            }
-            Err(breach) => handle_breach(Rung::TopCandidates, breach, policy, &mut trips)?,
-        }
-    }
-
-    // Rung 3: SLCA approximation — ungoverned, always answers.
-    let raw = match raw {
-        Some(r) => r,
-        None => cx.tracer.scoped_lazy(
-            || format!("rung:{}", Rung::SlcaApprox.name()),
-            &mut stats,
-            |stats| slca_approximation(cx.nav, operands, stats),
-        ),
-    };
-    // Each trip abandoned one rung; the answer came from the next one.
-    let rung = match trips.len() {
-        0 => None,
-        n => Some(Rung::ALL[n.min(Rung::ALL.len() - 1)]),
     };
 
     let fragments = select_top(cx, query, &raw, &mut stats);
 
     stats.budget_checkpoints = gov.checkpoints_passed();
-    let degradation = match rung {
+    let degradation = match breach {
         None => Degradation::none(),
-        Some(rung) => Degradation {
-            rung: Some(rung),
-            trips,
-            truncated_fragments,
+        Some(breach) => Degradation {
+            breach: Some(breach),
             joins_spent: gov.joins_spent(),
             fragments_spent: gov.fragments_spent(),
             nodes_spent: gov.nodes_spent(),
@@ -611,26 +537,8 @@ fn run_ladder(
     })
 }
 
-/// Record a breach and keep walking the ladder — or surface it as an
-/// error when it is a cancellation (never degraded) or degradation is off.
-fn handle_breach(
-    rung: Rung,
-    breach: Breach,
-    policy: &ExecPolicy,
-    trips: &mut Vec<(Rung, Breach)>,
-) -> Result<(), QueryError> {
-    if breach == Breach::Cancelled {
-        return Err(QueryError::Cancelled);
-    }
-    if policy.degrade == DegradeMode::Off {
-        return Err(QueryError::BudgetExceeded(breach));
-    }
-    trips.push((rung, breach));
-    Ok(())
-}
-
 /// The strategy dispatch — the one copy, run by [`evaluate`] and by the
-/// ladder's first rung: compute the raw (pre-selection) set for the
+/// ladder's `full` rung: compute the raw (pre-selection) set for the
 /// requested strategy, charging `cx.gov` and recording spans throughout.
 fn strategy_raw(
     cx: &ExecCtx<'_>,
@@ -710,8 +618,7 @@ fn select_top(
 
 /// §4.1 brute force: enumerate every choice of non-empty subsets, one per
 /// operand, and join each union. An over-large operand reports
-/// [`Breach::PowersetLimit`], so the ladder can step down to a plan that
-/// handles large operand sets.
+/// [`Breach::PowersetLimit`], so the ladder answers from `slca-approx`.
 fn brute_force(
     cx: &ExecCtx<'_>,
     operands: &[FragmentSet],
@@ -777,7 +684,7 @@ fn join_fold(
     })
 }
 
-/// The ladder's final rung: an SLCA-style approximation computed directly
+/// The ladder's `slca-approx` rung: an SLCA-style approximation computed directly
 /// over the operand sets, linear in document size.
 ///
 /// One bottom-up mask pass (operand `i` marks bit `i` at the root of each

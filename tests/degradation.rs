@@ -4,10 +4,11 @@
 //!
 //! | Guarantee | Test |
 //! |---|---|
-//! | every ladder rung returns a subset of the exact answer | `*_budgeted_is_subset_of_exact` |
+//! | every budgeted answer is a subset of the exact answer | `every_budgeted_answer_is_subset_of_exact` |
 //! | no degradation report ⇒ answer equals the exact answer | `unlimited_policy_is_exact_everywhere` |
 //! | `PowersetTooLarge` abort becomes a degraded answer | `powerset_abort_becomes_degraded_answer` |
 //! | degraded answers are non-empty when the exact answer is | `powerset_abort_becomes_degraded_answer` |
+//! | a one-term breach answers every lowest occurrence | `one_term_breach_answers_every_lowest_occurrence` |
 //! | cancellation aborts with an error, never a partial answer | `cancellation_aborts_instead_of_degrading` |
 //! | `--degrade off` surfaces the breach as an error | `degrade_off_surfaces_breach` |
 //! | collection budgets skip documents instead of failing | `collection_budget_skips_documents` |
@@ -16,7 +17,7 @@ use std::time::Duration;
 
 use xfrag::core::trace::Tracer;
 use xfrag::core::{
-    evaluate, evaluate_budgeted, evaluate_collection, evaluate_collection_traced, Budget,
+    evaluate, evaluate_budgeted, evaluate_collection, evaluate_collection_traced, Breach, Budget,
     BudgetedCollectionResult, CancelToken, DegradeMode, ExecPolicy, FilterExpr, Query, QueryError,
     QueryResult, Strategy,
 };
@@ -98,33 +99,39 @@ fn adversarial_docs() -> Vec<(&'static str, Document)> {
     ]
 }
 
-/// Every (document, strategy, budget) combination must return without
-/// panicking, and whatever it returns must be a subset of the exact
-/// answer. This is the core soundness claim of the ladder: rungs may
-/// drop answers, never invent them.
+/// Every (document, query, strategy, budget) combination must return
+/// without panicking, and whatever it returns must be a subset of the
+/// exact answer. This is the core soundness claim of the ladder: rungs
+/// may drop answers, never invent them. Nothing after `full` charges the
+/// governor. One-term queries are included: their `full` rung is a
+/// fixed point over a single operand.
 #[test]
-fn every_rung_budgeted_is_subset_of_exact() {
-    let query = Query::new(["k1", "k2"], FilterExpr::True);
+fn every_budgeted_answer_is_subset_of_exact() {
+    let queries = [
+        Query::new(["k1"], FilterExpr::True),
+        Query::new(["k1", "k2"], FilterExpr::True),
+    ];
     for (doc_name, doc) in adversarial_docs() {
         let index = InvertedIndex::build(&doc);
-        let full = exact(&doc, &query);
-        for strategy in STRATEGIES {
-            for (budget_name, budget) in hostile_budgets() {
-                let policy = ExecPolicy::with_budget(budget);
-                let ctx = format!("{doc_name}/{strategy:?}/{budget_name}");
-                let r = evaluate_budgeted(&doc, &index, &query, strategy, &policy)
-                    .unwrap_or_else(|e| panic!("{ctx}: ladder returned error {e}"));
-                assert_subset(&r, &full, &ctx);
-                if !r.degradation.is_degraded() {
-                    assert_eq!(
-                        r.fragments, full.fragments,
-                        "{ctx}: reported exact but differs from the exact answer"
-                    );
-                } else {
-                    assert!(
-                        !r.degradation.trips.is_empty(),
-                        "{ctx}: degraded without recording a breach"
-                    );
+        for query in &queries {
+            let full = exact(&doc, query);
+            let terms = query.terms.join("+");
+            for strategy in STRATEGIES {
+                for (budget_name, budget) in hostile_budgets() {
+                    let policy = ExecPolicy::with_budget(budget);
+                    let ctx = format!("{doc_name}/{terms}/{strategy:?}/{budget_name}");
+                    let r = evaluate_budgeted(&doc, &index, query, strategy, &policy)
+                        .unwrap_or_else(|e| panic!("{ctx}: ladder returned error {e}"));
+                    assert_subset(&r, &full, &ctx);
+                    if !r.degradation.is_degraded() {
+                        assert_eq!(
+                            r.fragments, full.fragments,
+                            "{ctx}: reported exact but differs from the exact answer"
+                        );
+                    } else if r.degradation.breach == Some(Breach::Joins) {
+                        let max_joins = budget.max_joins.expect("a joins breach needs a limit");
+                        assert_eq!(r.degradation.joins_spent, max_joins + 1, "{ctx}");
+                    }
                 }
             }
         }
@@ -181,8 +188,8 @@ fn unlimited_policy_is_exact_everywhere() {
 /// The acceptance scenario from the issue: brute force on a star with 40
 /// keyword leaves has operand sets of 20 fragments each — beyond
 /// `POWERSET_LIMIT` — so plain `evaluate` aborts with `PowersetTooLarge`.
-/// Under the ladder the same query completes with a non-empty, sound,
-/// named-rung answer even with an otherwise unlimited budget.
+/// Under the ladder the same query completes with a non-empty, sound
+/// `slca-approx` answer even with an otherwise unlimited budget.
 #[test]
 fn powerset_abort_becomes_degraded_answer() {
     let doc = wide_star(40, "k1", "k2");
@@ -207,20 +214,36 @@ fn powerset_abort_becomes_degraded_answer() {
     )
     .expect("ladder must absorb the powerset abort");
     assert!(!r.fragments.is_empty(), "degraded answer must be non-empty");
-    let rung = r.degradation.rung.expect("must report the rung used");
-    // The report names the rung and the breach that forced it.
+    assert_eq!(r.degradation.breach, Some(Breach::PowersetLimit));
+    // The report names the fallback and the breach that forced it.
     let report = r.degradation.to_string();
     assert!(
-        report.contains(rung.name()),
-        "report {report:?} must name {rung}"
-    );
-    assert!(
-        report.contains("powerset-limit"),
-        "report {report:?} must name the breach"
+        report.starts_with("degraded to slca-approx; full stopped by powerset-limit"),
+        "{report}"
     );
     // Soundness against the exact answer (push-down keeps it feasible).
     let full = evaluate(&doc, &index, &query, Strategy::PushDown).expect("exact via push-down");
     assert_subset(&r, &full, "wide_star(40)/brute/unlimited");
+}
+
+/// A breached one-term query answers every occurrence that has no other
+/// occurrence below it: all 20 `k1` leaves of a 40-leaf star, and only the
+/// deepest `k1` of a chain, where the occurrences nest.
+#[test]
+fn one_term_breach_answers_every_lowest_occurrence() {
+    let query = Query::new(["k1"], FilterExpr::True);
+    let policy = ExecPolicy::with_budget(Budget::unlimited().with_max_joins(1));
+    for (doc, lowest) in [
+        (wide_star(40, "k1", "k2"), 20),
+        (deep_chain(24, "k1", "k2"), 1),
+    ] {
+        let index = InvertedIndex::build(&doc);
+        let r = evaluate_budgeted(&doc, &index, &query, Strategy::PushDown, &policy)
+            .expect("degraded answer");
+        assert_eq!(r.degradation.breach, Some(Breach::Joins));
+        assert_eq!(r.fragments.len(), lowest);
+        assert!(r.fragments.iter().all(|f| f.size() == 1));
+    }
 }
 
 /// Cancellation must abort with `QueryError::Cancelled` — a cancelled

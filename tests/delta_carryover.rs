@@ -78,9 +78,8 @@ fn run(
 /// restart.
 type PolicyCase = (&'static str, Box<dyn Fn() -> ExecPolicy>);
 
-/// Unlimited, tight budgets with the degradation ladder off and on
-/// (rung-bearing entries must carry with their rung), and deterministic
-/// fault injection at the evaluation site (fault replay).
+/// Unlimited, tight budgets with the degradation ladder off and on, and
+/// deterministic fault injection at the evaluation site (fault replay).
 fn policies() -> Vec<PolicyCase> {
     vec![
         ("unlimited", Box::new(ExecPolicy::unlimited)),

@@ -359,7 +359,7 @@ proptest! {
                     "strategy {}: undegraded but not exact", s.name()
                 );
             } else {
-                prop_assert!(!r.degradation.trips.is_empty());
+                prop_assert!(r.degradation.breach.is_some());
             }
         }
     }

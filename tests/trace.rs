@@ -88,7 +88,7 @@ fn budgeted_evaluation_agrees_traced_and_untraced() {
             let traced = evaluate_traced(d, &idx, &q, s, Some(&policy), &tracer, None).unwrap();
             assert_eq!(traced.fragments, plain.fragments, "{s:?}");
             assert_eq!(traced.stats, plain.stats, "{s:?}");
-            assert_eq!(traced.degradation.rung, plain.degradation.rung, "{s:?}");
+            assert_eq!(traced.degradation.breach, plain.degradation.breach, "{s:?}");
             // Every run opens at least the first ladder rung.
             let spans = sink.take();
             assert!(
