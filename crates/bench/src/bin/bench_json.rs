@@ -57,18 +57,6 @@
 //! counts. The gate runs in both modes (the stall is an injected
 //! sleep, far above scheduler noise): hedged p99 must be strictly
 //! below unhedged p99.
-//!
-//! A sixth scenario (ISSUE 10 tentpole) measures the cost-based
-//! strategy picker: a mixed query workload (term subsets × filters,
-//! Zipf-skewed) evaluated off a v2 `.xidx` segment — so plans come
-//! from persisted statistics — once with `auto` and once per forced
-//! strategy, emitting `BENCH_10.json` with every arm's p50/p95 plus
-//! the auto pick distribution. The gates run in both modes because the
-//! margins are structural, not noise-scale: auto's p50 must land
-//! within 10% of the best forced strategy's (auto mostly *is* that
-//! strategy, plus a segment-stats plan lookup), and the worst forced
-//! strategy — brute-force powerset enumeration on multi-term operands
-//! — must be at least 2× slower than auto.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,9 +67,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xfrag_bench::fixtures::{query_fixture, QueryFixture};
 use xfrag_core::{
-    evaluate, evaluate_collection_traced, evaluate_traced, flight_key, Budget, CacheRef,
-    CacheStats, DocAnswers, ExecPolicy, FilterExpr, Flight, GenerationTag, Query, QueryCache,
-    Singleflight, Strategy, Tracer,
+    evaluate, evaluate_collection_traced, evaluate_traced, flight_key, CacheRef, CacheStats,
+    DocAnswers, ExecPolicy, FilterExpr, Flight, GenerationTag, Query, QueryCache, Singleflight,
+    Strategy, Tracer,
 };
 use xfrag_corpus::zipf::Zipf;
 use xfrag_doc::{encode_segment, store, Collection, DocId, InvertedIndex, SegmentIndex};
@@ -805,157 +793,6 @@ fn hedged_tail_scenario(smoke: bool) -> (String, bool) {
     (json, ok)
 }
 
-/// The strategy-picking scenario: returns the BENCH_10 JSON and whether
-/// both gates held for the default strategy (`auto`, which runs
-/// push-down) against the four forced ones.
-///
-/// The workload mixes term subsets and anti-monotonic filters over one
-/// document whose operand sizes sit inside brute force's powerset
-/// limit, so all four strategies are runnable and their costs genuinely
-/// diverge: push-down prunes closures through the pushed selection,
-/// the fixpoints pay the uncapped closure, and brute force pays the
-/// full powerset enumeration regardless of the filter. Evaluation runs
-/// off the encoded segment — the production cold path — every arm is
-/// cold (no query cache), and the policy carries a (never-breached)
-/// budget exactly like a serve request, so the comparison is pure
-/// strategy choice.
-fn planner_scenario(smoke: bool) -> (String, bool) {
-    let (nodes, df, requests) = if smoke {
-        (500usize, 7usize, 48usize)
-    } else {
-        (2_000usize, 9usize, 160usize)
-    };
-    let fx = query_fixture(nodes, df, df, SEED);
-    let seg = SegmentIndex::from_bytes(&encode_segment(&fx.doc)).expect("segment roundtrip");
-    // Two-term conjunctions throughout: multi-operand queries are where
-    // the strategies diverge by orders of magnitude (the powerset
-    // product vs the capped closure fold), so the gate margins are
-    // structural rather than microsecond-scale noise.
-    let filters = [
-        FilterExpr::MaxSize(3),
-        FilterExpr::MaxSize(6),
-        FilterExpr::MaxSize(10),
-        FilterExpr::MaxDiameter(4),
-    ];
-    let pool: Vec<Query> = filters
-        .iter()
-        .map(|f| Query::new(["kwalpha", "kwbeta"], f.clone()))
-        .collect();
-    let zipf = Zipf::new(pool.len(), ZIPF_S);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let stream: Vec<usize> = (0..requests).map(|_| zipf.sample(&mut rng) - 1).collect();
-
-    // A budget far above anything the workload can spend, shaped like a
-    // serve request's.
-    let policy = ExecPolicy::with_budget(Budget::unlimited().with_max_joins(1 << 40));
-    // The default, which `auto` also names, then the four forced arms.
-    let auto = Strategy::PushDown;
-    let arms: Vec<Strategy> = std::iter::once(auto).chain(Strategy::ALL).collect();
-    // Arms are interleaved per request, in an order that reverses every
-    // request, and each timed evaluation follows an untimed run of the
-    // same arm on the same query, so no arm is timed on heap or cache
-    // state another arm left behind. Timed pass after pass, or in a
-    // fixed order, the two identical push-down arms (`auto` and forced)
-    // read up to 1.9x apart.
-    let eval = |strategy: Strategy, query: &Query| {
-        evaluate_traced(
-            &fx.doc,
-            &seg,
-            query,
-            strategy,
-            Some(&policy),
-            &Tracer::disabled(),
-            None,
-        )
-        .expect("unlimited planner workload cannot fail")
-    };
-    let mut lat = vec![Vec::with_capacity(stream.len()); arms.len()];
-    for (k, &i) in stream.iter().enumerate() {
-        for j in 0..arms.len() {
-            let a = if k % 2 == 0 { j } else { arms.len() - 1 - j };
-            std::hint::black_box(eval(arms[a], &pool[i]).fragments.len());
-            let t0 = Instant::now();
-            let r = eval(arms[a], &pool[i]);
-            lat[a].push(t0.elapsed());
-            std::hint::black_box(r.fragments.len());
-        }
-    }
-    let auto_lat = lat.remove(0);
-    let forced: Vec<(Strategy, Vec<Duration>)> = Strategy::ALL.into_iter().zip(lat).collect();
-
-    let auto_p50 = percentile_us(&auto_lat, 50.0);
-    let (mut best, mut worst) = (&forced[0], &forced[0]);
-    for arm in &forced {
-        if percentile_us(&arm.1, 50.0) < percentile_us(&best.1, 50.0) {
-            best = arm;
-        }
-        if percentile_us(&arm.1, 50.0) > percentile_us(&worst.1, 50.0) {
-            worst = arm;
-        }
-    }
-    let best_p50 = percentile_us(&best.1, 50.0);
-    let worst_p50 = percentile_us(&worst.1, 50.0);
-    let ok = auto_p50 <= best_p50 * 1.10 && worst_p50 >= auto_p50 * 2.0;
-
-    let forced_json = forced
-        .iter()
-        .map(|(s, lat)| {
-            format!(
-                "    \"{}\": {{\"p50_us\": {:.2}, \"p95_us\": {:.2}}}",
-                s.name(),
-                percentile_us(lat, 50.0),
-                percentile_us(lat, 95.0)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"planner-strategy-picking\",\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"seed\": {seed},\n",
-            "  \"zipf_s\": {zipf_s},\n",
-            "  \"doc_nodes\": {doc_nodes},\n",
-            "  \"df\": {df},\n",
-            "  \"requests\": {requests},\n",
-            "  \"pool_size\": {pool_size},\n",
-            "  \"auto\": {{\"strategy\": \"{auto}\", \"p50_us\": {ap50:.2}, \"p95_us\": {ap95:.2}}},\n",
-            "  \"forced\": {{\n{forced}\n  }},\n",
-            "  \"best_forced\": \"{best}\",\n",
-            "  \"worst_forced\": \"{worst}\",\n",
-            "  \"auto_vs_best_p50\": {avb:.3},\n",
-            "  \"worst_vs_auto_p50\": {wva:.2}\n",
-            "}}\n"
-        ),
-        mode = if smoke { "smoke" } else { "full" },
-        seed = SEED,
-        zipf_s = ZIPF_S,
-        doc_nodes = fx.doc.len(),
-        df = df,
-        requests = stream.len(),
-        pool_size = pool.len(),
-        ap50 = auto_p50,
-        ap95 = percentile_us(&auto_lat, 95.0),
-        auto = auto.name(),
-        forced = forced_json,
-        best = best.0.name(),
-        worst = worst.0.name(),
-        avb = auto_p50 / best_p50.max(1e-9),
-        wva = worst_p50 / auto_p50.max(1e-9),
-    );
-    if !ok {
-        eprintln!(
-            "bench_json: FAIL: auto p50 ({auto_p50:.2} us) must be within 10% of the \
-             best forced strategy ({} at {best_p50:.2} us) and at least 2x faster than \
-             the worst ({} at {worst_p50:.2} us)",
-            best.0.name(),
-            worst.0.name()
-        );
-    }
-    (json, ok)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -984,32 +821,26 @@ fn main() {
         .position(|a| a == "--out9")
         .map(|i| args.get(i + 1).expect("--out9 needs a path").clone())
         .unwrap_or_else(|| "BENCH_9.json".to_string());
-    let out10_path = args
-        .iter()
-        .position(|a| a == "--out10")
-        .map(|i| args.get(i + 1).expect("--out10 needs a path").clone())
-        .unwrap_or_else(|| "BENCH_10.json".to_string());
     if let Some(bad) = args
         .iter()
         .enumerate()
         .find(|(i, a)| {
             !matches!(
                 a.as_str(),
-                "--smoke" | "--out" | "--out6" | "--out7" | "--out8" | "--out9" | "--out10"
+                "--smoke" | "--out" | "--out6" | "--out7" | "--out8" | "--out9"
             ) && !(*i > 0
                 && (args[i - 1] == "--out"
                     || args[i - 1] == "--out6"
                     || args[i - 1] == "--out7"
                     || args[i - 1] == "--out8"
-                    || args[i - 1] == "--out9"
-                    || args[i - 1] == "--out10"))
+                    || args[i - 1] == "--out9"))
         })
         .map(|(_, a)| a)
     {
         eprintln!(
             "bench_json: unknown argument {bad:?} \
              (expected --smoke, --out PATH, --out6 PATH, --out7 PATH, \
-             --out8 PATH, --out9 PATH, --out10 PATH)"
+             --out8 PATH, --out9 PATH)"
         );
         std::process::exit(2);
     }
@@ -1172,18 +1003,6 @@ fn main() {
         out9_path
     );
 
-    // The strategy-picking scenario: auto vs every forced strategy.
-    let (json10, planner_ok) = planner_scenario(smoke);
-    std::fs::write(&out10_path, &json10).unwrap_or_else(|e| {
-        eprintln!("bench_json: cannot write {out10_path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "bench_json [{}]: planner scenario wrote {}",
-        if smoke { "smoke" } else { "full" },
-        out10_path
-    );
-
     if !smoke && warm.p50_us >= cold.p50_us {
         eprintln!(
             "bench_json: FAIL: warm p50 ({:.2} us) is not strictly below cold p50 ({:.2} us)",
@@ -1191,7 +1010,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if !delta_ok || !cold_ok || !scatter_ok || !hedged_ok || !planner_ok {
+    if !delta_ok || !cold_ok || !scatter_ok || !hedged_ok {
         std::process::exit(1);
     }
 }

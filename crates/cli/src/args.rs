@@ -34,8 +34,8 @@ observability (see README \"Observability\"):
   --profile       print a per-stage execution profile (span tree with
                   wall-clock and counter deltas) after the results
   --profile-json  same, as a JSON span tree for tooling
-  --analyze       (explain only) execute each plan stage and print the
-                  cost model's estimate next to actual work done
+  --analyze       (explain only) print each strategy stage's wall time
+                  and the span tree its run recorded
   --cache-mb N    (search/msearch/explain) evaluate through an N-MB
                   query cache; with --profile or --analyze the warm
                   pass shows per-stage cache hits (default: off)
@@ -227,8 +227,8 @@ pub struct SearchArgs {
     pub degrade: DegradeMode,
     /// Per-stage execution profiling (`--profile` / `--profile-json`).
     pub profile: ProfileMode,
-    /// `explain` only: execute each plan stage and print estimated vs.
-    /// actual cost (`--analyze`).
+    /// `explain` only: print each strategy stage's wall time and span
+    /// tree (`--analyze`).
     pub analyze: bool,
     /// Evaluate through a query cache of this many MB (`--cache-mb`).
     /// `None` (the default) keeps the cache out of the picture, so

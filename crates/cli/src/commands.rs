@@ -6,16 +6,14 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use xfrag_core::collection::{evaluate_collection_traced, top_k_collection, CollectionResult};
-use xfrag_core::cost::CostModel;
-use xfrag_core::plan::execute_traced;
 use xfrag_core::rank::RankConfig;
 use xfrag_core::snippet::{snippet, SnippetConfig};
 use xfrag_core::trace::{
     format_duration, render_spans, spans_to_json, LatencyHistogram, RecordingSink, Span, Tracer,
 };
 use xfrag_core::{
-    evaluate_traced, overlap, CacheRef, EvalStats, ExecPolicy, GenerationTag, Governor,
-    LogicalPlan, Optimizer, Query, QueryCache,
+    evaluate_traced, overlap, CacheRef, ExecPolicy, GenerationTag, Governor, LogicalPlan, Query,
+    QueryCache, Strategy, POWERSET_LIMIT,
 };
 use xfrag_core::{FaultInjector, FaultPlan};
 use xfrag_doc::atomic::{write_atomic, WriteFault, WriteFaultHook};
@@ -830,9 +828,9 @@ pub fn explain(doc: &Document, a: &SearchArgs) -> Result<String, CliError> {
 }
 
 /// `xfrag explain`, segment-backed when a usable `.xidx` sibling was
-/// found — the rendered stages then cost and execute off the persistent
-/// postings, and `label_ops`/`tree_ops` in the per-stage stats show
-/// which structural backend answered.
+/// found — the stages then execute off the persistent postings, and
+/// `label_ops`/`tree_ops` in the per-stage stats show which structural
+/// backend answered.
 pub fn explain_with(
     doc: &Document,
     seg: Option<&SegmentIndex>,
@@ -851,52 +849,100 @@ fn explain_impl<I: PostingsSource + ?Sized>(
     a: &SearchArgs,
 ) -> Result<String, CliError> {
     let q = build_query(a);
-    let plan = LogicalPlan::for_query(&q).map_err(|e| CliError::Query(e.to_string()))?;
-    let optimizer = Optimizer::standard(doc, index, CostModel::default());
-
+    let policy = exec_policy(a);
+    // EXPLAIN must never stall, and with no work bound nothing stops a
+    // run, so a stage that can blow up is shown but not run. An unfiltered
+    // closure over more than POWERSET_LIMIT fragments can reach the
+    // powerset size (Theorem 2). Brute force enumerates fewer than 2^Σ|Fi|
+    // unions, so it runs while Σ|Fi| <= POWERSET_LIMIT, or when an operand
+    // is over the limit, which it reports before enumerating anything.
+    let unbounded = !Governor::new(a.budget, None).is_work_bounded();
+    let dfs: Vec<(&String, usize)> = q.terms.iter().map(|t| (t, index.df(t))).collect();
+    let wide = dfs.iter().find(|(_, n)| *n > POWERSET_LIMIT);
+    let total: usize = dfs.iter().map(|(_, n)| n).sum();
+    let closure_risk = || {
+        wide.map(|(term, n)| {
+            format!("unfiltered closure over {n} postings of {term:?}, more than {POWERSET_LIMIT}")
+        })
+    };
     let mut out = String::new();
-    for (stage, p) in optimizer.optimize_traced(plan) {
-        writeln!(out, "== {stage} ==").unwrap();
-        out.push_str(&p.render());
-        let mut st = EvalStats::new();
-        // Stage executions honor the user's budget too: un-optimized
-        // stages can be the very blow-up the optimizer exists to avoid
-        // (the pre-push-down fixpoint of a wide operand set is as large
-        // as the powerset), and EXPLAIN must never stall on them.
-        let gov = Governor::new(a.budget, None);
-        if a.analyze {
-            // EXPLAIN ANALYZE: cost-model estimate next to the measured
-            // execution — wall-clock, counter deltas, per-operator spans.
-            let est = CostModel::default().estimate_plan(&p, doc, index);
-            let sink = RecordingSink::new();
-            let tracer = Tracer::new(&sink);
-            let start = std::time::Instant::now();
-            let res = execute_traced(&p, doc, index, &mut st, &gov, &tracer);
-            let wall = start.elapsed();
-            match res {
-                Ok(set) => writeln!(out, "-> {} fragment(s)", set.len()).unwrap(),
-                Err(breach) => writeln!(out, "-> not executable at this stage ({breach})").unwrap(),
+    let mut budget = String::new();
+    for s in Strategy::ALL {
+        let plan = LogicalPlan::for_strategy(&q, s).map_err(|e| CliError::Query(e.to_string()))?;
+        let (header, risk) = match s {
+            Strategy::BruteForce => (
+                "§4.1: the powerset join enumerated, σ_P last",
+                (wide.is_none() && total > POWERSET_LIMIT).then(|| {
+                    format!(
+                        "powerset join over {total} postings in all, more than {POWERSET_LIMIT}"
+                    )
+                }),
+            ),
+            Strategy::FixedPointNaive => ("Theorem 2: ⋈* → ⁺ then ⋈", closure_risk()),
+            Strategy::FixedPointReduced => (
+                "Theorem 2 over Theorem 1's reduced sets ⊖(F)",
+                closure_risk(),
+            ),
+            Strategy::PushDown => (
+                "Theorem 2, then Theorem 3: anti-monotonic σ below every join",
+                q.filter
+                    .split_anti_monotonic()
+                    .0
+                    .is_true()
+                    .then(closure_risk)
+                    .flatten(),
+            ),
+        };
+        writeln!(out, "== {} ({header}) ==", s.name()).unwrap();
+        out.push_str(&plan.render());
+        if let Some(risk) = risk.filter(|_| unbounded) {
+            let why = format!("{risk}, with no work bound; set --max-joins or --timeout-ms");
+            writeln!(out, "-> not executable at this stage ({why})\n").unwrap();
+            if s == a.strategy {
+                budget = format!("budget: not run ({why})");
             }
-            writeln!(
-                out,
-                "analyze: estimate joins≈{} fragments≈{} | actual wall {}, {}",
-                est.joins,
-                est.fragments,
-                format_duration(wall),
-                st
-            )
-            .unwrap();
+            continue;
+        }
+        // The exact call `search --strategy {s}` makes.
+        let sink = RecordingSink::new();
+        let tracer = if a.analyze {
+            Tracer::new(&sink)
+        } else {
+            Tracer::disabled()
+        };
+        let start = std::time::Instant::now();
+        let res = evaluate_traced(doc, index, &q, s, Some(&policy), &tracer, None);
+        let wall = start.elapsed();
+        match &res {
+            Ok(r) => {
+                writeln!(out, "-> {} fragment(s), {}", r.fragments.len(), r.stats).unwrap();
+                if r.degradation.is_degraded() {
+                    writeln!(out, "note: {}", r.degradation).unwrap();
+                }
+            }
+            Err(e) => writeln!(out, "-> not executable at this stage ({e})").unwrap(),
+        }
+        if a.analyze {
+            writeln!(out, "analyze: wall {}", format_duration(wall)).unwrap();
             for line in render_spans(&sink.take()).lines() {
                 writeln!(out, "  {line}").unwrap();
             }
-            out.push('\n');
-        } else {
-            match execute_traced(&p, doc, index, &mut st, &gov, &Tracer::disabled()) {
-                Ok(set) => writeln!(out, "-> {} fragment(s), {}\n", set.len(), st).unwrap(),
-                Err(breach) => {
-                    writeln!(out, "-> not executable at this stage ({breach})\n").unwrap()
-                }
-            }
+        }
+        out.push('\n');
+        if s == a.strategy {
+            budget = match res {
+                Ok(r) if r.degradation.is_degraded() => format!(
+                    "budget: tripped after {} checkpoint(s); {}",
+                    r.stats.budget_checkpoints, r.degradation
+                ),
+                Ok(r) => format!(
+                    "budget: {} checkpoint(s) passed, {} join(s), {} fragment(s) within budget",
+                    r.stats.budget_checkpoints,
+                    r.stats.joins,
+                    r.fragments.len()
+                ),
+                Err(e) => format!("budget: tripped; search fails: {e}"),
+            };
         }
     }
     for (term, a_len, b_len) in xfrag_core::query::operand_reduction_factors(doc, index, &q) {
@@ -911,30 +957,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
         )
         .unwrap();
     }
-    // Budget checkpoints: re-run the fully optimized plan under a governor
-    // for the configured budget and report where governance would bite.
-    let plan = LogicalPlan::for_query(&q).map_err(|e| CliError::Query(e.to_string()))?;
-    let optimized = Optimizer::standard(doc, index, CostModel::default()).optimize(plan);
-    let gov = Governor::new(a.budget, None);
-    let mut st = EvalStats::new();
-    match execute_traced(&optimized, doc, index, &mut st, &gov, &Tracer::disabled()) {
-        Ok(set) => writeln!(
-            out,
-            "budget: {} checkpoint(s) passed, {} join(s) charged, {} fragment(s) within budget",
-            gov.checkpoints_passed(),
-            gov.joins_spent(),
-            set.len()
-        )
-        .unwrap(),
-        Err(breach) => writeln!(
-            out,
-            "budget: tripped ({breach}) after {} checkpoint(s), {} join(s) — \
-             `search --degrade ladder` would answer from slca-approx",
-            gov.checkpoints_passed(),
-            gov.joins_spent()
-        )
-        .unwrap(),
-    }
+    writeln!(out, "{budget}").unwrap();
     // `--cache-mb`: run the query cold (filling a fresh cache), then run
     // it again warm under the tracer — the warm span tree carries
     // cache_hits/cache_misses per stage, the EXPLAIN ANALYZE view of the
@@ -1101,10 +1124,139 @@ mod tests {
     #[test]
     fn explain_shows_stages_and_rf() {
         let out = explain(&doc(), &args(&["xml", "search"], FilterExpr::MaxSize(2))).unwrap();
-        assert!(out.contains("== initial =="));
+        for s in Strategy::ALL {
+            assert!(out.contains(&format!("== {} (", s.name())), "{out}");
+        }
         assert!(out.contains("Theorem 2"));
         assert!(out.contains("Theorem 3"));
         assert!(out.contains("RF ="));
+    }
+
+    /// The `-> …` line of `strategy`'s EXPLAIN stage and the `note:`
+    /// line under it, if any.
+    fn stage_lines(explained: &str, strategy: Strategy) -> (String, Option<String>) {
+        let header = format!("== {} (", strategy.name());
+        let mut lines = explained
+            .lines()
+            .skip_while(|l| !l.starts_with(&header))
+            .skip_while(|l| !l.starts_with("-> "));
+        let result = lines.next().expect("stage result line").to_string();
+        let note = lines.next().filter(|l| l.starts_with("note: "));
+        (result, note.map(str::to_string))
+    }
+
+    /// `search --stats` output in the same shape as [`stage_lines`].
+    fn search_lines(searched: &str) -> (String, Option<String>) {
+        let count = searched.split_whitespace().next().unwrap();
+        let stats = searched
+            .lines()
+            .find_map(|l| l.strip_prefix("stats: "))
+            .expect("stats line");
+        let note = searched.lines().find(|l| l.starts_with("note: "));
+        (
+            format!("-> {count} fragment(s), {stats}"),
+            note.map(str::to_string),
+        )
+    }
+
+    #[test]
+    fn explain_stages_match_search_for_every_strategy() {
+        let fig = xfrag_corpus::figure1();
+        let filters = [
+            FilterExpr::MaxSize(3),
+            FilterExpr::and([FilterExpr::MaxSize(4), FilterExpr::MinSize(2)]),
+            FilterExpr::MinSize(2),
+        ];
+        for filter in filters {
+            for strict in [false, true] {
+                for max_joins in [None, Some(5)] {
+                    let mut a = args(&["xquery", "optimization"], filter.clone());
+                    a.strict = strict;
+                    a.stats = true;
+                    a.budget.max_joins = max_joins;
+                    let explained = explain(&fig.doc, &a).unwrap();
+                    for s in Strategy::ALL {
+                        a.strategy = s;
+                        let want = search_lines(&search(&fig.doc, &a).unwrap());
+                        assert_eq!(
+                            stage_lines(&explained, s),
+                            want,
+                            "{s:?} {filter} strict={strict} max_joins={max_joins:?}"
+                        );
+                        assert_eq!(want.1.is_some(), max_joins.is_some(), "{want:?}");
+                        // Strict leaf semantics drops one of the four
+                        // size<=3 answers; EXPLAIN once reported all four.
+                        if filter == FilterExpr::MaxSize(3) && strict && max_joins.is_none() {
+                            assert!(want.0.starts_with("-> 3 fragment(s), "), "{want:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn explain_skips_unbounded_wide_closures_instead_of_stalling() {
+        let body: String = (0..20).map(|_| "<p>alpha</p>").collect();
+        let d = parse_str(&format!("<r>{body}</r>")).unwrap();
+        let start = std::time::Instant::now();
+        let out = explain(&d, &args(&["alpha"], FilterExpr::MinSize(2))).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(2), "{out}");
+        for s in [
+            Strategy::FixedPointNaive,
+            Strategy::FixedPointReduced,
+            Strategy::PushDown,
+        ] {
+            let (result, _) = stage_lines(&out, s);
+            assert!(
+                result.starts_with("-> not executable at this stage ("),
+                "{out}"
+            );
+            assert!(result.contains("--max-joins or --timeout-ms"), "{out}");
+        }
+        assert!(out.contains("budget: not run ("), "{out}");
+        // A pushed-down filter makes push-down runnable; a work bound,
+        // every stage.
+        let out = explain(&d, &args(&["alpha"], FilterExpr::MaxSize(2))).unwrap();
+        let (result, _) = stage_lines(&out, Strategy::PushDown);
+        assert!(result.starts_with("-> 20 fragment(s), "), "{out}");
+        let mut a = args(&["alpha"], FilterExpr::MinSize(2));
+        a.budget.max_joins = Some(1000);
+        let out = explain(&d, &a).unwrap();
+        assert!(!out.contains("not executable"), "{out}");
+    }
+
+    #[test]
+    fn explain_skips_unbounded_wide_powersets_instead_of_stalling() {
+        // Three terms of 10 postings each along one chain of nested
+        // elements: the closures stay small (a join is a path), while
+        // brute force would enumerate (2^10 - 1)^3, about 1e9, unions.
+        let open: String = (0..30)
+            .map(|i| format!("<e>{}", ["alpha", "beta", "gamma"][i % 3]))
+            .collect();
+        let d = parse_str(&format!("{open}{}", "</e>".repeat(30))).unwrap();
+        let mut a = args(&["alpha", "beta", "gamma"], FilterExpr::MaxSize(3));
+        a.strategy = Strategy::BruteForce;
+        let start = std::time::Instant::now();
+        let out = explain(&d, &a).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(2), "{out}");
+        let (result, _) = stage_lines(&out, Strategy::BruteForce);
+        assert!(
+            result.starts_with("-> not executable at this stage (powerset join over 30 postings"),
+            "{out}"
+        );
+        assert!(result.contains("--max-joins or --timeout-ms"), "{out}");
+        assert!(out.contains("budget: not run ("), "{out}");
+        let (result, _) = stage_lines(&out, Strategy::PushDown);
+        assert!(result.starts_with("-> 28 fragment(s), "), "{out}");
+        // A work bound stops the enumeration, so the stage runs and
+        // degrades the way `search --strategy brute` does.
+        a.budget.max_joins = Some(1000);
+        a.stats = true;
+        let out = explain(&d, &a).unwrap();
+        let want = search_lines(&search(&d, &a).unwrap());
+        assert_eq!(stage_lines(&out, Strategy::BruteForce), want, "{out}");
+        assert!(want.1.is_some(), "{want:?}");
     }
 
     #[test]
@@ -1222,18 +1374,29 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_prints_estimates_and_actuals_per_stage() {
+    fn explain_analyze_prints_wall_and_spans_per_stage() {
         let mut a = args(&["xml", "search"], FilterExpr::MaxSize(2));
         a.analyze = true;
         let out = explain(&doc(), &a).unwrap();
-        let stages = out.matches("== ").count();
-        let analyzed = out.matches("analyze: estimate joins≈").count();
-        assert!(stages >= 2, "{out}");
-        assert_eq!(analyzed, stages, "one analyze line per stage:\n{out}");
-        assert!(out.contains("| actual wall "), "{out}");
+        assert_eq!(out.matches("== ").count(), Strategy::ALL.len(), "{out}");
+        assert_eq!(
+            out.matches("analyze: wall ").count(),
+            Strategy::ALL.len(),
+            "one analyze line per stage:\n{out}"
+        );
         assert!(out.contains("joins="), "{out}");
-        // Per-operator spans appear under each stage.
-        assert!(out.contains("keyword:xml"), "{out}");
+        // Each stage's spans are the ones `search --profile` records.
+        assert_eq!(
+            out.matches("  term-lookup:xml").count(),
+            Strategy::ALL.len(),
+            "{out}"
+        );
+        assert_eq!(
+            out.matches("  rung:full").count(),
+            Strategy::ALL.len(),
+            "{out}"
+        );
+        assert!(out.contains("push-down-operand"), "{out}");
     }
 }
 

@@ -13,11 +13,9 @@
 //! * [`filter`] — selection predicates, anti-monotonic classification
 //!   (Definitions 3 & 11, Theorem 3's precondition);
 //! * [`query`] — keyword queries and the §4 evaluation strategies;
-//! * [`plan`] — a logical plan representation with the paper's algebraic
-//!   rewrites as optimizer rules, plus `EXPLAIN`-style rendering of query
-//!   evaluation trees (Figure 5);
-//! * [`cost`] — the §5 cost-model sketch made concrete: join-count
-//!   estimation and reduction-factor-driven strategy choice;
+//! * [`plan`] — the evaluation tree each §4 strategy runs, built by the
+//!   paper's Theorem 2 and 3 rewrites, with `EXPLAIN`-style rendering
+//!   (Figure 5);
 //! * [`overlap`] — grouping of overlapping answers (§5 discussion);
 //! * [`budget`] — resource budgets, cooperative cancellation, retry
 //!   budgets, and the graceful-degradation ladder
@@ -62,7 +60,6 @@ pub mod breaker;
 pub mod budget;
 pub mod cache;
 pub mod collection;
-pub mod cost;
 mod exec;
 pub mod fault;
 pub mod filter;
@@ -94,7 +91,6 @@ pub use collection::{
     evaluate_collection, evaluate_collection_traced, top_k_collection, BudgetedCollectionResult,
     CollectionResult, DocAnswers,
 };
-pub use cost::{CostEstimate, CostModel};
 pub use fault::{FaultAction, FaultInjector, FaultPlan};
 pub use filter::{select, FilterExpr};
 pub use fixpoint::{
@@ -107,8 +103,8 @@ pub use join::{
     powerset_join_candidates, PowersetTooLarge, POWERSET_LIMIT,
 };
 pub use nav::Nav;
-pub use plan::{execute_traced, LogicalPlan, Optimizer, OptimizerRule};
-pub use planner::{evaluate_decided_cached_traced, PlanCache, PlanDecision};
+pub use plan::LogicalPlan;
+pub use planner::{evaluate_decided_cached_traced, CostModel, PlanCache, PlanDecision};
 pub use query::{
     evaluate, evaluate_budgeted, evaluate_scoped, evaluate_traced, Query, QueryError, QueryResult,
     ScopedQueryError, Strategy,

@@ -13,10 +13,14 @@
 
 use crate::budget::ExecPolicy;
 use crate::cache::{CacheRef, GenerationTag};
-use crate::cost::CostModel;
 use crate::query::{evaluate_traced, Query, QueryError, QueryResult, Strategy};
 use crate::trace::Tracer;
 use xfrag_doc::{Document, PostingsSource};
+
+/// A cost model with nothing to estimate. Only the benchmark replay
+/// names it, as an argument of [`PlanCache::get_or_plan`].
+#[derive(Debug, Default)]
+pub struct CostModel;
 
 /// The strategy a (query, document) pair runs under. Only the benchmark
 /// replay uses it.
@@ -89,8 +93,7 @@ mod tests {
         let i = InvertedIndex::build(&d);
         let q = Query::parse("alpha beta", FilterExpr::MaxSize(3));
         let gen = GenerationTag::fresh();
-        let mut decision =
-            PlanCache::new(gen).get_or_plan(gen, 0, &d, &i, &q, &CostModel::default());
+        let mut decision = PlanCache::new(gen).get_or_plan(gen, 0, &d, &i, &q, &CostModel);
         assert_eq!(decision.picked, Strategy::PushDown);
         let policy = ExecPolicy::unlimited();
         let tracer = Tracer::disabled();

@@ -818,9 +818,9 @@ impl std::fmt::Display for ScopedQueryError {
 
 impl std::error::Error for ScopedQueryError {}
 
-/// Convenience wrapper: the §4.2-style diagnostic of how much each operand
-/// set would shrink under `⊖` — used by the cost model and the CLI explain
-/// output.
+/// The §4.2-style diagnostic of how much each operand set would shrink
+/// under `⊖`: `(term, |F|, |⊖(F)|)` per query term, as `explain` prints
+/// it.
 pub fn operand_reduction_factors<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,

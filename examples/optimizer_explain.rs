@@ -1,14 +1,11 @@
-//! Watch the optimizer work: the Figure 5 evaluation trees before and
-//! after each rewrite rule, with the work each plan performs.
+//! Watch the rewrites work: the Figure 5 evaluation tree each strategy
+//! runs, from the canonical powerset form through Theorems 2 and 3, with
+//! the work each strategy performs.
 //!
 //! ```sh
 //! cargo run --example optimizer_explain
 //! ```
 
-use xfrag::core::cost::CostModel;
-use xfrag::core::plan::execute_traced;
-use xfrag::core::trace::Tracer;
-use xfrag::core::Governor;
 use xfrag::prelude::*;
 
 fn main() {
@@ -21,27 +18,21 @@ fn main() {
         FilterExpr::and([FilterExpr::MaxSize(3), FilterExpr::MinSize(2)]),
     );
 
-    let plan = LogicalPlan::for_query(&query).unwrap();
-    let optimizer = Optimizer::standard(doc, &index, CostModel::default());
-
-    for (stage, p) in optimizer.optimize_traced(plan) {
-        println!("═══ {stage} ═══");
-        print!("{}", p.render());
-        let mut st = EvalStats::new();
-        match execute_traced(
-            &p,
-            doc,
-            &index,
-            &mut st,
-            &Governor::unlimited(),
-            &Tracer::disabled(),
-        ) {
-            Ok(answers) => println!(
+    for strategy in Strategy::ALL {
+        println!("═══ {} ═══", strategy.name());
+        print!(
+            "{}",
+            LogicalPlan::for_strategy(&query, strategy)
+                .unwrap()
+                .render()
+        );
+        match evaluate(doc, &index, &query, strategy) {
+            Ok(r) => println!(
                 "→ {} answers | joins {} | filter evals {} | pruned {}\n",
-                answers.len(),
-                st.joins,
-                st.filter_evals,
-                st.filter_pruned
+                r.fragments.len(),
+                r.stats.joins,
+                r.stats.filter_evals,
+                r.stats.filter_pruned
             ),
             Err(e) => println!("→ not executable: {e}\n"),
         }

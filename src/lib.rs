@@ -6,7 +6,7 @@
 //!
 //! * [`doc`] — document trees, XML parsing, keyword indexing;
 //! * [`core`] — the fragment algebra (joins, fixed points, filters,
-//!   strategies, planner);
+//!   strategies, evaluation plans);
 //! * [`rel`] — the relational-engine implementation of the same algebra;
 //! * [`baseline`] — SLCA / ELCA / smallest-subtree baselines;
 //! * [`corpus`] — the paper's running examples and synthetic generators.
@@ -39,7 +39,7 @@ pub use xfrag_rel as rel;
 pub mod prelude {
     pub use xfrag_core::{
         evaluate, fragment_join, pairwise_join, powerset_join, select, EvalStats, FilterExpr,
-        FixpointMode, Fragment, FragmentSet, LogicalPlan, Optimizer, Query, QueryResult, Strategy,
+        FixpointMode, Fragment, FragmentSet, LogicalPlan, Query, QueryResult, Strategy,
     };
     pub use xfrag_doc::{parse_str, Document, DocumentBuilder, InvertedIndex, NodeId};
 }

@@ -1,47 +1,26 @@
 //! Figure 5 reproduction: the initial query evaluation tree vs the
-//! push-down tree, rendered by the planner, and the equivalence of every
-//! optimization stage end-to-end through the interpreter.
+//! push-down tree, rendered from each strategy's plan, and the
+//! equivalence of every strategy end-to-end through evaluation.
 
-use xfrag::core::cost::CostModel;
-use xfrag::core::plan::{execute_traced, PowersetToFixpoint, PushDownSelection};
-use xfrag::core::trace::Tracer;
-use xfrag::core::{
-    evaluate, Breach, EvalStats, FilterExpr, FragmentSet, Governor, LogicalPlan, Optimizer,
-    OptimizerRule, Query, Strategy,
-};
+use xfrag::core::{evaluate, FilterExpr, LogicalPlan, Query, Strategy};
 use xfrag::corpus::figure1;
-use xfrag::doc::{Document, InvertedIndex};
-
-/// A plain, unbudgeted, untraced plan run.
-fn execute(
-    plan: &LogicalPlan,
-    doc: &Document,
-    index: &InvertedIndex,
-    stats: &mut EvalStats,
-) -> Result<FragmentSet, Breach> {
-    execute_traced(
-        plan,
-        doc,
-        index,
-        stats,
-        &Governor::unlimited(),
-        &Tracer::disabled(),
-    )
-}
+use xfrag::doc::InvertedIndex;
 
 #[test]
 fn figure5_trees_render() {
     let q = Query::new(["xquery", "optimization"], FilterExpr::MaxSize(3));
     // Figure 5 (a): σ_Pa over the join of the expanded operand joins.
-    let initial = PowersetToFixpoint.apply(LogicalPlan::for_query(&q).unwrap());
-    let a = initial.render();
+    let a = LogicalPlan::for_strategy(&q, Strategy::FixedPointNaive)
+        .unwrap()
+        .render();
     assert!(a.starts_with("σ[size≤3]"), "{a}");
     assert!(a.contains("⋈ (pairwise)"));
     assert!(a.contains("σ[keyword=xquery](nodes(D))"));
 
     // Figure 5 (b): selections pushed below the joins.
-    let pushed = PushDownSelection.apply(initial);
-    let b = pushed.render();
+    let b = LogicalPlan::for_strategy(&q, Strategy::PushDown)
+        .unwrap()
+        .render();
     // The size filter now guards both operand branches and the join.
     assert!(b.matches("σ[size≤3]").count() >= 3, "{b}");
     let kw_pos = b.find("keyword=xquery").unwrap();
@@ -56,27 +35,21 @@ fn optimizer_pipeline_equivalent_on_figure1() {
     let idx = InvertedIndex::build(d);
     let q = Query::new(["xquery", "optimization"], FilterExpr::MaxSize(3));
 
-    let oracle = evaluate(d, &idx, &q, Strategy::BruteForce)
-        .unwrap()
-        .fragments;
-    let optimizer = Optimizer::standard(d, &idx, CostModel::default());
-    let trace = optimizer.optimize_traced(LogicalPlan::for_query(&q).unwrap());
-    assert_eq!(trace.len(), 4);
-
     let mut join_counts = Vec::new();
-    for (stage, plan) in &trace {
-        let mut st = EvalStats::new();
-        let got = execute(plan, d, &idx, &mut st).unwrap();
-        assert_eq!(&got, &oracle, "stage {stage}");
-        join_counts.push((stage.clone(), st.joins));
+    for s in Strategy::ALL {
+        let r = evaluate(d, &idx, &q, s).unwrap();
+        join_counts.push((s, r.fragments, r.stats.joins));
     }
-    // The fully-optimized plan does no more join work than the initial one.
-    let initial = join_counts.first().unwrap().1;
-    let final_ = join_counts.last().unwrap().1;
-    assert!(
-        final_ <= initial,
-        "optimized plan regressed: {join_counts:?}"
-    );
+    // Every rewrite stage answers the same set…
+    let oracle = &join_counts[0].1;
+    for (s, got, _) in &join_counts {
+        assert_eq!(got, oracle, "{s:?}");
+    }
+    // …and the fully rewritten push-down tree does no more join work than
+    // brute force's powerset enumeration.
+    let initial = join_counts.first().unwrap().2;
+    let final_ = join_counts.last().unwrap().2;
+    assert!(final_ <= initial, "push-down regressed: {join_counts:?}");
 }
 
 #[test]
@@ -87,17 +60,18 @@ fn mixed_filter_split_in_plan() {
         ["xquery", "optimization"],
         FilterExpr::and([FilterExpr::MaxSize(4), FilterExpr::MinSize(2)]),
     );
-    let plan =
-        PushDownSelection.apply(PowersetToFixpoint.apply(LogicalPlan::for_query(&q).unwrap()));
-    let r = plan.render();
+    let r = LogicalPlan::for_strategy(&q, Strategy::PushDown)
+        .unwrap()
+        .render();
     assert_eq!(r.matches("size≥2").count(), 1, "{r}");
     assert!(r.matches("size≤4").count() >= 3, "{r}");
 
-    // And it still evaluates correctly.
+    // And push-down still evaluates correctly.
     let fig = figure1();
     let idx = InvertedIndex::build(&fig.doc);
-    let mut st = EvalStats::new();
-    let got = execute(&plan, &fig.doc, &idx, &mut st).unwrap();
+    let got = evaluate(&fig.doc, &idx, &q, Strategy::PushDown)
+        .unwrap()
+        .fragments;
     let oracle = evaluate(&fig.doc, &idx, &q, Strategy::FixedPointNaive)
         .unwrap()
         .fragments;

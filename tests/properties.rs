@@ -13,15 +13,13 @@
 //! | size/height/width filters satisfy Definition 11 | §3.3 |
 //! | all four strategies agree | §4 |
 //! | budgeted answers ⊆ exact; undegraded ⇒ equal | robustness layer |
-//! | sampled RF estimate exact at full sample, one-sided below it | §5 |
 
 use proptest::prelude::*;
-use xfrag::core::cost::estimate_rf;
 use xfrag::core::{
     evaluate, evaluate_budgeted, fixed_point_naive, fixed_point_reduced, fragment_join,
     fragment_join_all, fragment_join_many, pairwise_join, powerset_join, powerset_via_fixpoint,
-    reduce, reduction_factor, select, Budget, EvalStats, ExecPolicy, FilterExpr, FixpointMode,
-    Fragment, FragmentSet, Query, Strategy,
+    reduce, select, Budget, EvalStats, ExecPolicy, FilterExpr, FixpointMode, Fragment, FragmentSet,
+    Query, Strategy,
 };
 use xfrag::doc::{Document, DocumentBuilder, InvertedIndex, NodeId};
 
@@ -361,55 +359,6 @@ proptest! {
             } else {
                 prop_assert!(r.degradation.breach.is_some());
             }
-        }
-    }
-}
-
-/// A keyword-selection-shaped operand: single-node fragments at random
-/// nodes, the shape §5's reduction-factor estimate runs on.
-fn node_set(doc: &Document, picks: &[usize]) -> FragmentSet {
-    FragmentSet::of_nodes(picks.iter().map(|&p| NodeId((p % doc.len()) as u32)))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// With `sample >= |F|` the strided RF estimate equals the true
-    /// reduction factor: stride 1 tests every candidate against every
-    /// pair.
-    #[test]
-    fn full_sample_estimate_is_exact(
-        choices in prop::collection::vec(any::<usize>(), 0..22),
-        picks in prop::collection::vec(any::<usize>(), 0..12),
-    ) {
-        let doc = build_tree(&choices);
-        let f = node_set(&doc, &picks);
-        let mut s = EvalStats::new();
-        let est = estimate_rf(&doc, &f, f.len().max(1), &mut s);
-        let exact = reduction_factor(&doc, &f, &mut s);
-        prop_assert!(
-            (est - exact).abs() < 1e-12,
-            "full-sample estimate {} != exact {}", est, exact
-        );
-    }
-
-    /// Below full sample the estimate is one-sided and bounded: a
-    /// sampled elimination has a real witness pair, so a positive
-    /// estimate implies a positive true RF, and it stays in [0, 1].
-    #[test]
-    fn sampled_estimate_is_one_sided(
-        choices in prop::collection::vec(any::<usize>(), 0..22),
-        picks in prop::collection::vec(any::<usize>(), 0..12),
-        sample in 1usize..8,
-    ) {
-        let doc = build_tree(&choices);
-        let f = node_set(&doc, &picks);
-        let mut s = EvalStats::new();
-        let est = estimate_rf(&doc, &f, sample, &mut s);
-        prop_assert!((0.0..=1.0).contains(&est), "RF {} out of range", est);
-        if est > 0.0 {
-            let exact = reduction_factor(&doc, &f, &mut s);
-            prop_assert!(exact > 0.0, "sampled RF {} but true RF is zero", est);
         }
     }
 }

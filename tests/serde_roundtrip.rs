@@ -2,7 +2,9 @@
 //! service embedding xfrag would persist or ship over the wire: filters,
 //! plans, queries, fragments, fragment sets, stats, documents.
 
-use xfrag::core::{EvalStats, FilterExpr, FixpointMode, Fragment, FragmentSet, LogicalPlan, Query};
+use xfrag::core::{
+    EvalStats, FilterExpr, FixpointMode, Fragment, FragmentSet, LogicalPlan, Query, Strategy,
+};
 use xfrag::doc::{parse_str, Document, NodeId};
 
 fn roundtrip<T>(value: &T) -> T
@@ -41,17 +43,10 @@ fn query_and_plan_roundtrip() {
     let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3)).with_strict_leaf_semantics();
     assert_eq!(roundtrip(&q), q);
 
-    let plan = LogicalPlan::for_query(&q).unwrap();
+    let plan = LogicalPlan::for_strategy(&q, Strategy::PushDown).unwrap();
     let back = roundtrip(&plan);
     assert_eq!(back, plan);
     assert_eq!(back.render(), plan.render());
-
-    let groups = vec![
-        vec!["a".to_string(), "b".to_string()],
-        vec!["c".to_string()],
-    ];
-    let gplan = LogicalPlan::for_query_groups(&groups, FilterExpr::MaxHeight(2)).unwrap();
-    assert_eq!(roundtrip(&gplan), gplan);
 }
 
 #[test]
@@ -98,7 +93,8 @@ fn document_roundtrips_through_json() {
 #[test]
 fn plan_json_is_stable_for_caching() {
     let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
-    let p1 = serde_json::to_string(&LogicalPlan::for_query(&q).unwrap()).unwrap();
-    let p2 = serde_json::to_string(&LogicalPlan::for_query(&q).unwrap()).unwrap();
+    let plan = || LogicalPlan::for_strategy(&q, Strategy::BruteForce).unwrap();
+    let p1 = serde_json::to_string(&plan()).unwrap();
+    let p2 = serde_json::to_string(&plan()).unwrap();
     assert_eq!(p1, p2);
 }
