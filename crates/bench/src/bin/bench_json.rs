@@ -8,7 +8,6 @@
 //!
 //! ```text
 //! bench_json [--smoke] [--out PATH] [--out6 PATH] [--out7 PATH] [--out8 PATH]
-//!            [--out9 PATH]
 //! ```
 //!
 //! `--smoke` shrinks the workload for CI (seconds, not minutes) and
@@ -46,21 +45,10 @@
 //! the stampede to exactly one evaluation (both modes), and the
 //! 4-shard p95 must beat single-shard in full mode on machines with
 //! at least 4 cores (scatter cannot win without parallelism to spend).
-//!
-//! A fifth scenario (ISSUE 9 tentpole) measures hedged reads against a
-//! tail-latency fault: a two-replica group where the preferred replica
-//! deterministically stalls on every `STALL_EVERY`-th request. The
-//! unhedged pass always waits for the preferred replica; the hedged
-//! pass races a backup once no reply lands within a fixed hedge delay,
-//! exactly like `xfrag serve --replicas` minus the sockets — emitting
-//! `BENCH_9.json` with both passes' p50/p99 plus hedge fire/win
-//! counts. The gate runs in both modes (the stall is an injected
-//! sleep, far above scheduler noise): hedged p99 must be strictly
-//! below unhedged p99.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Barrier};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -663,136 +651,6 @@ fn scatter_scenario(pool: &[PoolEntry], smoke: bool) -> (String, bool) {
     (json, ok)
 }
 
-/// The hedged-tail scenario: returns the BENCH_9 JSON and whether the
-/// tail-latency gate held.
-///
-/// Mirrors the replicated serve path in-process: each request is a
-/// sub-job dispatched to the preferred replica of a two-replica group,
-/// where the preferred replica stalls (an injected sleep, the bench
-/// analogue of `--inject serve:worker@h=delay:ms`) on every
-/// `STALL_EVERY`-th request. The unhedged pass models `--replicas 1`:
-/// it has no choice but to wait out the stall. The hedged pass arms a
-/// fixed hedge timer — the serve path's EWMA delay collapses to a
-/// constant here because the workload is uniform — and races the
-/// backup replica when the timer fires; the first reply wins, and the
-/// loser's sleep burns in the background exactly like a cancelled
-/// worker riding out an uninterruptible syscall. Both passes evaluate
-/// the same query on the same document, so the only difference at the
-/// tail is who was waited for.
-fn hedged_tail_scenario(smoke: bool) -> (String, bool) {
-    const HEDGE_MS: u64 = 5;
-    const STALL_MS: u64 = 40;
-    const STALL_EVERY: usize = 10;
-    let (nodes, requests) = if smoke {
-        (800usize, 40usize)
-    } else {
-        (2_000usize, 200usize)
-    };
-    let fx = query_fixture(nodes, 5, 5, SEED);
-    let query = Query::new(["kwalpha", "kwbeta"], FilterExpr::MaxSize(8));
-    let eval_once = || {
-        evaluate(&fx.doc, &fx.index, &query, Strategy::PushDown)
-            .expect("hedged-tail evaluation cannot fail")
-            .fragments
-            .len()
-    };
-
-    // One pass over the request stream; returns (latencies, hedges
-    // fired, hedge wins). Latency is dispatch-to-first-reply — the
-    // stalled loser finishes its sleep after the measurement, inside
-    // the scope join, just like a drained server waits out a loser.
-    let run = |hedged: bool| -> (Vec<Duration>, u64, u64) {
-        let eval_once = &eval_once;
-        let mut lat = Vec::with_capacity(requests);
-        let (mut hedges, mut wins) = (0u64, 0u64);
-        for ri in 0..requests {
-            let stall = ri % STALL_EVERY == 0;
-            let t0 = Instant::now();
-            let (tx, rx) = mpsc::channel::<(usize, usize)>();
-            std::thread::scope(|s| {
-                let tx0 = tx.clone();
-                s.spawn(move || {
-                    if stall {
-                        std::thread::sleep(Duration::from_millis(STALL_MS));
-                    }
-                    let _ = tx0.send((0, eval_once()));
-                });
-                let (winner, frags) = if hedged {
-                    match rx.recv_timeout(Duration::from_millis(HEDGE_MS)) {
-                        Ok(reply) => reply,
-                        Err(_) => {
-                            hedges += 1;
-                            let tx1 = tx.clone();
-                            s.spawn(move || {
-                                let _ = tx1.send((1, eval_once()));
-                            });
-                            rx.recv().expect("some replica must reply")
-                        }
-                    }
-                } else {
-                    rx.recv().expect("the only replica must reply")
-                };
-                lat.push(t0.elapsed());
-                if winner == 1 {
-                    wins += 1;
-                }
-                std::hint::black_box(frags);
-            });
-        }
-        (lat, hedges, wins)
-    };
-    let (un_lat, _, _) = run(false);
-    let (he_lat, hedges, wins) = run(true);
-
-    let un_p99 = percentile_us(&un_lat, 99.0);
-    let he_p99 = percentile_us(&he_lat, 99.0);
-    // Deterministic in both modes: the unhedged tail contains a
-    // STALL_MS sleep, the hedged tail a HEDGE_MS timer plus one clean
-    // evaluation — an order of magnitude apart by construction.
-    let ok = he_p99 < un_p99 && hedges > 0;
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"hedged-tail-latency\",\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"seed\": {seed},\n",
-            "  \"doc_nodes\": {doc_nodes},\n",
-            "  \"requests\": {requests},\n",
-            "  \"replicas\": 2,\n",
-            "  \"stall_every\": {stall_every},\n",
-            "  \"stall_ms\": {stall_ms},\n",
-            "  \"hedge_ms\": {hedge_ms},\n",
-            "  \"unhedged\": {{\"p50_us\": {up50:.2}, \"p99_us\": {up99:.2}}},\n",
-            "  \"hedged\": {{\"p50_us\": {hp50:.2}, \"p99_us\": {hp99:.2}, ",
-            "\"hedges\": {hedges}, \"wins\": {wins}}},\n",
-            "  \"tail_speedup_p99\": {speedup:.2}\n",
-            "}}\n"
-        ),
-        mode = if smoke { "smoke" } else { "full" },
-        seed = SEED,
-        doc_nodes = fx.doc.len(),
-        requests = requests,
-        stall_every = STALL_EVERY,
-        stall_ms = STALL_MS,
-        hedge_ms = HEDGE_MS,
-        up50 = percentile_us(&un_lat, 50.0),
-        up99 = un_p99,
-        hp50 = percentile_us(&he_lat, 50.0),
-        hp99 = he_p99,
-        hedges = hedges,
-        wins = wins,
-        speedup = un_p99 / he_p99.max(1e-9),
-    );
-    if !ok {
-        eprintln!(
-            "bench_json: FAIL: hedged p99 ({he_p99:.2} us) is not strictly below \
-             unhedged p99 ({un_p99:.2} us) with one replica stalling {STALL_MS} ms \
-             every {STALL_EVERY} requests ({hedges} hedge(s) fired, {wins} won)"
-        );
-    }
-    (json, ok)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -816,31 +674,25 @@ fn main() {
         .position(|a| a == "--out8")
         .map(|i| args.get(i + 1).expect("--out8 needs a path").clone())
         .unwrap_or_else(|| "BENCH_8.json".to_string());
-    let out9_path = args
-        .iter()
-        .position(|a| a == "--out9")
-        .map(|i| args.get(i + 1).expect("--out9 needs a path").clone())
-        .unwrap_or_else(|| "BENCH_9.json".to_string());
     if let Some(bad) = args
         .iter()
         .enumerate()
         .find(|(i, a)| {
             !matches!(
                 a.as_str(),
-                "--smoke" | "--out" | "--out6" | "--out7" | "--out8" | "--out9"
+                "--smoke" | "--out" | "--out6" | "--out7" | "--out8"
             ) && !(*i > 0
                 && (args[i - 1] == "--out"
                     || args[i - 1] == "--out6"
                     || args[i - 1] == "--out7"
-                    || args[i - 1] == "--out8"
-                    || args[i - 1] == "--out9"))
+                    || args[i - 1] == "--out8"))
         })
         .map(|(_, a)| a)
     {
         eprintln!(
             "bench_json: unknown argument {bad:?} \
              (expected --smoke, --out PATH, --out6 PATH, --out7 PATH, \
-             --out8 PATH, --out9 PATH)"
+             --out8 PATH)"
         );
         std::process::exit(2);
     }
@@ -991,18 +843,6 @@ fn main() {
         out8_path
     );
 
-    // The hedged-tail scenario: replicated dispatch vs a stalling replica.
-    let (json9, hedged_ok) = hedged_tail_scenario(smoke);
-    std::fs::write(&out9_path, &json9).unwrap_or_else(|e| {
-        eprintln!("bench_json: cannot write {out9_path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "bench_json [{}]: hedged-tail scenario wrote {}",
-        if smoke { "smoke" } else { "full" },
-        out9_path
-    );
-
     if !smoke && warm.p50_us >= cold.p50_us {
         eprintln!(
             "bench_json: FAIL: warm p50 ({:.2} us) is not strictly below cold p50 ({:.2} us)",
@@ -1010,7 +850,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if !delta_ok || !cold_ok || !scatter_ok || !hedged_ok {
+    if !delta_ok || !cold_ok || !scatter_ok {
         std::process::exit(1);
     }
 }

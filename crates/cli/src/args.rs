@@ -71,19 +71,8 @@ serve options (see README \"Serving queries over TCP\"):
                      out scatter-gather and shards that miss the request
                      deadline are dropped from the merge with a
                      `\"complete\":false` marker (default: 1)
-  --replicas R       serve each shard from R independent replicas (own
-                     pool, queue, cache arena); slow sub-jobs are hedged
-                     to a backup replica and the first good reply wins,
-                     byte-identically (default: 1)
-  --hedge-ms N       hedge-delay floor and cold-start hedge delay; the
-                     effective delay tracks each replica's latency EWMA
-                     (default: 25)
-  --breaker-failures N  consecutive sub-job failures (timeout/panic)
-                     that open a replica's circuit breaker (default: 3)
-  --breaker-cooldown-ms N  how long an open breaker refuses sub-jobs
-                     before a single half-open probe (default: 1000)
-  --workers N        worker pool size *per replica* (default: 4)
-  --queue-depth N    per-replica admission queue bound; excess requests
+  --workers N        worker pool size *per shard* (default: 4)
+  --queue-depth N    per-shard admission queue bound; excess requests
                      are shed with a `shed` response (default: 64)
   --timeout-ms N     server-wide per-request deadline, measured from
                      admission (default: none)
@@ -93,8 +82,8 @@ serve options (see README \"Serving queries over TCP\"):
                      (actions: panic | cancel | read-error | delay:<ms>)
   --fault-seed N     derive a fault plan over the runtime sites from a
                      seed (composes with --inject)
-  --cache-mb N       query-cache capacity in MB, shared across the
-                     worker pool (default: 64)
+  --cache-mb N       query-cache capacity in MB, split evenly across
+                     the shards (default: 64)
   --no-cache         disable the query cache entirely
 
 request options:
@@ -507,31 +496,6 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
                 args.shards = v;
                 i += 1;
             }
-            "--replicas" => {
-                let v = parse_u32("--replicas", rest.get(i + 1))? as usize;
-                if v == 0 {
-                    return Err("--replicas must be at least 1".into());
-                }
-                args.replicas = v;
-                i += 1;
-            }
-            "--hedge-ms" => {
-                args.hedge_ms = parse_u32("--hedge-ms", rest.get(i + 1))? as u64;
-                i += 1;
-            }
-            "--breaker-failures" => {
-                let v = parse_u32("--breaker-failures", rest.get(i + 1))?;
-                if v == 0 {
-                    return Err("--breaker-failures must be at least 1".into());
-                }
-                args.breaker_failures = v;
-                i += 1;
-            }
-            "--breaker-cooldown-ms" => {
-                args.breaker_cooldown_ms =
-                    parse_u32("--breaker-cooldown-ms", rest.get(i + 1))? as u64;
-                i += 1;
-            }
             "--workers" => {
                 args.workers = parse_u32("--workers", rest.get(i + 1))? as usize;
                 i += 1;
@@ -734,10 +698,6 @@ mod tests {
                 assert_eq!(a.dir, "corpus");
                 assert_eq!(a.port, 7878);
                 assert_eq!(a.shards, 1);
-                assert_eq!(a.replicas, 1);
-                assert_eq!(a.hedge_ms, 25);
-                assert_eq!(a.breaker_failures, 3);
-                assert_eq!(a.breaker_cooldown_ms, 1000);
                 assert_eq!(a.workers, 4);
                 assert_eq!(a.queue_depth, 64);
                 assert_eq!(a.timeout_ms, None);
@@ -750,8 +710,7 @@ mod tests {
             other => panic!("wrong command {other:?}"),
         }
         match parse(&argv(
-            "serve corpus --port 0 --shards 4 --replicas 2 --hedge-ms 10 \
-             --breaker-failures 5 --breaker-cooldown-ms 200 \
+            "serve corpus --port 0 --shards 4 \
              --workers 2 --queue-depth 8 --timeout-ms 250 \
              --watch-ms 500 --inject serve:worker@1=panic --fault-seed 42 \
              --cache-mb 16 --no-cache",
@@ -761,10 +720,6 @@ mod tests {
             Command::Serve(a) => {
                 assert_eq!(a.port, 0);
                 assert_eq!(a.shards, 4);
-                assert_eq!(a.replicas, 2);
-                assert_eq!(a.hedge_ms, 10);
-                assert_eq!(a.breaker_failures, 5);
-                assert_eq!(a.breaker_cooldown_ms, 200);
                 assert_eq!(a.workers, 2);
                 assert_eq!(a.queue_depth, 8);
                 assert_eq!(a.timeout_ms, Some(250));
@@ -783,11 +738,20 @@ mod tests {
         assert!(parse(&argv("serve corpus --port 70000")).is_err());
         assert!(parse(&argv("serve corpus --shards 0")).is_err());
         assert!(parse(&argv("serve corpus --shards")).is_err());
-        assert!(parse(&argv("serve corpus --replicas 0")).is_err());
-        assert!(parse(&argv("serve corpus --replicas")).is_err());
-        assert!(parse(&argv("serve corpus --breaker-failures 0")).is_err());
-        assert!(parse(&argv("serve corpus --hedge-ms")).is_err());
-        assert!(parse(&argv("serve corpus --frobnicate")).is_err());
+        for flag in [
+            "--replicas 2",
+            "--hedge-ms 10",
+            "--breaker-failures 5",
+            "--breaker-cooldown-ms 200",
+            "--frobnicate",
+        ] {
+            let name = flag.split_whitespace().next().unwrap();
+            assert_eq!(
+                parse(&argv(&format!("serve corpus {flag}"))),
+                Err(format!("unknown flag {name:?}")),
+                "{flag}"
+            );
+        }
     }
 
     #[test]

@@ -204,28 +204,15 @@ impl<'de> Deserialize<'de> for Request {
 ///  "index": {"segments": N, "bytes": N, "terms_loaded": N},
 ///  "shards": [                            // one entry per shard, in order
 ///    {"shard": I, "docs": N,
-///     "workers": N, "queued": N, "in_flight": N,  // summed over replicas
-///     "respawns": N, "evaluations": N,            // summed over replicas
-///     "flights": {"led": N, "coalesced": N, "aborted": N},  // summed
-///     "cache": {...} | null,             // same shape; replica arenas summed
-///     "replicas": [                      // one entry per replica, in order
-///       {"replica": J,
-///        "state": "closed" | "open" | "half-open",  // circuit breaker
-///        "ewma_us": N,                   // latency EWMA; 0 = no samples
-///        "hedges": N,                    // hedge/failover jobs received
-///        "wins": N,                      // of those, won the group race
-///        "opens": N,                     // lifetime breaker opens
-///        "workers": N, "queued": N, "in_flight": N,
-///        "respawns": N, "evaluations": N,
-///        "flights": {"led": N, "coalesced": N, "aborted": N},
-///        "cache": {...} | null}]}]}      // same shape; this replica's arena
+///     "workers": N, "queued": N, "in_flight": N,
+///     "respawns": N, "evaluations": N,
+///     "flights": {"led": N, "coalesced": N, "aborted": N},
+///     "cache": {...} | null}]}           // same shape; this shard's arena
 /// ```
 ///
 /// Grouping invariants: reload counters live only under `"reloads"`,
-/// cache counters only under `"cache"` (aggregate),
-/// `"shards"[i]."cache"` (per-group aggregate), and
-/// `"shards"[i]."replicas"[j]."cache"` (per-arena) — never at top
-/// level; breaker/hedge fields live only under `"replicas"` entries.
+/// cache counters only under `"cache"` (aggregate) and
+/// `"shards"[i]."cache"` (per-arena) — never at top level.
 pub mod status {
     /// Evaluated in full.
     pub const OK: &str = "ok";
@@ -242,11 +229,8 @@ pub mod status {
 }
 
 /// Per-shard outcome accounting attached to a *partial* query response
-/// (one where at least one shard's replica group was dropped from the
-/// merge). Counts always sum to the server's `--shards` value; with
-/// `--replicas R` a shard counts against a failure bucket only once
-/// *every* usable replica in its group failed that way — a fault
-/// masked by a hedge or failover leaves the shard under `ok`.
+/// (one where at least one shard was dropped from the merge). Counts
+/// always sum to the server's `--shards` value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardOutcome {
     /// Shards whose evaluation made it into the merged answer set.
@@ -254,14 +238,10 @@ pub struct ShardOutcome {
     /// Shards that missed their deadline slice (in-band timeout or no
     /// reply by the gather deadline) and were dropped from the merge.
     pub timed_out: u64,
-    /// Shards where every admittable replica's queue was full.
+    /// Shards whose queue was full at admission.
     pub shed: u64,
-    /// Shards whose last usable replica panicked evaluating this
-    /// request (earlier panics that failed over don't count).
+    /// Shards whose worker panicked evaluating this request.
     pub panicked: u64,
-    /// Shards where every replica's circuit breaker refused the
-    /// sub-job (all open with no probe slot free).
-    pub open: u64,
 }
 
 /// One ranked answer inside a query response.
@@ -444,12 +424,11 @@ mod tests {
             timed_out: 1,
             shed: 0,
             panicked: 0,
-            open: 0,
         });
         let line = r.to_line();
         assert!(line.contains(r#""complete":false"#), "{line}");
         assert!(
-            line.contains(r#""shards":{"ok":3,"timed_out":1,"shed":0,"panicked":0,"open":0}"#),
+            line.contains(r#""shards":{"ok":3,"timed_out":1,"shed":0,"panicked":0}"#),
             "{line}"
         );
         let back: Response = serde_json::from_str(&line).unwrap();

@@ -2,39 +2,30 @@
 //!
 //! Architecture (one paragraph): the corpus is partitioned into N
 //! shards by a stable hash of each document's display name
-//! (`--shards N`), and each shard is served by a **replica group** of R
-//! instances (`--replicas R`); every replica owns its worker pool,
-//! bounded admission queue, cache arena, and singleflight table, so a
-//! panicking or stalled replica is a fault domain that cannot touch
-//! its siblings — in its own group or any other. The accept loop
-//! spawns one handler thread per connection; handlers decode
-//! newline-delimited JSON requests and either answer inline (`health`,
-//! `stats`, `shutdown`, admission rejections) or scatter a query
-//! sub-job to each group's preferred replica and gather the per-group
-//! results into one merged, ranked response. When a group's reply is
-//! late (no answer within a hedge delay derived from the replica's
-//! recent latency EWMA), the gather **hedges** the sub-job to a backup
-//! replica; the first good reply wins and the loser is cancelled via
-//! its [`CancelToken`]. A per-replica circuit breaker (closed → open
-//! on consecutive failures → half-open probe) routes dispatch away
-//! from broken replicas, and a per-request retry budget caps hedges
-//! and failovers so redundancy never amplifies load during a
-//! brown-out. Only when *every* replica in a group is open or failed
-//! is the group dropped from the merge: the response keeps the
-//! survivors' answers, flips `"complete":false`, and reports per-group
-//! `shards:{ok,timed_out,shed,panicked,open}` accounting instead of
-//! failing the request. Each worker wraps request handling in
-//! `catch_unwind`: a panic (organic or injected via `--inject`)
-//! becomes a structured reply, the worker spawns its own replacement
-//! in the same replica, and the process lives on. Deadlines are
-//! measured from *admission* and wired into the existing [`Budget`]
-//! wall-clock and a per-request [`CancelToken`] armed by a watchdog
-//! thread, so the degradation ladder answers with a sound subset when
-//! time runs out. Concurrent identical cold queries coalesce on the
-//! replica's singleflight table: one leader evaluates, followers wake
-//! and replay the byte-identical cached answer. `shutdown` drains
-//! gracefully: admission closes, queued work finishes, workers exit,
-//! and the final summary asserts zero in-flight requests.
+//! (`--shards N`). Every shard owns its worker pool, bounded admission
+//! queue, cache arena, and singleflight table, so a panicking or
+//! stalled shard is a fault domain that cannot touch its siblings. The
+//! accept loop spawns one handler thread per connection; handlers
+//! decode newline-delimited JSON requests and either answer inline
+//! (`health`, `stats`, `shutdown`, admission rejections) or scatter one
+//! query sub-job to each shard and gather the per-shard results into
+//! one merged, ranked response. A shard that cannot answer — its queue
+//! is full, its worker panicked, or it missed the deadline — is dropped
+//! from the merge: the response keeps the survivors' answers, flips
+//! `"complete":false`, and reports per-shard
+//! `shards:{ok,timed_out,shed,panicked}` accounting instead of failing
+//! the request. Each worker wraps request handling in `catch_unwind`: a
+//! panic (organic or injected via `--inject`) becomes a structured
+//! reply, the worker spawns its own replacement in the same shard, and
+//! the process lives on. Deadlines are measured from *admission* and
+//! wired into the existing [`Budget`] wall-clock and a per-sub-job
+//! [`CancelToken`] armed by a watchdog thread, so the degradation ladder
+//! answers with a sound subset when time runs out. Concurrent identical
+//! cold queries coalesce on the shard's singleflight table: one leader
+//! evaluates, followers wake and replay the byte-identical cached
+//! answer. `shutdown` drains gracefully: admission closes, queued work
+//! finishes, workers exit, and the final summary asserts zero in-flight
+//! requests.
 //!
 //! There is no SIGTERM hook — signal handling needs a crate or unsafe
 //! libc bindings, both off-limits here — so graceful drain is exposed
@@ -50,14 +41,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use xfrag_core::breaker::{BreakerConfig, CircuitBreaker, Permit};
 use xfrag_core::collection::{
     evaluate_collection_traced, top_k_collection, BudgetedCollectionResult, CollectionResult,
 };
 use xfrag_core::fault::{panic_message, site};
 use xfrag_core::rank::RankConfig;
 use xfrag_core::snippet::{snippet, SnippetConfig};
-use xfrag_core::trace::{serve_stage, LatencyHistogram, Span, Tracer};
+use xfrag_core::trace::{LatencyHistogram, Tracer};
 use xfrag_core::{
     flight_key, Breach, Budget, CancelToken, EvalStats, ExecPolicy, FaultInjector, FaultPlan,
     Flight, GenerationTag, Query, QueryCache, QueryError, RetryBudget, Singleflight, SLCA_APPROX,
@@ -78,17 +68,6 @@ pub struct ServeArgs {
     pub queue_depth: usize,
     /// Fault-isolated shard count; documents are routed by name hash.
     pub shards: usize,
-    /// Replicas per shard: independent instances of the same document
-    /// partition, hedged against each other.
-    pub replicas: usize,
-    /// Hedge-delay floor in ms; also the cold-start hedge delay before
-    /// a replica has any latency samples.
-    pub hedge_ms: u64,
-    /// Consecutive sub-job failures that open a replica's breaker.
-    pub breaker_failures: u32,
-    /// How long an open breaker refuses sub-jobs before a half-open
-    /// probe, in ms.
-    pub breaker_cooldown_ms: u64,
     /// Server-wide per-request deadline (clamps request deadlines).
     pub timeout_ms: Option<u64>,
     /// Poll the corpus dir every N ms and hot-reload newer generations.
@@ -112,10 +91,6 @@ impl ServeArgs {
             workers: 4,
             queue_depth: 64,
             shards: 1,
-            replicas: 1,
-            hedge_ms: 25,
-            breaker_failures: 3,
-            breaker_cooldown_ms: 1000,
             timeout_ms: None,
             watch_ms: None,
             inject: None,
@@ -219,8 +194,8 @@ impl ServeStats {
     }
 }
 
-/// One replica's slice of an admitted query, waiting for (or being
-/// processed by) that replica's worker pool. The corpus snapshot is
+/// One shard's slice of an admitted query, waiting for (or being
+/// processed by) that shard's worker pool. The corpus snapshot is
 /// pinned at admission so every sub-job of one request answers from the
 /// same generation even if a reload lands mid-scatter.
 struct ShardJob {
@@ -229,56 +204,43 @@ struct ShardJob {
     /// Admission time; deadlines are measured from here, so time spent
     /// queued counts against the request.
     enqueued: Instant,
-    reply: mpsc::Sender<GroupReply>,
+    reply: mpsc::Sender<(usize, ShardReply)>,
     /// Cancelled by the watchdog when the deadline passes, and by the
-    /// gather when a sibling replica's reply already won this group.
+    /// gather when it gives the sub-job up.
     cancel: CancelToken,
-    group: usize,
-    replica: usize,
-    /// Attempt ordinal within the group: 0 is the primary dispatch,
-    /// higher ordinals are hedges/failovers.
-    attempt: usize,
+    shard: usize,
 }
 
-/// What one replica contributes to the gather.
+/// What one shard contributes to the gather.
 enum ShardReply {
-    /// The replica evaluated its group's document subset.
+    /// The shard evaluated its document subset.
     Eval(Box<BudgetedCollectionResult>),
-    /// The replica hit the deadline (before or during evaluation).
+    /// The shard hit the deadline (before or during evaluation).
     Timeout(String),
-    /// The replica's evaluation failed outright.
+    /// The shard's evaluation failed outright.
     Error(String),
-    /// The replica's worker panicked; a replacement was already spawned.
+    /// The shard's worker panicked; a replacement was already spawned.
     Panicked(String),
 }
 
-/// One reply envelope: which group and attempt produced it.
-struct GroupReply {
-    group: usize,
-    attempt: usize,
-    reply: ShardReply,
-}
-
-/// State guarded by one replica's queue mutex.
+/// State guarded by one shard's queue mutex.
 struct ShardInner {
     queue: VecDeque<ShardJob>,
-    /// Admitted but not yet replied-to sub-jobs on this replica.
+    /// Admitted but not yet replied-to sub-jobs on this shard.
     in_flight: usize,
     workers_alive: usize,
 }
 
 /// One fault domain: a worker pool, a bounded queue, a cache arena,
-/// and a singleflight table, plus the health signals the scatter path
-/// steers by (latency EWMA, circuit breaker, hedge counters). Nothing
-/// here is shared across replicas — the only cross-replica state in
-/// the server is the gather merge.
-struct Replica {
+/// and a singleflight table. Nothing here is shared across shards —
+/// the only cross-shard state in the server is the gather merge.
+struct Shard {
     inner: Mutex<ShardInner>,
-    /// This replica's workers wait here for jobs (or shutdown).
+    /// This shard's workers wait here for jobs (or shutdown).
     work_cv: Condvar,
-    /// This replica's private cache arena (`None` under `--no-cache`).
-    /// Per-replica rather than shared so a wedged or respawning
-    /// replica can never poison or contend on a sibling's cache.
+    /// This shard's private cache arena (`None` under `--no-cache`).
+    /// Per-shard rather than shared so a wedged or respawning shard can
+    /// never poison or contend on a sibling's cache.
     cache: Option<Arc<QueryCache>>,
     /// Coalesces concurrent identical cold queries: one leader
     /// evaluates, followers wait and replay the cached result.
@@ -289,25 +251,6 @@ struct Replica {
     /// The singleflight tests key off this staying at 1 under a
     /// stampede of identical cold queries.
     evaluations: AtomicU64,
-    /// Routes sub-jobs away from this replica after consecutive
-    /// timeouts/panics; half-open probes let it back in.
-    breaker: CircuitBreaker,
-    /// EWMA of admission-to-reply latency in microseconds (alpha 1/8);
-    /// 0 until the first sample. Drives the group's hedge delay.
-    ewma_us: AtomicU64,
-    /// Hedge/failover sub-jobs dispatched *to* this replica (it was
-    /// the backup), lifetime total.
-    hedges: AtomicU64,
-    /// Hedge/failover sub-jobs to this replica whose reply won the
-    /// group race, lifetime total.
-    hedge_wins: AtomicU64,
-}
-
-/// One shard's replica group: R independent [`Replica`]s over the same
-/// document partition. Scatter picks a preferred replica per request
-/// and hedges to a backup when the preferred one is slow.
-struct ReplicaGroup {
-    replicas: Vec<Replica>,
 }
 
 /// State guarded by the global mutex (connection accounting only —
@@ -376,11 +319,9 @@ struct Shared {
     carry_evicted: AtomicU64,
     queue_depth: usize,
     timeout_ms: Option<u64>,
-    /// Hedge-delay floor (and cold-start hedge delay).
-    hedge_floor: Duration,
     fault: Option<Arc<FaultInjector>>,
-    /// The replica groups. Fixed at startup; index is the shard id.
-    groups: Vec<ReplicaGroup>,
+    /// The shards. Fixed at startup; index is the shard id.
+    shards: Vec<Shard>,
     addr: std::net::SocketAddr,
     shutdown: AtomicBool,
     inner: Mutex<Inner>,
@@ -411,55 +352,18 @@ fn poke_drain(s: &Shared) {
 }
 
 /// Workers alive, jobs queued, and sub-jobs in flight, summed across
-/// all replicas of all groups (the shape `health` has always reported).
+/// all shards (the shape `health` has always reported).
 fn pool_totals(s: &Shared) -> (usize, usize, usize) {
     let mut workers = 0;
     let mut queued = 0;
     let mut in_flight = 0;
-    for rep in s.groups.iter().flat_map(|g| &g.replicas) {
-        let g = rep.inner.lock().unwrap();
+    for shard in &s.shards {
+        let g = shard.inner.lock().unwrap();
         workers += g.workers_alive;
         queued += g.queue.len();
         in_flight += g.in_flight;
     }
     (workers, queued, in_flight)
-}
-
-/// EWMA smoothing factor: 1/2^3 = 1/8 of each new sample.
-const EWMA_SHIFT: u32 = 3;
-
-/// Hedge delay as a multiple of the preferred replica's latency EWMA —
-/// roughly a p95+ cutoff for well-behaved latency distributions, so
-/// hedges fire on genuine stragglers, not ordinary jitter.
-const HEDGE_EWMA_MULT: u32 = 4;
-
-/// Fold one admission-to-reply latency sample into a replica's EWMA.
-fn observe_latency(rep: &Replica, sample: Duration) {
-    let us = u64::try_from(sample.as_micros()).unwrap_or(u64::MAX);
-    let _ = rep
-        .ewma_us
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-            Some(if old == 0 {
-                // First sample seeds the average (floor 1 so a sub-µs
-                // sample still marks the EWMA as primed).
-                us.max(1)
-            } else {
-                let delta = (us as i128 - old as i128) >> EWMA_SHIFT;
-                (old as i128 + delta).clamp(1, u64::MAX as i128) as u64
-            })
-        });
-}
-
-/// How long the gather waits for `rep`'s reply before hedging its
-/// group's sub-job to a backup: a multiple of the replica's recent
-/// latency, floored (and cold-started) at `--hedge-ms`.
-fn hedge_delay(rep: &Replica, floor: Duration) -> Duration {
-    match rep.ewma_us.load(Ordering::Relaxed) {
-        0 => floor,
-        e => floor.max(Duration::from_micros(
-            e.saturating_mul(HEDGE_EWMA_MULT as u64),
-        )),
-    }
 }
 
 /// Run the server until a `shutdown` request drains it. Prints
@@ -495,35 +399,21 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     }
 
     let workers = args.workers.max(1);
-    let replicas_n = args.replicas.max(1);
-    // Split the cache budget evenly: each replica gets its own arena so
+    // Split the cache budget evenly: each shard gets its own arena so
     // arenas never contend or share failure modes across fault domains.
-    let per_replica_mb = (args.cache_mb / (shards_n * replicas_n) as u64).max(1);
-    let breaker_cfg = BreakerConfig {
-        failure_threshold: args.breaker_failures.max(1),
-        cooldown: Duration::from_millis(args.breaker_cooldown_ms.max(1)),
-    };
-    let groups: Vec<ReplicaGroup> = (0..shards_n)
-        .map(|_| ReplicaGroup {
-            replicas: (0..replicas_n)
-                .map(|_| Replica {
-                    inner: Mutex::new(ShardInner {
-                        queue: VecDeque::new(),
-                        in_flight: 0,
-                        workers_alive: workers,
-                    }),
-                    work_cv: Condvar::new(),
-                    cache: (!args.no_cache)
-                        .then(|| Arc::new(QueryCache::with_capacity_mb(per_replica_mb))),
-                    flights: Singleflight::new(),
-                    respawns: AtomicU64::new(0),
-                    evaluations: AtomicU64::new(0),
-                    breaker: CircuitBreaker::new(breaker_cfg),
-                    ewma_us: AtomicU64::new(0),
-                    hedges: AtomicU64::new(0),
-                    hedge_wins: AtomicU64::new(0),
-                })
-                .collect(),
+    let per_shard_mb = (args.cache_mb / shards_n as u64).max(1);
+    let shards: Vec<Shard> = (0..shards_n)
+        .map(|_| Shard {
+            inner: Mutex::new(ShardInner {
+                queue: VecDeque::new(),
+                in_flight: 0,
+                workers_alive: workers,
+            }),
+            work_cv: Condvar::new(),
+            cache: (!args.no_cache).then(|| Arc::new(QueryCache::with_capacity_mb(per_shard_mb))),
+            flights: Singleflight::new(),
+            respawns: AtomicU64::new(0),
+            evaluations: AtomicU64::new(0),
         })
         .collect();
     let shared = Arc::new(Shared {
@@ -537,21 +427,18 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
         carry_evicted: AtomicU64::new(0),
         queue_depth: args.queue_depth.max(1),
         timeout_ms: args.timeout_ms,
-        hedge_floor: Duration::from_millis(args.hedge_ms.max(1)),
         fault,
-        groups,
+        shards,
         addr,
         shutdown: AtomicBool::new(false),
         inner: Mutex::new(Inner { conns: 0 }),
         drain_cv: Condvar::new(),
         stats: Mutex::new(ServeStats::new()),
     });
-    for group_idx in 0..shards_n {
-        for replica_idx in 0..replicas_n {
-            for _ in 0..workers {
-                let s = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(s, group_idx, replica_idx));
-            }
+    for shard_idx in 0..shards_n {
+        for _ in 0..workers {
+            let s = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(s, shard_idx));
         }
     }
     if let Some(ms) = args.watch_ms {
@@ -622,16 +509,16 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     }
     drop(listener);
 
-    // Drain: each replica's workers exit only once its queue is empty,
+    // Drain: each shard's workers exit only once its queue is empty,
     // each sub-job's reply is sent before its in-flight slot is
     // released, and every connection handler has flushed its last
     // reply and closed. Lock order: global `inner` first, then each
-    // replica — the same order every other multi-lock path uses.
+    // shard — the same order every other multi-lock path uses.
     {
         let mut g = shared.inner.lock().unwrap();
         loop {
-            let pools_done = shared.groups.iter().flat_map(|gr| &gr.replicas).all(|rep| {
-                let si = rep.inner.lock().unwrap();
+            let pools_done = shared.shards.iter().all(|shard| {
+                let si = shard.inner.lock().unwrap();
                 debug_assert!(si.workers_alive > 0 || si.queue.is_empty());
                 si.workers_alive == 0 && si.in_flight == 0
             });
@@ -838,7 +725,7 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
         );
         Err(why)
     };
-    let next = match load_corpus(&s.dir, s.fault.as_ref(), s.groups.len()) {
+    let next = match load_corpus(&s.dir, s.fault.as_ref(), s.shards.len()) {
         Ok(g) => g,
         Err(e) => return fail(e.to_string()),
     };
@@ -865,7 +752,7 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
         eprintln!("warning: {r}");
     }
     // Carry cache entries for byte-identical documents across the
-    // generation bump, per replica arena. Manifest checksums vouch for
+    // generation bump, per shard arena. Manifest checksums vouch for
     // byte identity: equal sums on both sides mean the same file bytes,
     // hence the same parse tree and `NodeId`s, hence entry-for-entry
     // identical cache contents — so postings and result entries
@@ -877,11 +764,7 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
     // probed for them. Requests already in flight keep their pinned
     // old `Arc` and tag; their entries were just moved, so they take
     // benign misses, never stale hits.
-    if s.groups
-        .iter()
-        .flat_map(|g| &g.replicas)
-        .any(|rep| rep.cache.is_some())
-    {
+    if s.shards.iter().any(|shard| shard.cache.is_some()) {
         let old_ids: HashMap<&str, u32> = current
             .coll
             .ids()
@@ -896,8 +779,8 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
                 }
             }
         }
-        for rep in s.groups.iter().flat_map(|g| &g.replicas) {
-            if let Some(cache) = &rep.cache {
+        for shard in &s.shards {
+            if let Some(cache) = &shard.cache {
                 let co = cache.carry_over(current.tag, next.tag, &doc_map);
                 s.carry_kept.fetch_add(co.kept, Ordering::SeqCst);
                 s.carry_rekeyed.fetch_add(co.rekeyed, Ordering::SeqCst);
@@ -1069,115 +952,61 @@ fn handle_conn(s: Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// One dispatched sub-job (primary, hedge, or failover) from the
-/// gather's point of view. The permit is the breaker's witness: it is
-/// resolved exactly once — success, failure, or abandoned when a
-/// sibling's reply already settled the group.
-struct AttemptState {
-    replica: usize,
-    /// Cancelled when a sibling attempt wins the group race (or the
-    /// gather gives the group up), so the loser stops burning CPU.
-    cancel: CancelToken,
-    permit: Permit,
-    /// Whether this attempt's breaker verdict has been delivered.
-    /// Replies from resolved attempts (late losers) are discarded.
-    resolved: bool,
-}
-
-/// Why a group contributed nothing to the merge.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Down {
-    /// No reply within deadline + grace, or an in-band deadline miss.
+/// One shard's place in the gather.
+enum Slot {
+    /// The sub-job is queued or running; the token cancels it if the
+    /// gather gives it up.
+    Pending(CancelToken),
+    /// The shard's result, waiting for the merge.
+    Done(Box<BudgetedCollectionResult>),
+    /// The shard missed the deadline in-band; dropped from the merge.
     TimedOut,
-    /// Every admittable replica's queue was full at dispatch time.
+    /// The shard's queue was full at admission; dropped from the merge.
     Shed,
-    /// The last usable replica's worker panicked.
+    /// The shard's worker panicked; dropped from the merge.
     Panicked,
-    /// Every replica's circuit breaker refused the sub-job.
-    Open,
-}
-
-/// Per-group gather state: the attempts in flight, the winning result
-/// (if any), and the armed hedge timer.
-struct GroupState {
-    attempts: Vec<AttemptState>,
-    eval: Option<Box<BudgetedCollectionResult>>,
-    down: Option<Down>,
-    /// When to hedge the sub-job to a backup replica; `None` once fired
-    /// (one-shot), settled, or when the group has a single replica.
-    hedge_at: Option<Instant>,
-}
-
-impl GroupState {
-    /// A group is settled when it has a result, or is down *and* every
-    /// attempt's breaker verdict has been delivered.
-    fn settled(&self) -> bool {
-        self.eval.is_some() || (self.down.is_some() && self.attempts.iter().all(|a| a.resolved))
-    }
 }
 
 /// Everything the connection thread needs to assemble one response
 /// from the scattered sub-jobs.
 struct Gather {
-    rx: mpsc::Receiver<GroupReply>,
-    /// Kept so hedge/failover dispatches can hand workers a reply
-    /// sender after admission.
-    tx: mpsc::Sender<GroupReply>,
-    groups: Vec<GroupState>,
+    rx: mpsc::Receiver<(usize, ShardReply)>,
+    /// One slot per shard, in shard order.
+    slots: Vec<Slot>,
     enqueued: Instant,
     req: Arc<Request>,
     gen: Arc<Generation>,
-    /// Caps extra (hedge + failover) dispatches for this one request so
-    /// redundancy cannot amplify load during a brown-out: at most one
-    /// extra attempt per group on average, shared across the request.
-    hedge_budget: RetryBudget,
 }
 
-/// Admission control: reject when draining or when no replica anywhere
-/// will take a sub-job; otherwise scatter one sub-job per group to that
-/// group's preferred replica — the first one, in index order, whose
-/// queue has room and whose breaker admits it — and hand back the
-/// gather handle. Index order (not load order) keeps all traffic on
-/// replica 0 while it is healthy, which is what makes an R-replica
-/// server byte- and cache-identical to an R=1 server until a fault or
-/// hedge actually fires. Holding all replica locks for the scatter
-/// makes admission atomic against the drain: either every sub-job
-/// lands before workers can see `shutdown`, or none do. Rejections are
-/// boxed: they're the cold path, and `Response` is wide.
+/// Admission control: reject when draining or when every shard's queue
+/// is full; otherwise enqueue one sub-job per shard with room and hand
+/// back the gather handle. A shard whose queue is full is shed from
+/// this request alone. Holding all shard locks for the scatter makes
+/// admission atomic against the drain: either every sub-job lands
+/// before workers can see `shutdown`, or none do. Rejections are boxed:
+/// they're the cold path, and `Response` is wide.
 fn admit_scatter(s: &Arc<Shared>, req: Request) -> Result<Gather, Box<Response>> {
     let id = req.id;
-    // (group, replica) index order, same as every other multi-lock
-    // path: no cycles.
-    let mut guards: Vec<Vec<_>> = s
-        .groups
-        .iter()
-        .map(|g| g.replicas.iter().map(|r| r.inner.lock().unwrap()).collect())
-        .collect();
+    // Shard index order, same as every other multi-lock path: no cycles.
+    let mut guards: Vec<_> = s.shards.iter().map(|sh| sh.inner.lock().unwrap()).collect();
     // Checked under the queue locks: workers only exit when `shutdown`
     // is already visible, so nothing can be enqueued past the drain.
     if s.shutdown.load(Ordering::SeqCst) {
         return Err(Box::new(Response::bare(id, status::SHUTTING_DOWN)));
     }
-    // Pin one snapshot for every group of this request: a reload that
+    // Pin one snapshot for every shard of this request: a reload that
     // lands mid-scatter must not split the request across generations.
     let gen = s.snapshot();
     let enqueued = Instant::now();
     let req = Arc::new(req);
     let (tx, rx) = mpsc::channel();
-    let mut states: Vec<GroupState> = Vec::with_capacity(s.groups.len());
-    let mut dispatched: Vec<(usize, usize)> = Vec::new();
-    for (gi, group) in s.groups.iter().enumerate() {
-        let mut saw_full = false;
-        let mut admitted = None;
-        for (ri, rep) in group.replicas.iter().enumerate() {
-            let g = &mut guards[gi][ri];
+    let slots: Vec<Slot> = guards
+        .iter_mut()
+        .enumerate()
+        .map(|(shard, g)| {
             if g.queue.len() >= s.queue_depth {
-                saw_full = true;
-                continue;
+                return Slot::Shed;
             }
-            let Some(permit) = rep.breaker.try_acquire() else {
-                continue;
-            };
             let cancel = CancelToken::new();
             g.in_flight += 1;
             g.queue.push_back(ShardJob {
@@ -1186,154 +1015,55 @@ fn admit_scatter(s: &Arc<Shared>, req: Request) -> Result<Gather, Box<Response>>
                 enqueued,
                 reply: tx.clone(),
                 cancel: cancel.clone(),
-                group: gi,
-                replica: ri,
-                attempt: 0,
+                shard,
             });
-            dispatched.push((gi, ri));
-            // Arm the hedge timer only when a backup exists to hedge to.
-            let hedge_at =
-                (group.replicas.len() > 1).then(|| enqueued + hedge_delay(rep, s.hedge_floor));
-            admitted = Some(GroupState {
-                attempts: vec![AttemptState {
-                    replica: ri,
-                    cancel,
-                    permit,
-                    resolved: false,
-                }],
-                eval: None,
-                down: None,
-                hedge_at,
-            });
-            break;
-        }
-        states.push(admitted.unwrap_or(GroupState {
-            attempts: Vec::new(),
-            eval: None,
-            down: Some(if saw_full { Down::Shed } else { Down::Open }),
-            hedge_at: None,
-        }));
-    }
-    if dispatched.is_empty() {
+            Slot::Pending(cancel)
+        })
+        .collect();
+    drop(guards);
+    if slots.iter().all(|sl| matches!(sl, Slot::Shed)) {
         // Nothing admitted anywhere: a whole-request rejection, in the
-        // old single-pool shape. No permits are outstanding here — a
-        // group either enqueued (and is in `dispatched`) or holds none.
-        let all_open = states.iter().all(|st| st.down == Some(Down::Open));
-        drop(guards);
+        // old single-pool shape.
         let mut r = Response::bare(id, status::SHED);
-        r.note = Some(if all_open {
-            "every replica's circuit breaker is open".into()
-        } else {
-            format!("queue full (depth {})", s.queue_depth)
-        });
+        r.note = Some(format!("queue full (depth {})", s.queue_depth));
         return Err(Box::new(r));
     }
-    drop(guards);
-    for (gi, ri) in dispatched {
-        s.groups[gi].replicas[ri].work_cv.notify_one();
+    for (shard, slot) in s.shards.iter().zip(&slots) {
+        if matches!(slot, Slot::Pending(_)) {
+            shard.work_cv.notify_one();
+        }
     }
-    // One extra attempt per group on average; hedges and failovers draw
-    // from the same pool, so a brown-out cannot double total load.
-    let hedge_budget = RetryBudget::new(s.groups.len() as u64, None);
     Ok(Gather {
         rx,
-        tx,
-        groups: states,
+        slots,
         enqueued,
         req,
         gen,
-        hedge_budget,
     })
-}
-
-/// Dispatch `gi`'s sub-job to the next untried replica in the group
-/// (hedge or failover). Returns whether a backup was actually enqueued;
-/// reasons not to: no untried replica, breakers refuse them all, their
-/// queues are full, the drain began, or the request's hedge budget is
-/// spent. Never blocks beyond the replica queue mutexes.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_backup(
-    s: &Shared,
-    gi: usize,
-    gs: &mut GroupState,
-    req: &Arc<Request>,
-    gen: &Arc<Generation>,
-    enqueued: Instant,
-    tx: &mpsc::Sender<GroupReply>,
-    budget: &RetryBudget,
-) -> bool {
-    let group = &s.groups[gi];
-    for (ri, rep) in group.replicas.iter().enumerate() {
-        if gs.attempts.iter().any(|a| a.replica == ri) {
-            continue; // already tried (or in flight) on this replica
-        }
-        let Some(permit) = rep.breaker.try_acquire() else {
-            continue;
-        };
-        let mut g = rep.inner.lock().unwrap();
-        if s.shutdown.load(Ordering::SeqCst) || g.queue.len() >= s.queue_depth {
-            drop(g);
-            rep.breaker.abandon(permit);
-            continue;
-        }
-        // Charge the budget only once a viable backup exists, so a
-        // fully-broken group doesn't burn allowance other groups could
-        // still use.
-        if !budget.try_spend() {
-            drop(g);
-            rep.breaker.abandon(permit);
-            return false;
-        }
-        let cancel = CancelToken::new();
-        let attempt = gs.attempts.len();
-        g.in_flight += 1;
-        g.queue.push_back(ShardJob {
-            req: Arc::clone(req),
-            gen: Arc::clone(gen),
-            enqueued,
-            reply: tx.clone(),
-            cancel: cancel.clone(),
-            group: gi,
-            replica: ri,
-            attempt,
-        });
-        drop(g);
-        rep.hedges.fetch_add(1, Ordering::Relaxed);
-        rep.work_cv.notify_one();
-        gs.attempts.push(AttemptState {
-            replica: ri,
-            cancel,
-            permit,
-            resolved: false,
-        });
-        return true;
-    }
-    false
 }
 
 /// How long past the request deadline the gather keeps listening for
 /// in-band replies before declaring a shard wedged and dropping it
 /// from the merge. Shards answer their own deadline misses in-band
 /// (the watchdog cancels, the worker replies `timeout`), and those
-/// replies land within this grace; only a group that cannot reply at
-/// all — every usable replica stalled, injected hard delay — burns the
+/// replies land within this grace; only a shard whose worker cannot
+/// reply at all — a hard stall such as an injected delay — burns the
 /// full grace and is dropped, flipping the response to
 /// `"complete":false`.
 const GATHER_GRACE: Duration = Duration::from_millis(250);
 
-/// Collect the scattered sub-replies — firing hedge timers and
-/// failovers along the way — and merge them into one response.
+/// Collect one reply per admitted shard and merge them into one
+/// response.
 ///
-/// Merge invariant (see DESIGN.md): concatenate the surviving groups'
+/// Merge invariant (see DESIGN.md): concatenate the surviving shards'
 /// per-document answers, sort by document id, sum the counters, and
-/// rank with `top_k_collection` exactly once — so with every group
-/// present the response is byte-identical to a single-shard,
-/// single-replica server's (regardless of which replica answered),
-/// and with groups missing it is byte-identical to a single-shard
+/// rank with `top_k_collection` exactly once — so with every shard
+/// present the response is byte-identical to a single-shard server's,
+/// and with shards missing it is byte-identical to a single-shard
 /// server over the surviving documents (plus the accounting fields).
 fn gather_response(s: &Shared, mut g: Gather) -> Response {
     let id = g.req.id;
-    let total = s.groups.len();
+    let total = s.shards.len();
     let deadline = match (s.timeout_ms, g.req.timeout_ms) {
         (None, None) => None,
         (a, b) => Some(Duration::from_millis(
@@ -1341,194 +1071,66 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
         )),
     };
     let overall = deadline.map(|d| g.enqueued + d + GATHER_GRACE);
-    // Hedge spans land here; today no serve-side profile sink exists,
-    // so this is the disabled tracer — the span names stay wired at
-    // the dispatch point for when one grows (see `serve_stage`).
-    let tracer = Tracer::disabled();
     let mut first_timeout: Option<String> = None;
     let mut first_panic: Option<String> = None;
-    loop {
-        // Fire due hedge timers before (re-)blocking: the preferred
-        // replica is officially slow, so race a backup against it.
-        let now = Instant::now();
-        for gi in 0..g.groups.len() {
-            if g.groups[gi].hedge_at.is_some_and(|t| t <= now) {
-                let gs = &mut g.groups[gi];
-                gs.hedge_at = None; // one-shot
-                if dispatch_backup(
-                    s,
-                    gi,
-                    gs,
-                    &g.req,
-                    &g.gen,
-                    g.enqueued,
-                    &g.tx,
-                    &g.hedge_budget,
-                ) {
-                    tracer.attach(Span::leaf(
-                        serve_stage::HEDGE_FIRE,
-                        g.enqueued.elapsed(),
-                        EvalStats::new(),
-                    ));
-                }
-            }
-        }
-        if g.groups.iter().all(GroupState::settled) {
-            break;
-        }
-        // Sleep until the next thing that could need action: a reply,
-        // the earliest armed hedge timer, or the overall cutoff.
-        let next_hedge = g.groups.iter().filter_map(|st| st.hedge_at).min();
-        let wake = match (overall, next_hedge) {
-            (None, None) => None,
-            (a, b) => Some(
-                a.unwrap_or_else(|| b.unwrap())
-                    .min(b.unwrap_or_else(|| a.unwrap())),
-            ),
-        };
-        let reply = match wake {
-            // No deadline and no pending hedge: a group may
-            // legitimately take as long as it likes, so the gather
-            // blocks (matching the old single-pool behavior under
-            // soak).
+    let mut pending = g
+        .slots
+        .iter()
+        .filter(|sl| matches!(sl, Slot::Pending(_)))
+        .count();
+    while pending > 0 {
+        let reply = match overall {
+            // No deadline: a shard may legitimately take as long as it
+            // likes, so the gather blocks.
             None => g.rx.recv().ok(),
-            Some(t) => {
-                let now = Instant::now();
-                if t <= now {
-                    if overall.is_some_and(|o| o <= now) && next_hedge.is_none_or(|h| h > now) {
-                        break; // grace burned; unsettled groups are wedged
-                    }
-                    continue; // a hedge timer is due: fire it first
-                }
-                match g.rx.recv_timeout(t - now) {
-                    Ok(r) => Some(r),
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                }
-            }
+            Some(t) => t
+                .checked_duration_since(Instant::now())
+                .and_then(|left| g.rx.recv_timeout(left).ok()),
         };
-        let Some(GroupReply {
-            group: gi,
-            attempt,
-            reply,
-        }) = reply
-        else {
+        // `None`: grace burned; the shards still pending are wedged.
+        let Some((shard, reply)) = reply else {
             break;
         };
-        let gs = &mut g.groups[gi];
-        let Some(att) = gs.attempts.get_mut(attempt) else {
-            continue;
-        };
-        if att.resolved {
-            continue; // a late loser's reply; its verdict was abandoned
-        }
-        att.resolved = true;
-        let permit = att.permit;
-        let replica = att.replica;
-        let rep = &s.groups[gi].replicas[replica];
-        match reply {
-            ShardReply::Eval(r) => {
-                rep.breaker.record_success(permit);
-                observe_latency(rep, g.enqueued.elapsed());
-                if attempt > 0 {
-                    rep.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                }
-                // First good reply wins the group: cancel the losers
-                // and abandon their breaker permits — a cancelled
-                // attempt is not evidence about the replica's health.
-                for a in gs.attempts.iter_mut().filter(|a| !a.resolved) {
-                    a.resolved = true;
-                    a.cancel.cancel();
-                    s.groups[gi].replicas[a.replica].breaker.abandon(a.permit);
-                }
-                gs.eval = Some(r);
-                gs.down = None;
-                gs.hedge_at = None;
-            }
+        pending -= 1;
+        g.slots[shard] = match reply {
+            ShardReply::Eval(r) => Slot::Done(r),
             ShardReply::Timeout(m) => {
-                // The deadline is request-wide: a backup would inherit
-                // the same spent clock, so there is nothing to fail
-                // over to. Count it against the replica and move on.
-                rep.breaker.record_failure(permit);
                 first_timeout.get_or_insert(m);
-                if gs.eval.is_none() {
-                    gs.down = Some(Down::TimedOut);
-                    gs.hedge_at = None;
-                }
+                Slot::TimedOut
             }
             ShardReply::Panicked(m) => {
-                rep.breaker.record_failure(permit);
                 first_panic.get_or_insert(m);
-                if gs.eval.is_none() {
-                    // A panic is instant, unlike a timeout: there is
-                    // still time on the clock, so fail over right away
-                    // instead of waiting for the hedge timer.
-                    gs.hedge_at = None;
-                    let failed_over = dispatch_backup(
-                        s,
-                        gi,
-                        gs,
-                        &g.req,
-                        &g.gen,
-                        g.enqueued,
-                        &g.tx,
-                        &g.hedge_budget,
-                    );
-                    if !failed_over && gs.attempts.iter().all(|a| a.resolved) {
-                        gs.down = Some(Down::Panicked);
-                    }
-                }
+                Slot::Panicked
             }
             ShardReply::Error(m) => {
-                // A hard evaluation error on any group fails the whole
+                // A hard evaluation error on any shard fails the whole
                 // request, exactly as it failed the whole single-pool
                 // request before: a malformed query or an injected
-                // cancel is not a partial answer, and retrying it on a
-                // backup would amplify a deterministic failure. The
-                // permit is abandoned, not failed: most errors here are
-                // request-shaped (bad strategy, no keywords) and say
-                // nothing about the replica's health.
-                rep.breaker.abandon(permit);
-                for (ogi, gstate) in g.groups.iter_mut().enumerate() {
-                    for a in gstate.attempts.iter_mut().filter(|a| !a.resolved) {
-                        a.resolved = true;
-                        a.cancel.cancel();
-                        s.groups[ogi].replicas[a.replica].breaker.abandon(a.permit);
+                // cancel is not a partial answer.
+                for slot in &g.slots {
+                    if let Slot::Pending(cancel) = slot {
+                        cancel.cancel();
                     }
                 }
                 return Response::error(id, m);
             }
-        }
-    }
-    // Groups that never settled within deadline + grace: wedged. Cancel
-    // whatever is still running and count it as a failure against each
-    // replica that sat on the sub-job — that is exactly the signal the
-    // breaker exists to integrate.
-    for (gi, gs) in g.groups.iter_mut().enumerate() {
-        if gs.eval.is_some() {
-            continue;
-        }
-        for a in gs.attempts.iter_mut().filter(|a| !a.resolved) {
-            a.resolved = true;
-            a.cancel.cancel();
-            s.groups[gi].replicas[a.replica]
-                .breaker
-                .record_failure(a.permit);
-        }
-        if gs.down.is_none() {
-            gs.down = Some(Down::TimedOut);
-        }
+        };
     }
 
     let mut evals: Vec<BudgetedCollectionResult> = Vec::new();
-    let (mut timed_out, mut shed, mut panicked, mut open) = (0u64, 0u64, 0u64, 0u64);
-    for gs in &mut g.groups {
-        match (gs.eval.take(), gs.down) {
-            (Some(r), _) => evals.push(*r),
-            (None, Some(Down::Shed)) => shed += 1,
-            (None, Some(Down::Panicked)) => panicked += 1,
-            (None, Some(Down::Open)) => open += 1,
-            (None, Some(Down::TimedOut)) | (None, None) => timed_out += 1,
+    let (mut timed_out, mut shed, mut panicked) = (0u64, 0u64, 0u64);
+    for slot in g.slots {
+        match slot {
+            Slot::Done(r) => evals.push(*r),
+            Slot::Shed => shed += 1,
+            Slot::Panicked => panicked += 1,
+            Slot::TimedOut => timed_out += 1,
+            // No reply within deadline + grace: the shard is wedged.
+            // Cancel whatever still runs and drop it from the merge.
+            Slot::Pending(cancel) => {
+                cancel.cancel();
+                timed_out += 1;
+            }
         }
     }
     if evals.is_empty() {
@@ -1641,18 +1243,17 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
             timed_out,
             shed,
             panicked,
-            open,
         });
     }
     resp
 }
 
-/// Close admission, wake every replica's idle workers, and poke the
+/// Close admission, wake every shard's idle workers, and poke the
 /// accept loop so the main thread proceeds to the drain phase.
 fn begin_shutdown(s: &Arc<Shared>, id: u64) -> String {
     s.shutdown.store(true, Ordering::SeqCst);
-    for rep in s.groups.iter().flat_map(|g| &g.replicas) {
-        rep.work_cv.notify_all();
+    for shard in &s.shards {
+        shard.work_cv.notify_all();
     }
     let _ = TcpStream::connect(s.addr);
     s.bump(status::OK);
@@ -1677,14 +1278,14 @@ fn health_line(s: &Shared, id: u64) -> String {
     )
 }
 
-/// A cache block for `stats`: the given replicas' arenas folded with
+/// A cache block for `stats`: the given shards' arenas folded with
 /// [`xfrag_core::CacheStats::absorb`] (per-lock-shard counter lists
-/// concatenated in replica order), or `null` when caching is off. Over
-/// one replica this is that replica's own block.
-fn cache_json<'a>(replicas: impl IntoIterator<Item = &'a Replica>) -> String {
-    replicas
+/// concatenated in shard order), or `null` when caching is off. Over
+/// one shard this is that shard's own block.
+fn cache_json<'a>(shards: impl IntoIterator<Item = &'a Shard>) -> String {
+    shards
         .into_iter()
-        .filter_map(|rep| rep.cache.as_ref().map(|c| c.stats()))
+        .filter_map(|shard| shard.cache.as_ref().map(|c| c.stats()))
         .reduce(|mut agg, st| {
             agg.absorb(st);
             agg
@@ -1712,7 +1313,7 @@ fn stats_line(s: &Shared, id: u64) -> String {
     let st = s.stats.lock().unwrap();
     // `"cache":null` under `--no-cache`, the aggregate tier/shard
     // counter object otherwise (see `cache_json`).
-    let cache = cache_json(s.groups.iter().flat_map(|g| &g.replicas));
+    let cache = cache_json(&s.shards);
     // Delta lineage: the serving manifest's parent chain (nearest
     // ancestor first), how many documents it carries vs rewrote, and
     // the lifetime cache carry-over counters.
@@ -1743,70 +1344,31 @@ fn stats_line(s: &Shared, id: u64) -> String {
     );
     // Per-shard fault-domain detail, in shard order (see the schema
     // comment in `protocol.rs`): pool state, respawn and evaluation
-    // lifetime counters, and singleflight accounting, summed across the
-    // shard's replicas, plus a per-replica breakdown carrying each
-    // replica's breaker state, latency EWMA, hedge counters, and its
-    // own cache arena.
+    // lifetime counters, singleflight accounting, and the shard's own
+    // cache arena.
     let shards: Vec<String> = s
-        .groups
+        .shards
         .iter()
         .enumerate()
-        .map(|(i, group)| {
-            let (mut workers, mut queued, mut in_flight) = (0usize, 0usize, 0usize);
-            let (mut respawns, mut evaluations) = (0u64, 0u64);
-            let (mut led, mut coalesced, mut aborted) = (0u64, 0u64, 0u64);
-            let mut replicas: Vec<String> = Vec::with_capacity(group.replicas.len());
-            for (j, rep) in group.replicas.iter().enumerate() {
-                let (w, q, f) = {
-                    let g = rep.inner.lock().unwrap();
-                    (g.workers_alive, g.queue.len(), g.in_flight)
-                };
-                workers += w;
-                queued += q;
-                in_flight += f;
-                let rsp = rep.respawns.load(Ordering::SeqCst);
-                let evl = rep.evaluations.load(Ordering::SeqCst);
-                respawns += rsp;
-                evaluations += evl;
-                let fl = rep.flights.stats();
-                led += fl.led;
-                coalesced += fl.coalesced;
-                aborted += fl.aborted;
-                let rep_cache = cache_json([rep]);
-                replicas.push(format!(
-                    "{{\"replica\":{},\"state\":\"{}\",\"ewma_us\":{},\"hedges\":{},\"wins\":{},\"opens\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"cache\":{}}}",
-                    j,
-                    rep.breaker.state().name(),
-                    rep.ewma_us.load(Ordering::Relaxed),
-                    rep.hedges.load(Ordering::Relaxed),
-                    rep.hedge_wins.load(Ordering::Relaxed),
-                    rep.breaker.opens(),
-                    w,
-                    q,
-                    f,
-                    rsp,
-                    evl,
-                    fl.led,
-                    fl.coalesced,
-                    fl.aborted,
-                    rep_cache,
-                ));
-            }
-            let sh_cache = cache_json(&group.replicas);
+        .map(|(i, shard)| {
+            let (workers, queued, in_flight) = {
+                let g = shard.inner.lock().unwrap();
+                (g.workers_alive, g.queue.len(), g.in_flight)
+            };
+            let fl = shard.flights.stats();
             format!(
-                "{{\"shard\":{},\"docs\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"cache\":{},\"replicas\":[{}]}}",
+                "{{\"shard\":{},\"docs\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"cache\":{}}}",
                 i,
                 gen.shard_docs.get(i).map_or(0, Vec::len),
                 workers,
                 queued,
                 in_flight,
-                respawns,
-                evaluations,
-                led,
-                coalesced,
-                aborted,
-                sh_cache,
-                replicas.join(","),
+                shard.respawns.load(Ordering::SeqCst),
+                shard.evaluations.load(Ordering::SeqCst),
+                fl.led,
+                fl.coalesced,
+                fl.aborted,
+                cache_json([shard]),
             )
         })
         .collect();
@@ -1837,17 +1399,16 @@ fn stats_line(s: &Shared, id: u64) -> String {
     )
 }
 
-/// Worker thread body for one replica: pop jobs until the replica's
-/// queue is empty *and* the server is draining. A panicking request is
-/// isolated to its replica: the payload becomes a structured
-/// sub-reply, a replacement worker joins the same replica's pool, and
-/// only then does the poisoned thread exit — siblings (in this group
-/// or any other) never notice.
-fn worker_loop(s: Arc<Shared>, group_idx: usize, replica_idx: usize) {
+/// Worker thread body for one shard: pop jobs until the shard's queue
+/// is empty *and* the server is draining. A panicking request is
+/// isolated to its shard: the payload becomes a structured sub-reply, a
+/// replacement worker joins the same shard's pool, and only then does
+/// the poisoned thread exit — sibling shards never notice.
+fn worker_loop(s: Arc<Shared>, shard_idx: usize) {
+    let shard = &s.shards[shard_idx];
     loop {
         let job = {
-            let rep = &s.groups[group_idx].replicas[replica_idx];
-            let mut g = rep.inner.lock().unwrap();
+            let mut g = shard.inner.lock().unwrap();
             loop {
                 if let Some(j) = g.queue.pop_front() {
                     break j;
@@ -1858,11 +1419,11 @@ fn worker_loop(s: Arc<Shared>, group_idx: usize, replica_idx: usize) {
                     poke_drain(&s);
                     return;
                 }
-                g = rep.work_cv.wait(g).unwrap();
+                g = shard.work_cv.wait(g).unwrap();
             }
         };
-        match catch_unwind(AssertUnwindSafe(|| handle_replica_query(&s, &job))) {
-            Ok(reply) => finish_replica(&s, &job, reply),
+        match catch_unwind(AssertUnwindSafe(|| handle_shard_query(&s, &job))) {
+            Ok(reply) => finish_job(&s, job, reply),
             Err(payload) => {
                 {
                     let mut st = s.stats.lock().unwrap();
@@ -1873,23 +1434,13 @@ fn worker_loop(s: Arc<Shared>, group_idx: usize, replica_idx: usize) {
                     "worker panicked (isolated): {}",
                     msg.lines().next().unwrap_or("")
                 ));
-                let rep = &s.groups[group_idx].replicas[replica_idx];
-                rep.respawns.fetch_add(1, Ordering::SeqCst);
-                // Respawn first so the replica's pool never shrinks.
-                {
-                    let mut g = rep.inner.lock().unwrap();
-                    g.workers_alive += 1;
-                }
+                shard.respawns.fetch_add(1, Ordering::SeqCst);
+                // Respawn first so the shard's pool never shrinks.
+                shard.inner.lock().unwrap().workers_alive += 1;
                 let replacement = Arc::clone(&s);
-                std::thread::spawn(move || worker_loop(replacement, group_idx, replica_idx));
-                finish_replica(&s, &job, reply);
-                {
-                    let mut g = s.groups[group_idx].replicas[replica_idx]
-                        .inner
-                        .lock()
-                        .unwrap();
-                    g.workers_alive -= 1;
-                }
+                std::thread::spawn(move || worker_loop(replacement, shard_idx));
+                finish_job(&s, job, reply);
+                shard.inner.lock().unwrap().workers_alive -= 1;
                 poke_drain(&s);
                 return;
             }
@@ -1897,23 +1448,13 @@ fn worker_loop(s: Arc<Shared>, group_idx: usize, replica_idx: usize) {
     }
 }
 
-/// Send the sub-reply (tagged with its group and attempt so the gather
-/// can tell a primary's answer from a hedge's) and release the
-/// replica's in-flight slot.
-fn finish_replica(s: &Shared, job: &ShardJob, reply: ShardReply) {
-    // A gather that already gave up on this group (or a client that
+/// Send the sub-reply (tagged with its shard) and release the shard's
+/// in-flight slot.
+fn finish_job(s: &Shared, job: ShardJob, reply: ShardReply) {
+    // A gather that already gave up on this shard (or a client that
     // hung up) just discards the reply; not an error.
-    let _ = job.reply.send(GroupReply {
-        group: job.group,
-        attempt: job.attempt,
-        reply,
-    });
-    let mut g = s.groups[job.group].replicas[job.replica]
-        .inner
-        .lock()
-        .unwrap();
-    g.in_flight -= 1;
-    drop(g);
+    let _ = job.reply.send((job.shard, reply));
+    s.shards[job.shard].inner.lock().unwrap().in_flight -= 1;
     poke_drain(s);
 }
 
@@ -1923,21 +1464,21 @@ fn finish_replica(s: &Shared, job: &ShardJob, reply: ShardReply) {
 /// waking early costs one redundant evaluation, never a wrong answer.
 const FOLLOWER_WAIT_CAP: Duration = Duration::from_secs(60);
 
-/// Evaluate one group's document slice on one replica. Runs inside the
-/// worker's `catch_unwind`, so a panic anywhere below is isolated per
-/// sub-job (and per replica).
-fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
+/// Evaluate one shard's document slice. Runs inside the worker's
+/// `catch_unwind`, so a panic anywhere below is isolated per sub-job.
+fn handle_shard_query(s: &Shared, job: &ShardJob) -> ShardReply {
     let req = &*job.req;
     // The corpus snapshot was pinned at admission (not here): every
-    // group of one request answers from the same generation even if a
+    // shard of one request answers from the same generation even if a
     // reload swapped the shared pointer mid-scatter.
     let gen = &job.gen;
     let coll = &gen.coll;
-    let shard = &s.groups[job.group].replicas[job.replica];
-    // A losing hedge sibling may have been cancelled while this job
-    // sat queued; don't burn a worker evaluating a dead sub-job. The
-    // gather has already resolved this attempt, so the reply shape is
-    // immaterial — Timeout matches what evaluation would return.
+    let shard = &s.shards[job.shard];
+    // The gather may have given this sub-job up while it sat queued
+    // (deadline plus grace passed, or a sibling shard failed the
+    // request); don't burn a worker evaluating a dead sub-job. Nobody
+    // reads the reply, so its shape is immaterial — Timeout matches
+    // what evaluation would return.
     if job.cancel.is_cancelled() {
         return ShardReply::Timeout("cancelled before evaluation started".into());
     }
@@ -1985,8 +1526,8 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
     let mut budget: Budget = req.budget();
     budget.wall_clock = remaining;
     // The job's own token, not a fresh one: the gather cancels it when
-    // a hedge sibling's reply already won this group, and the watchdog
-    // below cancels it at the deadline.
+    // it gives the sub-job up, and the watchdog below cancels it at the
+    // deadline.
     let token = job.cancel.clone();
     let mut policy = ExecPolicy::with_budget(budget)
         .with_degrade(degrade)
@@ -2010,7 +1551,7 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
             }
         })
     });
-    let docs = &gen.shard_docs[job.group];
+    let docs = &gen.shard_docs[job.shard];
     let cache_ref = shard.cache.as_deref().map(|c| (c, gen.tag));
     let run = || {
         evaluate_collection_traced(

@@ -10,7 +10,7 @@
 //! *byte-identical* to the same request against a fault-free server.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
@@ -843,12 +843,12 @@ fn object_keys(obj: &str) -> Vec<String> {
     panic!("unterminated object: {obj}");
 }
 
-/// Every cache block of `stats` — the aggregate, each shard's and each
-/// replica's — carries exactly the two tiers and the occupancy counters.
+/// Every cache block of `stats` — the aggregate and each shard's —
+/// carries exactly the two tiers and the occupancy counters.
 #[test]
 fn stats_cache_blocks_have_exactly_the_tier_keys() {
     let dir = corpus("cache-keys");
-    let srv = Server::start(&dir, &["--shards", "2", "--replicas", "2"]);
+    let srv = Server::start(&dir, &["--shards", "2"]);
     let q = srv.rpc(r#"{"kind":"query","id":1,"keywords":["xml","search"]}"#);
     assert_eq!(field_str(&q, "status"), "ok", "{q}");
     let stats = srv.rpc(r#"{"kind":"stats","id":2}"#);
@@ -856,8 +856,8 @@ fn stats_cache_blocks_have_exactly_the_tier_keys() {
         .match_indices("\"cache\":{")
         .map(|(at, pat)| object_keys(&stats[at + pat.len() - 1..]))
         .collect();
-    // One aggregate, two shards, two replicas per shard.
-    assert_eq!(blocks.len(), 1 + 2 + 2 * 2, "{stats}");
+    // One aggregate and two shards.
+    assert_eq!(blocks.len(), 1 + 2, "{stats}");
     let expected = [
         "postings",
         "result",
@@ -1135,6 +1135,55 @@ fn request_retry_exit_codes_distinguish_retryable_from_permanent() {
     assert_eq!(o.status.code(), Some(1), "{o:?}");
 }
 
+/// Run `xfrag request` against `addr`, returning (exit code, stdout, stderr).
+fn run_request(addr: &str, json: &str, extra: &[&str]) -> (i32, String, String) {
+    let o = Command::new(env!("CARGO_BIN_EXE_xfrag"))
+        .arg("request")
+        .arg(addr)
+        .arg(json)
+        .args(extra)
+        .output()
+        .expect("run xfrag request");
+    (
+        o.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&o.stdout).into_owned(),
+        String::from_utf8_lossy(&o.stderr).into_owned(),
+    )
+}
+
+/// `--retry-budget-ms` is a wall-clock deadline shared across attempts.
+/// Against a dead port with a huge `--retries`, the client stops within
+/// the budget, exits 3 (retryable exhaustion, not permanent failure),
+/// and says which budget ran out.
+#[test]
+fn client_retry_budget_bounds_wall_clock() {
+    // Bind-then-drop yields a port that refuses connections (retryable).
+    let dead = {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    };
+    let start = Instant::now();
+    let (code, _, err) = run_request(
+        &dead,
+        r#"{"kind":"health"}"#,
+        &[
+            "--retries",
+            "1000",
+            "--backoff-ms",
+            "40",
+            "--retry-budget-ms",
+            "400",
+        ],
+    );
+    let elapsed = start.elapsed();
+    assert_eq!(code, 3, "budget exhaustion must exit 3: {err}");
+    assert!(err.contains("retry budget of 400 ms exhausted"), "{err}");
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "budget failed to bound the retry loop: {elapsed:?}"
+    );
+}
+
 /// The reply up to its `"stats"` object: everything a client reads as
 /// the answer (id, status, answers), without the per-request counters
 /// that a cache hit changes.
@@ -1151,10 +1200,7 @@ fn planner_auto_default_under_sharded_soak() {
     let src = corpus("planner-src");
     let out = gen_corpus("planner");
     run_index(&src, &out);
-    let srv = Server::start(
-        &out,
-        &["--shards", "2", "--replicas", "2", "--cache-mb", "16"],
-    );
+    let srv = Server::start(&out, &["--shards", "2", "--cache-mb", "16"]);
 
     let default = srv.rpc(r#"{"kind":"query","id":1,"keywords":["xml","search"]}"#);
     assert_eq!(field_str(&default, "status"), "ok", "{default}");

@@ -299,17 +299,15 @@ impl Governor {
     }
 }
 
-/// A shared allowance of *extra* attempts (retries, hedged reads,
-/// failovers) for one logical request, optionally bounded by a
-/// wall-clock deadline measured from construction.
+/// An allowance of *extra* attempts for one logical request, optionally
+/// bounded by a wall-clock deadline measured from construction.
 ///
-/// Redundancy features amplify load exactly when the system is least
-/// able to absorb it — a brown-out makes every request slow, every slow
-/// request hedges, and the hedges brown the system out further. A
-/// `RetryBudget` caps that feedback loop: the serving layer charges it
-/// for every hedge or failover it dispatches beyond a request's primary
-/// sub-jobs, and the `xfrag request` client charges it across retry
-/// attempts, so neither can multiply traffic without bound.
+/// Retries amplify load exactly when the server is least able to absorb
+/// it: a brown-out sheds or times out requests, and every client that
+/// retries them adds to the brown-out. The `xfrag request` client's
+/// retry loop (`--retries`, `--retry-budget-ms`) charges one attempt per
+/// retry and stops once the allowance or the deadline is spent, so a
+/// client cannot multiply its traffic without bound.
 #[derive(Debug)]
 pub struct RetryBudget {
     deadline: Option<Instant>,

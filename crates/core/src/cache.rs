@@ -597,7 +597,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Fold another cache's counters into this one: tier and total
     /// counters summed, per-shard counters appended (serve folds its
-    /// replica caches this way).
+    /// per-shard arenas this way).
     pub fn absorb(&mut self, other: CacheStats) {
         self.postings.hits += other.postings.hits;
         self.postings.misses += other.postings.misses;

@@ -17,11 +17,9 @@
 //!   paper's Theorem 2 and 3 rewrites, with `EXPLAIN`-style rendering
 //!   (Figure 5);
 //! * [`overlap`] — grouping of overlapping answers (§5 discussion);
-//! * [`budget`] — resource budgets, cooperative cancellation, retry
-//!   budgets, and the graceful-degradation ladder
+//! * [`budget`] — resource budgets, cooperative cancellation, the
+//!   client retry budget, and the graceful-degradation ladder
 //!   ([`evaluate_budgeted`]);
-//! * [`breaker`] — circuit breakers (closed → open → half-open) that
-//!   the replicated server arms per replica;
 //! * [`cache`] — generation-keyed, sharded LRU memoization of postings
 //!   and exact per-document results for repeated query traffic;
 //! * `exec` (crate-private) — the execution context (`ExecCtx`:
@@ -56,7 +54,6 @@
 //! assert!(push.fragments.iter().any(|f| f.size() == 3));
 //! ```
 
-pub mod breaker;
 pub mod budget;
 pub mod cache;
 pub mod collection;
@@ -77,7 +74,6 @@ pub mod snippet;
 pub mod stats;
 pub mod trace;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Permit};
 pub use budget::{
     Breach, Budget, CancelToken, Degradation, DegradeMode, ExecPolicy, Governor, RetryBudget,
     SLCA_APPROX,

@@ -23,23 +23,6 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// Stage-name vocabulary for the serving layer's replica scatter
-/// (`xfrag serve --shards N --replicas R`). The server attaches these
-/// as leaf spans on its per-request tracer: one `shard:{i}:replica:{j}`
-/// span per sub-job dispatched (primary, hedge, or failover) and one
-/// [`serve_stage::HEDGE_FIRE`] span per hedge timer that fired. Kept
-/// here rather than in the CLI so the names are part of the stable
-/// tracing vocabulary alongside the evaluation stages.
-pub mod serve_stage {
-    /// Stage name of one replica sub-job: `shard:{i}:replica:{j}`.
-    pub fn replica(shard: usize, replica: usize) -> String {
-        format!("shard:{shard}:replica:{replica}")
-    }
-
-    /// Stage name of a hedge dispatch against a slow replica group.
-    pub const HEDGE_FIRE: &str = "hedge:fire";
-}
-
 /// One traced evaluation stage: what ran, how long it took on the wall
 /// clock, the operation counters it added, and the sub-stages it ran.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -586,28 +569,6 @@ mod tests {
             joins,
             ..EvalStats::default()
         }
-    }
-
-    #[test]
-    fn serve_stage_names_are_stable() {
-        assert_eq!(serve_stage::replica(3, 1), "shard:3:replica:1");
-        assert_eq!(serve_stage::HEDGE_FIRE, "hedge:fire");
-        // The names travel through the ordinary span machinery.
-        let sink = RecordingSink::new();
-        let tracer = Tracer::new(&sink);
-        tracer.attach(Span::leaf(
-            serve_stage::replica(0, 1),
-            Duration::from_micros(5),
-            EvalStats::default(),
-        ));
-        tracer.attach(Span::leaf(
-            serve_stage::HEDGE_FIRE,
-            Duration::ZERO,
-            EvalStats::default(),
-        ));
-        let spans = sink.take();
-        assert_eq!(spans[0].stage, "shard:0:replica:1");
-        assert_eq!(spans[1].stage, "hedge:fire");
     }
 
     #[test]
