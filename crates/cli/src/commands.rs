@@ -175,8 +175,8 @@ fn hook_ref(hook: &Option<InjectorWriteHook>) -> Option<&dyn WriteFaultHook> {
 /// `xfrag index <src-dir> <corpus-dir>`: compile every `.xml` in the
 /// source directory into the corpus directory as one new
 /// manifest-committed generation. Each document commits as a pair: the
-/// `.xfrg` tree and a `.xidx` structural-label inverted-index segment
-/// (postings + prefix labels), both checksummed in the manifest so the
+/// `.xfrg` tree and a `.xidx` inverted-index segment (postings +
+/// prefix labels), both checksummed in the manifest so the
 /// cold query path runs off persistent postings. Ordering is the
 /// crash-safety story: every data file is written atomically under its
 /// generation-unique name first, and the manifest — the commit point —
@@ -455,8 +455,8 @@ pub(crate) fn load(path: &str) -> Result<Document, CliError> {
 /// Probe for a persistent index segment next to a `.xfrg` file: the
 /// same path with an `.xidx` extension. `Ok(None)` when there is no
 /// sibling; `Err(why)` when one exists but is unusable (corrupt, or
-/// built for a different document) — callers warn and fall back to the
-/// in-memory tree-walk index, never fail the load.
+/// built for a different document) — callers warn and fall back to an
+/// in-memory index, never fail the load.
 pub(crate) fn sibling_segment(path: &Path, doc: &Document) -> Result<Option<SegmentIndex>, String> {
     if path.extension().and_then(|e| e.to_str()) != Some("xfrg") {
         return Ok(None);
@@ -486,7 +486,7 @@ pub(crate) fn load_segment(path: &Path, doc: &Document) -> Result<SegmentIndex, 
 
 /// Load every `.xml`/`.xfrg` file in a directory (sorted for
 /// determinism). An `.xfrg` with a valid `.xidx` sibling loads
-/// segment-backed: lazy postings and label arithmetic on the query path.
+/// segment-backed: lazy postings on the query path.
 fn load_dir(dir: &str) -> Result<Collection, CliError> {
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| CliError::Io(dir.to_string(), e))?
@@ -510,7 +510,7 @@ fn load_dir(dir: &str) -> Result<Collection, CliError> {
                 coll.add(name, doc);
             }
             Err(why) => {
-                eprintln!("warning: ignoring index segment ({why}); using tree walks");
+                eprintln!("warning: ignoring index segment ({why}); using the in-memory index");
                 coll.add(name, doc);
             }
         }
@@ -685,12 +685,13 @@ fn profile_block(mode: ProfileMode, spans: &[Span]) -> String {
 }
 
 /// Probe the single-file commands' `.xidx` sibling; an unusable
-/// segment warns and falls back to tree walks, never fails the command.
+/// segment warns and falls back to an in-memory index, never fails the
+/// command.
 fn file_segment(file: &str, doc: &Document) -> Option<SegmentIndex> {
     match sibling_segment(Path::new(file), doc) {
         Ok(seg) => seg,
         Err(why) => {
-            eprintln!("warning: ignoring index segment ({why}); using tree walks");
+            eprintln!("warning: ignoring index segment ({why}); using the in-memory index");
             None
         }
     }
@@ -713,7 +714,7 @@ pub fn search(doc: &Document, a: &SearchArgs) -> Result<String, CliError> {
 }
 
 /// `xfrag search`, segment-backed when a usable `.xidx` sibling was
-/// found: postings stream lazily and structure runs on label arithmetic.
+/// found: postings stream lazily.
 pub fn search_with(
     doc: &Document,
     seg: Option<&SegmentIndex>,
@@ -828,9 +829,8 @@ pub fn explain(doc: &Document, a: &SearchArgs) -> Result<String, CliError> {
 }
 
 /// `xfrag explain`, segment-backed when a usable `.xidx` sibling was
-/// found — the stages then execute off the persistent postings, and
-/// `label_ops`/`tree_ops` in the per-stage stats show which structural
-/// backend answered.
+/// found — the stages then execute off the persistent postings, and the
+/// `index:` line reports how many terms they materialized.
 pub fn explain_with(
     doc: &Document,
     seg: Option<&SegmentIndex>,

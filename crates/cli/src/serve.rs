@@ -665,13 +665,13 @@ fn load_corpus(
         match attempt {
             Ok(Ok(doc)) => {
                 // A bad segment never takes the document down: warn and
-                // fall back to the in-memory tree-walk index.
+                // fall back to an in-memory index.
                 let seg = seg_path.and_then(|sp| {
                     crate::commands::load_segment(&sp, &doc)
                         .map_err(|why| {
                             eprintln!(
                                 "warning: {name}: index segment unusable ({why}); \
-                                 serving with tree walks"
+                                 using the in-memory index"
                             );
                         })
                         .ok()

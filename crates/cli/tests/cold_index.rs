@@ -1,8 +1,8 @@
 //! Cold-index integration: `xfrag index` commits checksummed `.xidx`
 //! segments alongside the `.xfrg` trees, a cold `msearch` runs off
 //! those segments, and the answer bytes are identical across all four
-//! strategies *and* identical to the tree-walk fallback when segments
-//! are missing or corrupt — degraded never means different.
+//! strategies *and* identical to the in-memory index fallback when
+//! segments are missing or corrupt — degraded never means different.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -94,8 +94,8 @@ fn cold_queries_run_off_checksummed_segments_and_match_tree_walks() {
         assert_eq!(msearch(&out, s).0, base, "--strategy {s} diverged");
     }
 
-    // A corrupt segment degrades that document to tree walks with a
-    // warning — same answer bytes, never a failed or missing document.
+    // A corrupt segment degrades that document to an in-memory index
+    // with a warning — same answer bytes, never a failed or missing document.
     let a_seg = segments
         .iter()
         .find(|e| e.name.starts_with("a."))
@@ -106,9 +106,9 @@ fn cold_queries_run_off_checksummed_segments_and_match_tree_walks() {
     std::fs::write(out.join(&a_seg), &good[..good.len() / 2]).unwrap();
     let (stdout, stderr) = msearch(&out, "pushdown");
     assert_eq!(stdout, base, "corrupt-segment fallback changed answers");
-    assert!(stderr.contains("using tree walks"), "{stderr}");
+    assert!(stderr.contains("using the in-memory index"), "{stderr}");
 
-    // No segments at all (a legacy generation): pure tree walks, still
+    // No segments at all (a legacy generation): in-memory indexes, still
     // byte-identical across every strategy.
     for e in &segments {
         let _ = std::fs::remove_file(out.join(&e.name));
@@ -159,7 +159,7 @@ fn single_file_search_and_explain_pick_up_the_segment_sibling() {
     let stdout = String::from_utf8(o.stdout).unwrap();
     assert!(stdout.contains("index: segment bytes="), "{stdout}");
     assert!(stdout.contains("terms_loaded=2"), "{stdout}");
-    assert!(stdout.contains("label_ops="), "{stdout}");
+    assert!(stdout.contains("joins="), "{stdout}");
 
     // `explain` reports the same provenance after running its stages.
     let o = Command::new(env!("CARGO_BIN_EXE_xfrag"))

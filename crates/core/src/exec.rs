@@ -6,8 +6,7 @@
 //! implementations consult besides their operands and the
 //! [`EvalStats`](crate::EvalStats) they count into:
 //!
-//! * the [`Nav`] that answers structural questions (tree walks or label
-//!   arithmetic);
+//! * the [`Document`] whose prefix labels answer structural questions;
 //! * the [`Governor`] every join kernel and round is charged to;
 //! * the [`Tracer`] stages record their spans in.
 //!
@@ -17,17 +16,17 @@
 //! branch, so the plain forms pay nothing for the context.
 
 use crate::budget::{Breach, Governor};
-use crate::nav::Nav;
 use crate::trace::Tracer;
+use xfrag_doc::Document;
 
-/// Navigation, budget and tracing for one evaluation.
+/// Document, budget and tracing for one evaluation.
 ///
 /// Crate-private: public entry points take the governor and tracer
 /// themselves and build the context.
 #[derive(Clone, Copy)]
 pub(crate) struct ExecCtx<'a> {
-    /// Structural navigation over the evaluated document.
-    pub(crate) nav: Nav<'a>,
+    /// The evaluated document.
+    pub(crate) doc: &'a Document,
     /// The budget every operator charges.
     pub(crate) gov: &'a Governor,
     /// Where stages record their spans.
@@ -35,18 +34,18 @@ pub(crate) struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
-    /// A context over `nav` charging `gov` and recording into `tracer`.
-    pub(crate) fn new(nav: Nav<'a>, gov: &'a Governor, tracer: &'a Tracer<'a>) -> Self {
-        ExecCtx { nav, gov, tracer }
+    /// A context over `doc` charging `gov` and recording into `tracer`.
+    pub(crate) fn new(doc: &'a Document, gov: &'a Governor, tracer: &'a Tracer<'a>) -> Self {
+        ExecCtx { doc, gov, tracer }
     }
 }
 
 /// Run `f` under an unlimited governor and a disabled tracer: the
 /// context of the plain paper-level operator forms.
-pub(crate) fn unlimited<T>(nav: Nav<'_>, f: impl FnOnce(&ExecCtx<'_>) -> Result<T, Breach>) -> T {
+pub(crate) fn unlimited<T>(doc: &Document, f: impl FnOnce(&ExecCtx<'_>) -> Result<T, Breach>) -> T {
     let gov = Governor::unlimited();
     let tracer = Tracer::disabled();
-    match f(&ExecCtx::new(nav, &gov, &tracer)) {
+    match f(&ExecCtx::new(doc, &gov, &tracer)) {
         Ok(out) => out,
         // invariant: an unlimited governor has no limits, no deadline and
         // no cancel token, so no charge can ever breach; callers reject

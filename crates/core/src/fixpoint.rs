@@ -27,9 +27,9 @@ use crate::budget::Breach;
 use crate::exec::{self, ExecCtx};
 use crate::filter::{select, FilterExpr};
 use crate::join::{fragment_join, pairwise_join};
-use crate::nav::Nav;
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
+use xfrag_doc::Document;
 
 /// How a fixed point should be computed — the choice §3.1 is about.
 #[derive(
@@ -49,14 +49,8 @@ pub enum FixpointMode {
 /// Each round computes `H := H ⋈ F` and compares cardinalities; because
 /// the chain is increasing (every element of `H` survives via idempotent
 /// self-joins), `|H|` unchanged ⇔ `H` unchanged.
-pub fn fixed_point_naive<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-) -> FragmentSet {
-    exec::unlimited(nav.into(), |cx| {
-        cx.fixed_point(f, FixpointMode::Naive, stats)
-    })
+pub fn fixed_point_naive(doc: &Document, f: &FragmentSet, stats: &mut EvalStats) -> FragmentSet {
+    exec::unlimited(doc, |cx| cx.fixed_point(f, FixpointMode::Naive, stats))
 }
 
 /// `⊖(F)` — Definition 10. Keeps exactly the fragments *not* contained in
@@ -66,23 +60,19 @@ pub fn fixed_point_naive<'n>(
 /// accumulates `reduce_checks` so the §5 cost-model discussion can be
 /// quantified. Pairs are enumerated once (f', f'' unordered) since `⋈` is
 /// commutative.
-pub fn reduce<'n>(nav: impl Into<Nav<'n>>, f: &FragmentSet, stats: &mut EvalStats) -> FragmentSet {
-    exec::unlimited(nav.into(), |cx| cx.reduce(f, stats))
+pub fn reduce(doc: &Document, f: &FragmentSet, stats: &mut EvalStats) -> FragmentSet {
+    exec::unlimited(doc, |cx| cx.reduce(f, stats))
 }
 
 /// The reduction factor `RF = (a − b) / a` of §5, where `a = |F|` and
 /// `b = |⊖(F)|`. `RF = 0` means no reduction; values near 1 mean the set
 /// collapses almost entirely.
-pub fn reduction_factor<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-) -> f64 {
+pub fn reduction_factor(doc: &Document, f: &FragmentSet, stats: &mut EvalStats) -> f64 {
     if f.is_empty() {
         return 0.0;
     }
     let a = f.len() as f64;
-    let b = reduce(nav, f, stats).len() as f64;
+    let b = reduce(doc, f, stats).len() as f64;
     (a - b) / a
 }
 
@@ -113,42 +103,35 @@ pub fn reduction_factor<'n>(
 /// for singleton-node inputs (property-tested), so the paper's claimed
 /// saving of per-round checks is preserved exactly where the paper
 /// applies it.
-pub fn fixed_point_reduced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-) -> FragmentSet {
-    exec::unlimited(nav.into(), |cx| {
-        cx.fixed_point(f, FixpointMode::Reduced, stats)
-    })
+pub fn fixed_point_reduced(doc: &Document, f: &FragmentSet, stats: &mut EvalStats) -> FragmentSet {
+    exec::unlimited(doc, |cx| cx.fixed_point(f, FixpointMode::Reduced, stats))
 }
 
 /// `F⁺` with the mode chosen by the caller.
-pub fn fixed_point<'n>(
-    nav: impl Into<Nav<'n>>,
+pub fn fixed_point(
+    doc: &Document,
     f: &FragmentSet,
     mode: FixpointMode,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    exec::unlimited(nav.into(), |cx| cx.fixed_point(f, mode, stats))
+    exec::unlimited(doc, |cx| cx.fixed_point(f, mode, stats))
 }
 
 /// Theorem 2: `F1 ⋈* F2 = F1⁺ ⋈ F2⁺` — the rewrite that makes powerset
 /// join implementable.
-pub fn powerset_via_fixpoint<'n>(
-    nav: impl Into<Nav<'n>>,
+pub fn powerset_via_fixpoint(
+    doc: &Document,
     f1: &FragmentSet,
     f2: &FragmentSet,
     mode: FixpointMode,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    let nav = nav.into();
     if f1.is_empty() || f2.is_empty() {
         return FragmentSet::new();
     }
-    let p1 = fixed_point(nav, f1, mode, stats);
-    let p2 = fixed_point(nav, f2, mode, stats);
-    pairwise_join(nav, &p1, &p2, stats)
+    let p1 = fixed_point(doc, f1, mode, stats);
+    let p2 = fixed_point(doc, f2, mode, stats);
+    pairwise_join(doc, &p1, &p2, stats)
 }
 
 impl ExecCtx<'_> {
@@ -228,7 +211,7 @@ impl ExecCtx<'_> {
         stats: &mut EvalStats,
     ) -> Result<FragmentSet, Breach> {
         self.tracer.scoped("filtered-fixpoint", stats, |stats| {
-            let base = select(self.nav.doc(), anti, f, stats);
+            let base = select(self.doc, anti, f, stats);
             if base.is_empty() {
                 return Ok(FragmentSet::new());
             }
@@ -254,7 +237,7 @@ impl ExecCtx<'_> {
                         stats.fixpoint_iterations += 1;
                         let joined = self.pairwise_join(&h, f, stats)?;
                         Ok(match anti {
-                            Some(p) => select(self.nav.doc(), p, &joined, stats),
+                            Some(p) => select(self.doc, p, &joined, stats),
                             None => joined,
                         }
                         .union(&h))
@@ -298,7 +281,7 @@ impl ExecCtx<'_> {
                         stats.reduce_checks += 1;
                         self.gov
                             .charge_join((frags[i].size() + frags[j].size()) as u64)?;
-                        let joined = fragment_join(self.nav, &frags[i], &frags[j], stats);
+                        let joined = fragment_join(self.doc, &frags[i], &frags[j], stats);
                         if cand.is_subfragment_of(&joined) {
                             continue 'cand; // eliminated
                         }

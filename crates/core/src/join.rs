@@ -16,10 +16,9 @@
 use crate::budget::Breach;
 use crate::exec::{self, ExecCtx};
 use crate::fragment::Fragment;
-use crate::nav::Nav;
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
-use xfrag_doc::NodeId;
+use xfrag_doc::{Document, NodeId};
 
 /// `f1 ⋈ f2` (Definition 4).
 ///
@@ -40,13 +39,12 @@ use xfrag_doc::NodeId;
 /// assert_eq!(j.nodes(), &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
 /// assert_eq!(j.root(), NodeId(0));
 /// ```
-pub fn fragment_join<'n>(
-    nav: impl Into<Nav<'n>>,
+pub fn fragment_join(
+    doc: &Document,
     f1: &Fragment,
     f2: &Fragment,
     stats: &mut EvalStats,
 ) -> Fragment {
-    let nav = nav.into();
     stats.joins += 1;
     stats.nodes_merged += (f1.size() + f2.size()) as u64;
 
@@ -58,7 +56,7 @@ pub fn fragment_join<'n>(
         return f2.clone();
     }
 
-    let path = nav.path(f1.root(), f2.root(), stats);
+    let path = doc.path(f1.root(), f2.root());
     // Merge the two sorted operand node lists, then splice in path nodes.
     let mut merged: Vec<NodeId> = Vec::with_capacity(f1.size() + f2.size() + path.len());
     let (a, b) = (f1.nodes(), f2.nodes());
@@ -93,15 +91,14 @@ pub fn fragment_join<'n>(
 
 /// N-ary fragment join `⋈{f1, …, fn}` — well-defined by associativity and
 /// commutativity (Definition 6 uses it to fold subset unions).
-pub fn fragment_join_all<'a, 'n>(
-    nav: impl Into<Nav<'n>>,
+pub fn fragment_join_all<'a>(
+    doc: &Document,
     frags: impl IntoIterator<Item = &'a Fragment>,
     stats: &mut EvalStats,
 ) -> Option<Fragment> {
-    let nav = nav.into();
     let mut it = frags.into_iter();
     let first = it.next()?.clone();
-    Some(it.fold(first, |acc, f| fragment_join(nav, &acc, f, stats)))
+    Some(it.fold(first, |acc, f| fragment_join(doc, &acc, f, stats)))
 }
 
 /// Optimized n-ary join: computes `⋈{f1, …, fn}` in one pass instead of
@@ -116,12 +113,11 @@ pub fn fragment_join_all<'a, 'n>(
 ///
 /// Cost: O(Σ|fi| + n · depth) versus the fold's O(n · result size).
 /// Counts as `n − 1` joins in `stats` to stay comparable with the fold.
-pub fn fragment_join_many<'a, 'n>(
-    nav: impl Into<Nav<'n>>,
+pub fn fragment_join_many<'a>(
+    doc: &Document,
     frags: impl IntoIterator<Item = &'a Fragment>,
     stats: &mut EvalStats,
 ) -> Option<Fragment> {
-    let nav = nav.into();
     let frags: Vec<&Fragment> = frags.into_iter().collect();
     match frags.len() {
         0 => return None,
@@ -137,7 +133,7 @@ pub fn fragment_join_many<'a, 'n>(
     // Common LCA of all roots.
     let mut lca = frags[0].root();
     for f in &frags[1..] {
-        lca = nav.lca(lca, f.root(), stats);
+        lca = doc.lca(lca, f.root());
     }
     // Paths from every root up to the common LCA.
     for f in &frags {
@@ -147,7 +143,7 @@ pub fn fragment_join_many<'a, 'n>(
             // invariant: x != lca and lca is an ancestor of x (it is the
             // common LCA of all roots), so x cannot be the document root
             // and always has a parent.
-            x = nav.parent(x, stats).expect("non-root on path to LCA");
+            x = doc.parent(x).expect("non-root on path to LCA");
         }
     }
     nodes.push(lca);
@@ -157,13 +153,13 @@ pub fn fragment_join_many<'a, 'n>(
 }
 
 /// `F1 ⋈ F2` (Definition 5): pairwise fragment join.
-pub fn pairwise_join<'n>(
-    nav: impl Into<Nav<'n>>,
+pub fn pairwise_join(
+    doc: &Document,
     f1: &FragmentSet,
     f2: &FragmentSet,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    exec::unlimited(nav.into(), |cx| cx.pairwise_join(f1, f2, stats))
+    exec::unlimited(doc, |cx| cx.pairwise_join(f1, f2, stats))
 }
 
 /// Inputs larger than this are rejected by [`powerset_join`]: the literal
@@ -203,16 +199,14 @@ impl std::fmt::Display for PowersetTooLarge {
 impl std::error::Error for PowersetTooLarge {}
 
 /// `F1 ⋈* F2` (Definition 6), by literal subset enumeration.
-pub fn powerset_join<'n>(
-    nav: impl Into<Nav<'n>>,
+pub fn powerset_join(
+    doc: &Document,
     f1: &FragmentSet,
     f2: &FragmentSet,
     stats: &mut EvalStats,
 ) -> Result<FragmentSet, PowersetTooLarge> {
     PowersetTooLarge::check([f1, f2])?;
-    Ok(exec::unlimited(nav.into(), |cx| {
-        cx.powerset_join(f1, f2, stats)
-    }))
+    Ok(exec::unlimited(doc, |cx| cx.powerset_join(f1, f2, stats)))
 }
 
 impl ExecCtx<'_> {
@@ -230,7 +224,7 @@ impl ExecCtx<'_> {
         for a in f1.iter() {
             for b in f2.iter() {
                 self.gov.charge_join((a.size() + b.size()) as u64)?;
-                let j = fragment_join(self.nav, a, b, stats);
+                let j = fragment_join(self.doc, a, b, stats);
                 self.gov.charge_fragments(1)?;
                 stats.fragments_emitted += 1;
                 if !out.insert(j) {
@@ -273,7 +267,7 @@ impl ExecCtx<'_> {
                     // invariant: both masks are non-zero, so at least one
                     // fragment is always chosen.
                     let joined =
-                        fragment_join_many(self.nav, chosen, stats).expect("non-empty selection");
+                        fragment_join_many(self.doc, chosen, stats).expect("non-empty selection");
                     self.gov.charge_join(joined.size() as u64)?;
                     self.gov.charge_fragments(1)?;
                     stats.fragments_emitted += 1;
@@ -291,13 +285,12 @@ impl ExecCtx<'_> {
 /// column of the paper's Table 1: each distinct union `F1' ∪ F2'` of
 /// non-empty subsets, paired with the fragment its n-ary join produces.
 /// Returned in first-encountered order (enumeration by ascending masks).
-pub fn powerset_join_candidates<'n>(
-    nav: impl Into<Nav<'n>>,
+pub fn powerset_join_candidates(
+    doc: &Document,
     f1: &FragmentSet,
     f2: &FragmentSet,
     stats: &mut EvalStats,
 ) -> Result<Vec<(Vec<Fragment>, Fragment)>, PowersetTooLarge> {
-    let nav = nav.into();
     PowersetTooLarge::check([f1, f2])?;
     let a: Vec<&Fragment> = f1.iter().collect();
     let b: Vec<&Fragment> = f2.iter().collect();
@@ -321,7 +314,7 @@ pub fn powerset_join_candidates<'n>(
                 // invariant: ma is non-zero, so union holds at least one
                 // fragment from f1.
                 let joined =
-                    fragment_join_all(nav, union.iter(), stats).expect("non-empty candidate");
+                    fragment_join_all(doc, union.iter(), stats).expect("non-empty candidate");
                 out.push((union, joined));
             }
         }

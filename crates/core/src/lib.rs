@@ -23,7 +23,7 @@
 //! * [`cache`] — generation-keyed, sharded LRU memoization of postings
 //!   and exact per-document results for repeated query traffic;
 //! * `exec` (crate-private) — the execution context (`ExecCtx`:
-//!   navigation, governor, tracer) that every
+//!   document, governor, tracer) that every
 //!   operator's one implementation runs under;
 //! * [`trace`] — span-based stage tracing of every evaluation stage,
 //!   powering `--profile` and `explain --analyze`;
@@ -63,7 +63,6 @@ pub mod filter;
 pub mod fixpoint;
 pub mod fragment;
 pub mod join;
-pub mod nav;
 pub mod overlap;
 pub mod plan;
 pub mod planner;
@@ -98,7 +97,6 @@ pub use join::{
     fragment_join, fragment_join_all, fragment_join_many, pairwise_join, powerset_join,
     powerset_join_candidates, PowersetTooLarge, POWERSET_LIMIT,
 };
-pub use nav::Nav;
 pub use plan::LogicalPlan;
 pub use planner::{evaluate_decided_cached_traced, CostModel, PlanCache, PlanDecision};
 pub use query::{

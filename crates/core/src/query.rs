@@ -27,7 +27,6 @@ use crate::exec::ExecCtx;
 use crate::filter::{select, FilterExpr};
 use crate::fixpoint::{reduce, FixpointMode};
 use crate::join::{fragment_join_many, PowersetTooLarge};
-use crate::nav::Nav;
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
 use crate::trace::Tracer;
@@ -188,11 +187,12 @@ impl From<PowersetTooLarge> for QueryError {
 /// Evaluate `query` over `doc` using `index` for the keyword selections.
 ///
 /// Generic over [`PostingsSource`]: the same engine runs off an
-/// in-memory [`xfrag_doc::InvertedIndex`] (tree-walk navigation) or a
-/// persistent [`xfrag_doc::SegmentIndex`] / collection handle, in which
-/// case postings are lazily materialized and structural arithmetic uses
-/// the segment's prefix labels. Both paths return identical fragments —
-/// the indexed differential suite proves it across every strategy.
+/// in-memory [`xfrag_doc::InvertedIndex`] or a persistent
+/// [`xfrag_doc::SegmentIndex`] / collection handle, in which case
+/// postings are lazily materialized. Structural arithmetic always uses
+/// the document's own prefix labels. Both backends return identical
+/// results — the indexed differential suite proves it across every
+/// strategy.
 ///
 /// Unbudgeted: the strategy runs under an unlimited governor with no
 /// degradation ladder, so brute force over an operand larger than
@@ -298,7 +298,6 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
         assert!(cache.is_none(), "an unbudgeted evaluation takes no cache");
         return evaluate_unbudgeted(doc, index, query, strategy, tracer);
     };
-    let nav = Nav::new(doc, index.labels());
     let key = cache
         .as_ref()
         .map(|c| ResultKey::new(c.gen, c.doc, query, strategy, policy));
@@ -340,7 +339,7 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     } else {
         let gov =
             Governor::new(policy.budget, policy.cancel.clone()).with_fault(policy.fault.clone());
-        let cx = ExecCtx::new(nav, &gov, tracer);
+        let cx = ExecCtx::new(doc, &gov, tracer);
         run_ladder(&cx, query, strategy, &operands, policy)?
     };
     result.stats.cache_hits += lookup_stats.cache_hits;
@@ -433,20 +432,14 @@ fn evaluate_unbudgeted<I: PostingsSource + ?Sized>(
     tracer: &Tracer<'_>,
 ) -> Result<QueryResult, QueryError> {
     let operands = term_operands(index, query, tracer, None, &mut EvalStats::new());
-    evaluate_operands(
-        Nav::new(doc, index.labels()),
-        tracer,
-        query,
-        strategy,
-        &operands,
-    )
+    evaluate_operands(doc, tracer, query, strategy, &operands)
 }
 
 /// Unbudgeted evaluation over pre-built operand sets, shared by
 /// [`evaluate`] and [`evaluate_scoped`]: the strategy dispatch under an
 /// unlimited governor, then `select-top`.
 fn evaluate_operands(
-    nav: Nav<'_>,
+    doc: &Document,
     tracer: &Tracer<'_>,
     query: &Query,
     strategy: Strategy,
@@ -463,7 +456,7 @@ fn evaluate_operands(
         PowersetTooLarge::check(operands)?;
     }
     let gov = Governor::unlimited();
-    let cx = ExecCtx::new(nav, &gov, tracer);
+    let cx = ExecCtx::new(doc, &gov, tracer);
     let mut stats = EvalStats::new();
     let raw = match strategy_raw(&cx, query, strategy, operands, &mut stats) {
         Ok(raw) => raw,
@@ -511,7 +504,7 @@ fn run_ladder(
         }
         Err(breach) => {
             let raw = cx.tracer.scoped("rung:slca-approx", &mut stats, |stats| {
-                slca_approximation(cx.nav, operands, stats)
+                slca_approximation(cx.doc, operands, stats)
             });
             (raw, Some(breach))
         }
@@ -586,7 +579,7 @@ fn push_down(
                 let joined = cx.tracer.scoped("pairwise-join", stats, |stats| {
                     cx.pairwise_join(&prev, &fp, stats)
                 })?;
-                select(cx.nav.doc(), &anti, &joined, stats)
+                select(cx.doc, &anti, &joined, stats)
             }
         });
     }
@@ -604,7 +597,7 @@ fn select_top(
     raw: &FragmentSet,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    let doc = cx.nav.doc();
+    let doc = cx.doc;
     cx.tracer.scoped("select-top", stats, |stats| {
         let mut fragments = select(doc, &query.filter, raw, stats);
         if query.strict_leaf_semantics {
@@ -639,7 +632,7 @@ fn brute_force(
         });
         // invariant: every odometer mask is at least 1, so at least one
         // fragment is always chosen.
-        let joined = fragment_join_many(cx.nav, chosen, stats).expect("non-empty choice");
+        let joined = fragment_join_many(cx.doc, chosen, stats).expect("non-empty choice");
         cx.gov.charge_join(joined.size() as u64)?;
         cx.gov.charge_fragments(1)?;
         stats.fragments_emitted += 1;
@@ -698,11 +691,10 @@ fn join_fold(
 /// More than 64 operands exceed the mask width; the approximation then
 /// returns the empty set, which is trivially sound.
 fn slca_approximation(
-    nav: Nav<'_>,
+    doc: &Document,
     operands: &[FragmentSet],
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    let doc = nav.doc();
     let m = operands.len();
     if m == 0 || m > 64 {
         return FragmentSet::new();
@@ -741,7 +733,7 @@ fn slca_approximation(
                 r >= lo && r < hi
             })
         });
-        if let Some(joined) = fragment_join_many(nav, picks, stats) {
+        if let Some(joined) = fragment_join_many(doc, picks, stats) {
             stats.fragments_emitted += 1;
             if !out.insert(joined) {
                 stats.duplicates_collapsed += 1;
@@ -768,7 +760,6 @@ pub fn evaluate_scoped<I: PostingsSource + ?Sized>(
     strategy: Strategy,
 ) -> Result<Vec<(xfrag_doc::NodeId, QueryResult)>, ScopedQueryError> {
     let scopes = xfrag_doc::select_path(doc, scope_path).map_err(ScopedQueryError::Path)?;
-    let nav = Nav::new(doc, index.labels());
     let tracer = Tracer::disabled();
     let mut out = Vec::new();
     for scope in scopes {
@@ -789,7 +780,7 @@ pub fn evaluate_scoped<I: PostingsSource + ?Sized>(
                 )
             })
             .collect();
-        let r = evaluate_operands(nav, &tracer, query, strategy, &operands)
+        let r = evaluate_operands(doc, &tracer, query, strategy, &operands)
             .map_err(ScopedQueryError::Query)?;
         if !r.fragments.is_empty() {
             out.push((scope, r));
@@ -826,14 +817,13 @@ pub fn operand_reduction_factors<I: PostingsSource + ?Sized>(
     index: &I,
     query: &Query,
 ) -> Vec<(String, usize, usize)> {
-    let nav = Nav::new(doc, index.labels());
     let mut stats = EvalStats::new();
     query
         .terms
         .iter()
         .map(|t| {
             let f = FragmentSet::of_nodes(index.postings(t).iter().copied());
-            let r = reduce(nav, &f, &mut stats);
+            let r = reduce(doc, &f, &mut stats);
             (t.clone(), f.len(), r.len())
         })
         .collect()

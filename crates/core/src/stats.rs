@@ -38,14 +38,6 @@ pub struct EvalStats {
     /// boundaries where the deadline and cancel flag were consulted).
     /// Zero for ungoverned runs.
     pub budget_checkpoints: u64,
-    /// Structural operations (`lca`/`path`/`parent`) answered by label
-    /// arithmetic over persistent prefix labels. Together with
-    /// [`EvalStats::tree_ops`] this is the navigation provenance the
-    /// indexed-vs-tree-walk differential suite and EXPLAIN ANALYZE
-    /// report on.
-    pub label_ops: u64,
-    /// Structural operations answered by walking the document tree.
-    pub tree_ops: u64,
     /// Query-cache lookups that found a reusable entry (any tier).
     /// Cache counters are *observability* fields: the differential suite
     /// asserts that all non-cache counters are identical between cached
@@ -84,8 +76,6 @@ impl EvalStats {
             budget_checkpoints: self
                 .budget_checkpoints
                 .saturating_sub(base.budget_checkpoints),
-            label_ops: self.label_ops.saturating_sub(base.label_ops),
-            tree_ops: self.tree_ops.saturating_sub(base.tree_ops),
             cache_hits: self.cache_hits.saturating_sub(base.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(base.cache_misses),
         }
@@ -115,8 +105,6 @@ impl AddAssign for EvalStats {
         self.fixpoint_checks += o.fixpoint_checks;
         self.reduce_checks += o.reduce_checks;
         self.budget_checkpoints += o.budget_checkpoints;
-        self.label_ops += o.label_ops;
-        self.tree_ops += o.tree_ops;
         self.cache_hits += o.cache_hits;
         self.cache_misses += o.cache_misses;
     }
@@ -126,7 +114,7 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "joins={} merged_nodes={} emitted={} dups={} filter_evals={} pruned={} fp_iters={} fp_checks={} reduce_checks={} budget_checkpoints={} label_ops={} tree_ops={} cache_hits={} cache_misses={}",
+            "joins={} merged_nodes={} emitted={} dups={} filter_evals={} pruned={} fp_iters={} fp_checks={} reduce_checks={} budget_checkpoints={} cache_hits={} cache_misses={}",
             self.joins,
             self.nodes_merged,
             self.fragments_emitted,
@@ -137,8 +125,6 @@ impl fmt::Display for EvalStats {
             self.fixpoint_checks,
             self.reduce_checks,
             self.budget_checkpoints,
-            self.label_ops,
-            self.tree_ops,
             self.cache_hits,
             self.cache_misses
         )
@@ -188,10 +174,8 @@ mod tests {
             fixpoint_checks: 8,
             reduce_checks: 9,
             budget_checkpoints: 10,
-            label_ops: 11,
-            tree_ops: 12,
-            cache_hits: 13,
-            cache_misses: 14,
+            cache_hits: 11,
+            cache_misses: 12,
         }
     }
 
@@ -214,8 +198,6 @@ mod tests {
             fixpoint_checks,
             reduce_checks,
             budget_checkpoints,
-            label_ops,
-            tree_ops,
             cache_hits,
             cache_misses,
         } = sum;
@@ -229,10 +211,8 @@ mod tests {
         assert_eq!(fixpoint_checks, 16);
         assert_eq!(reduce_checks, 18);
         assert_eq!(budget_checkpoints, 20);
-        assert_eq!(label_ops, 22);
-        assert_eq!(tree_ops, 24);
-        assert_eq!(cache_hits, 26);
-        assert_eq!(cache_misses, 28);
+        assert_eq!(cache_hits, 22);
+        assert_eq!(cache_misses, 24);
 
         // Display must render each doubled value exactly once.
         let shown = sum.to_string();
@@ -247,10 +227,8 @@ mod tests {
             "fp_checks=16",
             "reduce_checks=18",
             "budget_checkpoints=20",
-            "label_ops=22",
-            "tree_ops=24",
-            "cache_hits=26",
-            "cache_misses=28",
+            "cache_hits=22",
+            "cache_misses=24",
         ] {
             assert!(shown.contains(expect), "missing `{expect}` in `{shown}`");
         }

@@ -273,7 +273,7 @@ impl Drop for UnwindGuard<'_> {
 
 /// Stable `(name, value)` view of every [`EvalStats`] counter, used by
 /// both emitters so their field sets cannot drift apart.
-fn stats_fields(s: &EvalStats) -> [(&'static str, u64); 14] {
+fn stats_fields(s: &EvalStats) -> [(&'static str, u64); 12] {
     [
         ("joins", s.joins),
         ("nodes_merged", s.nodes_merged),
@@ -285,8 +285,6 @@ fn stats_fields(s: &EvalStats) -> [(&'static str, u64); 14] {
         ("fixpoint_checks", s.fixpoint_checks),
         ("reduce_checks", s.reduce_checks),
         ("budget_checkpoints", s.budget_checkpoints),
-        ("label_ops", s.label_ops),
-        ("tree_ops", s.tree_ops),
         ("cache_hits", s.cache_hits),
         ("cache_misses", s.cache_misses),
     ]

@@ -6,15 +6,14 @@
 //! document — but indexing, term statistics and result bookkeeping need a
 //! collection-level substrate, which this module provides.
 //!
-//! Each document's index is either built in memory ([`Collection::add`],
-//! the legacy/tree-walk path) or decoded from a persistent `.xidx`
-//! segment ([`Collection::add_with_segment`]), in which case term
-//! selections run off lazily-materialized postings and structural
-//! arithmetic runs off prefix labels. [`Collection::index`] hands out a
-//! uniform [`IndexHandle`] over both.
+//! Each document's index is either built in memory ([`Collection::add`])
+//! or decoded from a persistent `.xidx` segment
+//! ([`Collection::add_with_segment`]), in which case term selections run
+//! off lazily-materialized postings. [`Collection::index`] hands out a
+//! uniform [`IndexHandle`] over both. Structural arithmetic always runs
+//! off the document's own prefix labels.
 
 use crate::index::{InvertedIndex, Postings, PostingsSource};
-use crate::label::StructLabels;
 use crate::segment::SegmentIndex;
 use crate::tree::Document;
 use std::collections::BTreeMap;
@@ -78,14 +77,6 @@ impl<'a> IndexHandle<'a> {
         }
     }
 
-    /// Structural labels, for segment-backed indexes.
-    pub fn labels(&self) -> Option<&'a StructLabels> {
-        match self.0 {
-            DocIndex::Mem(_) => None,
-            DocIndex::Seg(s) => Some(s.labels()),
-        }
-    }
-
     /// The backing segment, if this index is segment-backed.
     pub fn segment(&self) -> Option<&'a SegmentIndex> {
         match self.0 {
@@ -102,10 +93,6 @@ impl PostingsSource for IndexHandle<'_> {
 
     fn df(&self, term: &str) -> usize {
         IndexHandle::df(self, term)
-    }
-
-    fn labels(&self) -> Option<&StructLabels> {
-        IndexHandle::labels(self)
     }
 
     fn needs_load(&self, term: &str) -> bool {
@@ -148,8 +135,7 @@ impl Collection {
     }
 
     /// Add a document backed by a decoded index segment: term statistics
-    /// come from the segment's directory, postings stay lazy, and the
-    /// query engine uses its labels for structural arithmetic.
+    /// come from the segment's directory and postings stay lazy.
     pub fn add_with_segment(
         &mut self,
         name: impl Into<String>,
@@ -344,8 +330,10 @@ mod tests {
         }
         // Lookups above materialized some terms lazily.
         assert!(seg.index_terms_loaded() > 0);
-        assert!(seg.index(DocId(0)).labels().is_some());
-        assert!(mem.index(DocId(0)).labels().is_none());
+        // Both copies of each document navigate by the same labels.
+        for id in mem.ids() {
+            assert_eq!(seg.doc(id).labels(), mem.doc(id).labels(), "labels {id}");
+        }
         // Candidate filtering agrees and stays directory-only.
         let terms = vec!["alpha".to_string()];
         assert_eq!(

@@ -9,7 +9,6 @@
 //! we also provide [`InvertedIndex::scan_select`] to evaluate the selection
 //! without the index for apples-to-apples baselines.
 
-use crate::label::StructLabels;
 use crate::text::{keywords, node_contains, normalize_term};
 use crate::tree::{Document, NodeId};
 use std::collections::BTreeMap;
@@ -42,7 +41,7 @@ impl Deref for Postings<'_> {
 /// [`InvertedIndex`], a persistent
 /// [`SegmentIndex`](crate::segment::SegmentIndex), or a collection's
 /// per-document handle. The query engine is generic over this trait, so
-/// indexed and tree-walk evaluation share one code path.
+/// every postings backend shares one code path.
 pub trait PostingsSource {
     /// The postings for a (normalized) term, in document order.
     fn postings(&self, term: &str) -> Postings<'_>;
@@ -51,12 +50,6 @@ pub trait PostingsSource {
     /// this without materializing postings.
     fn df(&self, term: &str) -> usize {
         self.postings(term).len()
-    }
-
-    /// Structural labels, when this source persists them — the signal
-    /// for the engine to use label arithmetic instead of tree walks.
-    fn labels(&self) -> Option<&StructLabels> {
-        None
     }
 
     /// Whether looking `term` up now would lazily materialize it (used

@@ -5,9 +5,9 @@
 //! **root path** alone: the sequence of node ids from the document root
 //! down to the node itself. "Prefix-based Labeling Annotation for
 //! Effective XML Fragmentation" (PAPERS.md) makes the same observation
-//! for fragment extraction; here the labels are what lets a cold query
-//! run off a persistent index segment without materializing parent
-//! pointers or subtree spans first.
+//! for fragment extraction. Every [`Document`](crate::Document) builds
+//! its labels once, when it is constructed, and answers `lca`, `path`
+//! and `ancestors` from them; the `.xidx` segment persists them too.
 //!
 //! Labels are stored flattened (one offset array + one id array), so
 //! the whole structure is two `Vec<u32>`s: cache-friendly, trivially
@@ -15,21 +15,21 @@
 //! Because node ids are pre-order ranks, a root path is strictly
 //! increasing — a cheap validation invariant for decoded segments.
 //!
-//! Every operation here mirrors the corresponding [`Document`] walk
-//! *exactly*, including output order (`ancestors` is bottom-up;
-//! `path` lists the `a`-side, then the `b`-side, then the LCA last), so
-//! indexed evaluation is byte-identical to tree-walk evaluation. The
-//! differential proptest in `crates/doc/tests/label_differential.rs`
-//! holds the two implementations together.
+//! Output orders are fixed (`ancestors` is bottom-up; `path` lists the
+//! `a`-side, then the `b`-side, then the LCA last), so fragment joins
+//! are deterministic. The property tests in
+//! `crates/doc/tests/proptest_index_label.rs` check every operation
+//! against parent-pointer walks.
 
-use crate::tree::{Document, NodeId};
+use crate::tree::NodeId;
+use serde::{Deserialize, Serialize};
 
 /// Flattened per-node root-path labels for one document.
 ///
 /// `flat[offsets[n] .. offsets[n + 1]]` is node `n`'s root path: the
 /// node ids from the root (inclusive) down to `n` (inclusive). The
 /// root's label is `[0]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StructLabels {
     /// `len + 1` offsets into `flat`; `offsets[n + 1] - offsets[n]` is
     /// `depth(n) + 1`.
@@ -60,20 +60,20 @@ impl std::fmt::Display for LabelError {
 impl std::error::Error for LabelError {}
 
 impl StructLabels {
-    /// Assign labels to every node of a document: O(total depth).
-    pub fn build(doc: &Document) -> Self {
-        let n = doc.len();
-        let mut offsets = Vec::with_capacity(n + 1);
+    /// Label every node of a pre-order parent array (every parent
+    /// before its children): O(total depth).
+    pub(crate) fn build(parent: &[Option<NodeId>]) -> Self {
+        let mut offsets = Vec::with_capacity(parent.len() + 1);
         let mut flat = Vec::new();
         offsets.push(0);
         // A node's label is its parent's label plus itself; parents
         // precede children in pre-order, so one forward pass suffices.
-        for id in doc.node_ids() {
-            if let Some(p) = doc.parent(id) {
+        for (id, p) in parent.iter().enumerate() {
+            if let Some(p) = p {
                 let (s, e) = (offsets[p.index()] as usize, offsets[p.index() + 1] as usize);
                 flat.extend_from_within(s..e);
             }
-            flat.push(id.0);
+            flat.push(id as u32);
             offsets.push(flat.len() as u32);
         }
         StructLabels { offsets, flat }
@@ -113,7 +113,7 @@ impl StructLabels {
         self.offsets.len() - 1
     }
 
-    /// True for a zero-node table (never produced by `build`).
+    /// True for a zero-node table (no document has one).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -170,8 +170,7 @@ impl StructLabels {
         NodeId(la[i - 1])
     }
 
-    /// All proper ancestors of `n`, parent first, root last — the same
-    /// order [`Document::ancestors`] produces.
+    /// All proper ancestors of `n`, parent first, root last.
     pub fn ancestors(&self, n: NodeId) -> Vec<NodeId> {
         self.label(n)
             .iter()
@@ -183,8 +182,7 @@ impl StructLabels {
 
     /// The nodes on the unique simple path between `a` and `b`: the
     /// `a`-side below the LCA bottom-up, then the `b`-side below the LCA
-    /// bottom-up, then the LCA itself — exactly the order
-    /// [`Document::path`] emits.
+    /// bottom-up, then the LCA itself.
     pub fn path(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
         let (la, lb) = (self.label(a), self.label(b));
         let mut i = 0;
@@ -209,6 +207,7 @@ impl StructLabels {
 mod tests {
     use super::*;
     use crate::builder::DocumentBuilder;
+    use crate::tree::Document;
 
     fn figure3_like() -> Document {
         let mut b = DocumentBuilder::new();
@@ -238,7 +237,7 @@ mod tests {
     #[test]
     fn labels_are_root_paths() {
         let d = figure3_like();
-        let l = StructLabels::build(&d);
+        let l = d.labels();
         assert_eq!(l.len(), 10);
         assert_eq!(l.label(NodeId(0)), &[0]);
         assert_eq!(l.label(NodeId(4)), &[0, 1, 2, 3, 4]);
@@ -246,32 +245,44 @@ mod tests {
         assert_eq!(l.label(NodeId(9)), &[0, 9]);
     }
 
+    /// Depth, parent and the ancestor tests agree with the document's
+    /// own depth array, parent array and subtree spans; `lca` and `path`
+    /// (which the document answers from these labels) match hand-worked
+    /// values, path order included.
     #[test]
     fn arithmetic_matches_tree_walks() {
         let d = figure3_like();
-        let l = StructLabels::build(&d);
+        let l = d.labels();
         for a in d.node_ids() {
             assert_eq!(l.depth(a), d.depth(a), "depth {a}");
             assert_eq!(l.parent(a), d.parent(a), "parent {a}");
-            assert_eq!(l.ancestors(a), d.ancestors(a), "ancestors {a}");
             for b in d.node_ids() {
                 assert_eq!(
                     l.is_ancestor_or_self(a, b),
                     d.is_ancestor_or_self(a, b),
                     "anc-or-self {a} {b}"
                 );
-                assert_eq!(l.lca(a, b), d.lca(a, b), "lca {a} {b}");
-                assert_eq!(l.path(a, b), d.path(a, b), "path {a} {b}");
             }
         }
+        let ids = |v: &[u32]| v.iter().map(|&x| NodeId(x)).collect::<Vec<_>>();
+        assert_eq!(l.ancestors(NodeId(6)), ids(&[5, 2, 1, 0]));
+        assert_eq!(l.lca(NodeId(4), NodeId(6)), NodeId(2));
+        assert_eq!(l.lca(NodeId(4), NodeId(8)), NodeId(0));
+        assert_eq!(l.lca(NodeId(2), NodeId(4)), NodeId(2));
+        assert_eq!(l.path(NodeId(4), NodeId(6)), ids(&[4, 3, 6, 5, 2]));
+        assert_eq!(l.path(NodeId(8), NodeId(3)), ids(&[8, 7, 3, 2, 1, 0]));
+        assert_eq!(l.path(NodeId(1), NodeId(4)), ids(&[4, 3, 2, 1]));
     }
 
     #[test]
     fn from_parts_roundtrip_and_validation() {
         let d = figure3_like();
-        let l = StructLabels::build(&d);
+        let l = d.labels();
         let (o, f) = l.parts();
-        assert_eq!(StructLabels::from_parts(o.to_vec(), f.to_vec()).unwrap(), l);
+        assert_eq!(
+            &StructLabels::from_parts(o.to_vec(), f.to_vec()).unwrap(),
+            l
+        );
         // Tampered offsets.
         assert_eq!(
             StructLabels::from_parts(vec![1, 2], vec![0]),
@@ -304,7 +315,7 @@ mod tests {
         b.begin("x");
         b.end();
         let d = b.finish().unwrap();
-        let l = StructLabels::build(&d);
+        let l = d.labels();
         assert_eq!(l.len(), 1);
         assert_eq!(l.parent(NodeId(0)), None);
         assert_eq!(l.depth(NodeId(0)), 0);

@@ -8,7 +8,8 @@
 //! paper), together with everything needed to make that model practical:
 //!
 //! * [`Document`] — an arena-backed rooted ordered tree with O(1)
-//!   ancestor tests, parent/children navigation, depths and subtree spans;
+//!   ancestor tests, parent/children navigation, depths, subtree spans,
+//!   and the prefix labels ([`StructLabels`]) that answer `lca`/`path`;
 //! * [`DocumentBuilder`] — programmatic construction in document order;
 //! * [`parse`](parse::parse_str) — a from-scratch, non-validating XML parser
 //!   (elements, attributes, text, CDATA, comments, processing instructions,

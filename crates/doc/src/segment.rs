@@ -1,17 +1,15 @@
-//! Persistent structural-label index segments (`.xidx`).
+//! Persistent index segments (`.xidx`).
 //!
-//! The `.xfrg` store (PR 4) removed XML parsing from the load path, but
-//! a cold query still paid two tree-shaped costs per document: building
-//! the [`InvertedIndex`] (one pass over every token of every node) and
-//! walking parent pointers for every `lca`/`path`/ancestor test. The
-//! segment persists both at `xfrag index` time:
+//! The `.xfrg` store removed XML parsing from the load path, but a cold
+//! query still had to build the [`InvertedIndex`]: one pass over every
+//! token of every node. The segment persists it at `xfrag index` time,
+//! with a directory up front and the posting blobs behind it, so a
+//! query **lazily** materializes only the terms it actually touches.
 //!
-//! * every node's **prefix label** (root path — see
-//!   [`StructLabels`](crate::label::StructLabels)), so structural
-//!   arithmetic runs off two flat arrays;
-//! * the full term → postings map, with a directory up front and the
-//!   posting blobs behind it, so a query **lazily** materializes only
-//!   the terms it actually touches.
+//! The segment also carries every node's **prefix label** (root path —
+//! see [`StructLabels`]). Decoding validates that section but does not
+//! keep it: the [`Document`] a segment is loaded beside builds and owns
+//! its own labels.
 //!
 //! Layout (all integers little-endian), mirroring the hardening of the
 //! `XFRG` store — every length and count is bounds-checked before any
@@ -42,7 +40,7 @@
 //! posting id is in range and strictly ascending, so lazy lookups later
 //! can never read out of bounds or return malformed postings. A
 //! corrupted or truncated segment yields a typed [`SegmentError`]; the
-//! caller (serve, msearch) falls back to the tree-walk path for that
+//! caller (serve, msearch) falls back to an in-memory index for that
 //! document rather than quarantining it.
 
 use crate::index::InvertedIndex;
@@ -104,7 +102,7 @@ pub fn segment_file_name(stem: &str, generation: u64) -> String {
     format!("{stem}.g{generation:06}.xidx")
 }
 
-/// Encode the index segment for a document: labels plus the full
+/// Encode the index segment for a document: its labels plus the full
 /// inverted index.
 pub fn encode_segment(doc: &Document) -> Vec<u8> {
     encode_from(doc, &InvertedIndex::build(doc))
@@ -113,8 +111,7 @@ pub fn encode_segment(doc: &Document) -> Vec<u8> {
 /// Encode from an already-built index (avoids a second tokenization
 /// pass when the caller has one at hand).
 pub fn encode_from(doc: &Document, index: &InvertedIndex) -> Vec<u8> {
-    let labels = StructLabels::build(doc);
-    let (offsets, flat) = labels.parts();
+    let (offsets, flat) = doc.labels().parts();
     let mut buf = Vec::with_capacity(64 + flat.len() * 4 + doc.len() * 8);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
@@ -154,15 +151,14 @@ struct DirEntry {
 
 /// A decoded, lazily-materializing index segment.
 ///
-/// Construction ([`SegmentIndex::from_bytes`]) decodes the labels and
-/// the term directory eagerly and validates everything — including one
-/// linear pass over the postings blob — but individual posting lists
-/// are only materialized (allocated, cached) when a query first looks
-/// the term up. [`terms_loaded`](SegmentIndex::terms_loaded) counts
+/// Construction ([`SegmentIndex::from_bytes`]) decodes the term
+/// directory eagerly and validates everything — the labels section and
+/// one linear pass over the postings blob included — but individual
+/// posting lists are only materialized (allocated, cached) when a query
+/// first looks the term up. [`terms_loaded`](SegmentIndex::terms_loaded) counts
 /// those materializations for `stats`/EXPLAIN.
 #[derive(Debug)]
 pub struct SegmentIndex {
-    labels: StructLabels,
     directory: HashMap<String, DirEntry>,
     /// Term names in lexicographic (stored) order, for iteration.
     term_order: Vec<String>,
@@ -254,7 +250,9 @@ impl SegmentIndex {
         for _ in 0..total {
             flat.push(r.u32_le()?);
         }
-        let labels = StructLabels::from_parts(offsets, flat)
+        // Validated as outside input, then dropped: the document owns
+        // the labels it navigates by.
+        StructLabels::from_parts(offsets, flat)
             .map_err(|e| SegmentError::StructuralError(e.to_string()))?;
 
         let tcount = r.u32_le()? as usize;
@@ -326,7 +324,6 @@ impl SegmentIndex {
             ));
         }
         Ok(SegmentIndex {
-            labels,
             directory,
             term_order,
             blob,
@@ -335,12 +332,6 @@ impl SegmentIndex {
             loaded: Mutex::new(HashMap::new()),
             terms_loaded: AtomicU64::new(0),
         })
-    }
-
-    /// The structural labels decoded from this segment.
-    #[inline]
-    pub fn labels(&self) -> &StructLabels {
-        &self.labels
     }
 
     /// Number of nodes in the indexed document.
@@ -431,10 +422,6 @@ impl crate::index::PostingsSource for SegmentIndex {
         SegmentIndex::df(self, term)
     }
 
-    fn labels(&self) -> Option<&StructLabels> {
-        Some(&self.labels)
-    }
-
     fn needs_load(&self, term: &str) -> bool {
         !self.is_loaded(term)
     }
@@ -469,7 +456,6 @@ mod tests {
             assert_eq!(&*seg.lookup(term), postings, "postings {term}");
         }
         assert_eq!(&*seg.lookup("absent"), &[] as &[NodeId]);
-        assert_eq!(seg.labels(), &StructLabels::build(&d));
     }
 
     #[test]
@@ -576,7 +562,6 @@ mod tests {
         let old = SegmentIndex::from_bytes(&v1).unwrap();
         let v2 = upgrade_to_v2(&v1, old.term_count());
         let seg = SegmentIndex::from_bytes(&v2).unwrap();
-        assert_eq!(seg.labels(), old.labels());
         assert_eq!(seg.doc_len(), old.doc_len());
         assert!(seg.term_names().eq(old.term_names()));
         for term in old.term_names() {

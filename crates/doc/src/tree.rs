@@ -14,6 +14,7 @@
 //! * document order of nodes is plain integer order.
 
 use crate::error::DocError;
+use crate::label::StructLabels;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -72,6 +73,9 @@ pub struct Document {
     pub(crate) depth: Vec<u32>,
     /// Number of nodes in the subtree rooted here, self included.
     pub(crate) subtree: Vec<u32>,
+    /// Every node's root path, built from `parent`; `lca`, `path` and
+    /// `ancestors` are answered from it.
+    pub(crate) labels: StructLabels,
 }
 
 impl Document {
@@ -172,68 +176,31 @@ impl Document {
         self.children[n.index()].is_empty()
     }
 
-    /// Lowest common ancestor of two nodes.
-    ///
-    /// Documents are shallow in practice (depth ≤ a few dozen), so the
-    /// classic climb-to-equal-depth walk is both simple and fast; it is
-    /// O(depth) with no preprocessing, which matters because the algebra
-    /// joins fragments of *dynamic* node sets where Euler-tour RMQ tables
-    /// would be rebuilt wholesale per document anyway.
+    /// The document's prefix labels: every node's root path.
+    #[inline]
+    pub fn labels(&self) -> &StructLabels {
+        &self.labels
+    }
+
+    /// Lowest common ancestor of two nodes: the last node the two root
+    /// paths share, O(min depth).
+    #[inline]
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        // Fast path: one is an ancestor of the other.
-        if self.is_ancestor_or_self(a, b) {
-            return a;
-        }
-        if self.is_ancestor_or_self(b, a) {
-            return b;
-        }
-        // invariant (all climbs below): a node still strictly deeper than
-        // another, or not yet equal to the LCA, cannot be the root, and
-        // every non-root has a parent entry.
-        let (mut x, mut y) = (a, b);
-        while self.depth(x) > self.depth(y) {
-            x = self.parent[x.index()].expect("non-root has parent");
-        }
-        while self.depth(y) > self.depth(x) {
-            y = self.parent[y.index()].expect("non-root has parent");
-        }
-        while x != y {
-            x = self.parent[x.index()].expect("non-root has parent");
-            y = self.parent[y.index()].expect("non-root has parent");
-        }
-        x
+        self.labels.lca(a, b)
     }
 
     /// The nodes on the unique simple path between `a` and `b`, inclusive
-    /// of both endpoints and their LCA. Order is unspecified.
+    /// of both endpoints and their LCA: the `a`-side below the LCA
+    /// bottom-up, then the `b`-side below the LCA bottom-up, then the LCA.
+    #[inline]
     pub fn path(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        let l = self.lca(a, b);
-        // invariant: l is an ancestor-or-self of both endpoints, so a
-        // node not yet equal to l is not the root and has a parent.
-        let mut out = Vec::new();
-        let mut x = a;
-        while x != l {
-            out.push(x);
-            x = self.parent[x.index()].expect("non-root has parent");
-        }
-        let mut y = b;
-        while y != l {
-            out.push(y);
-            y = self.parent[y.index()].expect("non-root has parent");
-        }
-        out.push(l);
-        out
+        self.labels.path(a, b)
     }
 
     /// All ancestors of `n` from its parent up to (and including) the root.
+    #[inline]
     pub fn ancestors(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut x = n;
-        while let Some(p) = self.parent[x.index()] {
-            out.push(p);
-            x = p;
-        }
-        out
+        self.labels.ancestors(n)
     }
 
     /// Maximum depth over all nodes.
@@ -247,7 +214,8 @@ impl Document {
         (n.0..n.0 + self.subtree[n.index()]).map(NodeId)
     }
 
-    /// Internal constructor used by [`crate::DocumentBuilder`] and the parser.
+    /// The one constructor, used by [`crate::DocumentBuilder`] (and so by
+    /// the parser and the store decoder); it builds the prefix labels.
     pub(crate) fn from_parts(
         nodes: Vec<Node>,
         parent: Vec<Option<NodeId>>,
@@ -259,19 +227,23 @@ impl Document {
         debug_assert_eq!(nodes.len(), children.len());
         debug_assert_eq!(nodes.len(), depth.len());
         debug_assert_eq!(nodes.len(), subtree.len());
+        let labels = StructLabels::build(&parent);
         Document {
             nodes,
             parent,
             children,
             depth,
             subtree,
+            labels,
         }
     }
 
-    /// Verify internal invariants (pre-order ids, subtree spans, depths).
+    /// Verify internal invariants (pre-order ids, subtree spans, depths,
+    /// prefix labels).
     ///
-    /// Used by tests and by the corpus generators as a post-condition;
-    /// O(n) and allocation-free apart from the recursion stack.
+    /// Used by tests and by the corpus generators as a post-condition,
+    /// and on documents deserialized from outside the program; O(total
+    /// depth).
     pub fn validate(&self) -> Result<(), String> {
         if self.is_empty() {
             return Err("empty document".into());
@@ -320,6 +292,11 @@ impl Document {
                     "subtree size of n{i}: stored {stored}, computed {comp}"
                 ));
             }
+        }
+        // The checks above put every parent before its children, which
+        // is all `build` needs.
+        if self.labels != StructLabels::build(&self.parent) {
+            return Err("prefix labels disagree with the parent array".into());
         }
         Ok(())
     }

@@ -1,11 +1,11 @@
 //! Differential property tests for the persistent index layer:
 //!
-//! * **Label arithmetic vs tree walks** — [`StructLabels`] must answer
-//!   `depth`/`parent`/`ancestors`/`lca`/`path` and the ancestor tests
-//!   identically to the parent-pointer walks of [`Document`], on every
-//!   node pair of randomly-shaped trees. The query engine swaps one for
-//!   the other based on whether a segment is loaded, so any divergence
-//!   here is a silent wrong-answer bug.
+//! * **Label arithmetic vs tree walks** — a [`Document`]'s prefix labels
+//!   must answer `depth`/`parent`/`ancestors`/`lca`/`path` and the
+//!   ancestor tests identically to parent-pointer walks, on every node
+//!   pair of randomly-shaped trees. Every join kernel navigates by the
+//!   labels, so any divergence here is a silent wrong-answer bug. The
+//!   walks below are the oracle; the library has no other copy of them.
 //! * **Indexed selection vs document scan** — an encoded-and-decoded
 //!   [`SegmentIndex`] must return the same postings as the index-free
 //!   [`InvertedIndex::scan_select`] document scan and as the in-memory
@@ -17,9 +17,53 @@
 
 use proptest::prelude::*;
 use xfrag_doc::text::normalize_term;
-use xfrag_doc::{
-    encode_segment, Document, DocumentBuilder, InvertedIndex, NodeId, SegmentIndex, StructLabels,
-};
+use xfrag_doc::{encode_segment, Document, DocumentBuilder, InvertedIndex, NodeId, SegmentIndex};
+
+/// Oracle: the proper ancestors of `n`, parent first, by climbing parent
+/// pointers.
+fn walk_ancestors(doc: &Document, n: NodeId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    let mut x = n;
+    while let Some(p) = doc.parent(x) {
+        out.push(p);
+        x = p;
+    }
+    out
+}
+
+/// Oracle: the lowest common ancestor, by climbing to equal depth and
+/// then in lockstep.
+fn walk_lca(doc: &Document, a: NodeId, b: NodeId) -> NodeId {
+    let up = |n: NodeId| doc.parent(n).expect("non-root has a parent");
+    let (mut x, mut y) = (a, b);
+    while doc.depth(x) > doc.depth(y) {
+        x = up(x);
+    }
+    while doc.depth(y) > doc.depth(x) {
+        y = up(y);
+    }
+    while x != y {
+        x = up(x);
+        y = up(y);
+    }
+    x
+}
+
+/// Oracle: the path between `a` and `b` — the `a`-side bottom-up, the
+/// `b`-side bottom-up, the LCA last.
+fn walk_path(doc: &Document, a: NodeId, b: NodeId) -> Vec<NodeId> {
+    let l = walk_lca(doc, a, b);
+    let mut out = Vec::new();
+    for start in [a, b] {
+        let mut x = start;
+        while x != l {
+            out.push(x);
+            x = doc.parent(x).expect("non-root has a parent");
+        }
+    }
+    out.push(l);
+    out
+}
 
 /// Random tree from a parent-choice vector (the `proptest_doc` scheme):
 /// node `i + 1` hangs under `choices[i] % (i + 1)`, so every vector of
@@ -94,17 +138,17 @@ proptest! {
         choices in prop::collection::vec(any::<usize>(), 0..40),
     ) {
         let doc = build_tree(&choices, &[]);
-        let labels = StructLabels::build(&doc);
+        let labels = doc.labels();
         prop_assert_eq!(labels.len(), doc.len());
         for a in doc.node_ids() {
             prop_assert_eq!(labels.depth(a), doc.depth(a), "depth {:?}", a);
             prop_assert_eq!(labels.parent(a), doc.parent(a), "parent {:?}", a);
-            prop_assert_eq!(labels.ancestors(a), doc.ancestors(a), "ancestors {:?}", a);
+            prop_assert_eq!(doc.ancestors(a), walk_ancestors(&doc, a), "ancestors {:?}", a);
             for b in doc.node_ids() {
-                prop_assert_eq!(labels.lca(a, b), doc.lca(a, b), "lca {:?} {:?}", a, b);
+                prop_assert_eq!(doc.lca(a, b), walk_lca(&doc, a, b), "lca {:?} {:?}", a, b);
                 prop_assert_eq!(
-                    labels.path(a, b),
                     doc.path(a, b),
+                    walk_path(&doc, a, b),
                     "path {:?} {:?}", a, b
                 );
                 prop_assert_eq!(

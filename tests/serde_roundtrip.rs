@@ -90,6 +90,28 @@ fn document_roundtrips_through_json() {
     back.validate().unwrap();
 }
 
+/// A deserialized document is outside input: labels that are well formed
+/// but belong to another tree must fail validation, since every `lca`
+/// and `path` is answered from them.
+#[test]
+fn document_with_tampered_labels_fails_validation() {
+    let chain = parse_str("<r><a><b/></a></r>").unwrap();
+    let star = parse_str("<r><a/><b/></r>").unwrap();
+    let (jc, js) = (
+        serde_json::to_string(&chain).unwrap(),
+        serde_json::to_string(&star).unwrap(),
+    );
+    // The labels are the document's last field: graft the star's onto
+    // the chain's tree.
+    let (ic, is) = (
+        jc.find("\"labels\"").unwrap(),
+        js.find("\"labels\"").unwrap(),
+    );
+    let tampered: Document = serde_json::from_str(&format!("{}{}", &jc[..ic], &js[is..])).unwrap();
+    let err = tampered.validate().unwrap_err();
+    assert!(err.contains("labels"), "{err}");
+}
+
 #[test]
 fn plan_json_is_stable_for_caching() {
     let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
