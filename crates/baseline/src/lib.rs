@@ -9,9 +9,9 @@
 //! To measure that claim (experiment P4 in DESIGN.md) we implement the
 //! baselines faithfully:
 //!
-//! * [`slca`] — *Smallest* LCAs: nodes that are an LCA of one node per
+//! * [`slca()`] — *Smallest* LCAs: nodes that are an LCA of one node per
 //!   keyword and have no descendant with the same property;
-//! * [`elca`] — *Exclusive* LCAs (XRank): nodes that are an LCA of a
+//! * [`elca()`] — *Exclusive* LCAs (XRank): nodes that are an LCA of a
 //!   witness tuple not already consumed by a descendant ELCA;
 //! * [`smallest_subtree`] — the single smallest subtree containing all
 //!   keywords (the strawman of the paper's introduction);

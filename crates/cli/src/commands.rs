@@ -1345,7 +1345,7 @@ mod tests {
         let mut st = cached.clone();
         st.stats = true;
         let out = search(&doc(), &st).unwrap();
-        assert!(out.contains("cache: {\"postings\":"), "{out}");
+        assert!(out.contains("cache: {\"result\":"), "{out}");
         assert!(out.contains("cache_hits="), "{out}");
         // Warm pass answered from the result tier: at least one hit.
         assert!(!out.contains("\"result\":{\"hits\":0,"), "{out}");
@@ -1370,7 +1370,7 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("cache:result-hit"), "{out}");
-        assert!(out.contains("cache: {\"postings\":"), "{out}");
+        assert!(out.contains("cache: {\"result\":"), "{out}");
     }
 
     #[test]

@@ -193,8 +193,7 @@ impl<'de> Deserialize<'de> for Request {
 ///  "eval": { ...summed EvalStats... },
 ///  "latency": { ...histogram buckets... },
 ///  "cache": {                             // aggregate across all arenas
-///    "postings": {"hits": N, "misses": N},   // term postings tier
-///    "result": {"hits": N, "misses": N},     // exact-answer tier
+///    "result": {"hits": N, "misses": N},     // exact-answer lookups
 ///    "evictions": N, "insertions": N, "bytes": N, "entries": N,
 ///    "shards": [{"hits": N, "misses": N,     // one per lock shard; probes
 ///                "evictions": N, "bytes": N, "entries": N}]} | null,

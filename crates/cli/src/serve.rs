@@ -755,9 +755,8 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
     // generation bump, per shard arena. Manifest checksums vouch for
     // byte identity: equal sums on both sides mean the same file bytes,
     // hence the same parse tree and `NodeId`s, hence entry-for-entry
-    // identical cache contents — so postings and result entries
-    // for untouched documents are rekeyed to the new tag instead of
-    // dropped. Changed, removed, quarantined, or unverifiable
+    // identical cache contents — so result entries for untouched
+    // documents are rekeyed to the new tag instead of dropped. Changed, removed, quarantined, or unverifiable
     // (unversioned) documents get no mapping and their entries are
     // evicted. Name-hash routing keeps a surviving document on the
     // same shard, so its entries are always in the arenas that will be
@@ -1311,7 +1310,7 @@ fn stats_line(s: &Shared, id: u64) -> String {
         .collect();
     let quarantined = format!("[{}]", quarantined.join(","));
     let st = s.stats.lock().unwrap();
-    // `"cache":null` under `--no-cache`, the aggregate tier/shard
+    // `"cache":null` under `--no-cache`, the aggregate result/shard
     // counter object otherwise (see `cache_json`).
     let cache = cache_json(&s.shards);
     // Delta lineage: the serving manifest's parent chain (nearest

@@ -20,8 +20,8 @@
 //! * [`budget`] — resource budgets, cooperative cancellation, the
 //!   client retry budget, and the graceful-degradation ladder
 //!   ([`evaluate_budgeted`]);
-//! * [`cache`] — generation-keyed, sharded LRU memoization of postings
-//!   and exact per-document results for repeated query traffic;
+//! * [`cache`] — generation-keyed, sharded LRU memoization of exact
+//!   per-document results for repeated query traffic;
 //! * `exec` (crate-private) — the execution context (`ExecCtx`:
 //!   document, governor, tracer) that every
 //!   operator's one implementation runs under;

@@ -267,7 +267,7 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
 ///
 /// With `cache: None` this is exactly the uncached path. With a cache:
 ///
-/// 1. **Result tier** — probe the exact-answer cache under the
+/// 1. **Hit** — probe the exact-answer cache under the
 ///    normalized [`ResultKey`] (sorted terms, filter fingerprint,
 ///    strategy, policy fingerprint). A hit is charged to a governor
 ///    built from the policy — a cancelled token still aborts, an armed
@@ -276,12 +276,10 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
 ///    degrades or times out exactly as an uncached run would). Served
 ///    hits replay the stored compute [`EvalStats`], so cached and
 ///    uncached evaluation report identical non-cache counters.
-/// 2. **Postings tier** — operand sets come from the postings cache;
-///    misses compute and fill. Postings construction is ungoverned, so
-///    this tier is sound under every policy.
-///
-/// A computed answer is then stored in the result tier unless it
-/// degraded (see [`QueryCache::put_result`](crate::QueryCache::put_result)).
+/// 2. **Miss** — the operand sets come from `index` exactly as on the
+///    uncached path (a segment-backed [`PostingsSource`] decodes each
+///    list once and keeps it), the answer is computed, and it is stored
+///    unless it degraded (see [`QueryCache::put_result`](crate::QueryCache::put_result)).
 pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,
@@ -330,8 +328,7 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
         }
     }
 
-    let mut lookup_stats = EvalStats::new();
-    let operands = term_operands(index, query, tracer, cache, &mut lookup_stats);
+    let operands = term_operands(index, query, tracer);
     // Conjunctive semantics: a term with no occurrences empties the answer.
     let any_empty = operands.iter().any(FragmentSet::is_empty);
     let mut result = if any_empty {
@@ -342,8 +339,6 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
         let cx = ExecCtx::new(doc, &gov, tracer);
         run_ladder(&cx, query, strategy, &operands, policy)?
     };
-    result.stats.cache_hits += lookup_stats.cache_hits;
-    result.stats.cache_misses += lookup_stats.cache_misses;
     if let (Some(c), Some(key)) = (&cache, &key) {
         // This evaluation did not reuse a result. Empty-operand
         // short-circuits are not cached: recomputing them costs one
@@ -378,37 +373,21 @@ pub(crate) fn term_operand<I: PostingsSource + ?Sized>(
     }
 }
 
-/// Every operand `Fi` of `query`, one `term-lookup:{term}` span each,
-/// through the postings tier of `cache` when one is given.
+/// Every operand `Fi` of `query`, one `term-lookup:{term}` span each.
 fn term_operands<I: PostingsSource + ?Sized>(
     index: &I,
     query: &Query,
     tracer: &Tracer<'_>,
-    cache: Option<CacheRef<'_>>,
-    lookup_stats: &mut EvalStats,
 ) -> Vec<FragmentSet> {
+    let mut stats = EvalStats::new();
     query
         .terms
         .iter()
         .map(|t| {
             tracer.scoped_lazy(
                 || format!("term-lookup:{t}"),
-                lookup_stats,
-                |stats| match &cache {
-                    Some(c) => match c.cache.get_postings(c.gen, c.doc, t) {
-                        Some(set) => {
-                            stats.cache_hits += 1;
-                            set
-                        }
-                        None => {
-                            stats.cache_misses += 1;
-                            let set = term_operand(index, t, tracer, stats);
-                            c.cache.put_postings(c.gen, c.doc, t, &set);
-                            set
-                        }
-                    },
-                    None => term_operand(index, t, tracer, stats),
-                },
+                &mut stats,
+                |stats| term_operand(index, t, tracer, stats),
             )
         })
         .collect()
@@ -431,7 +410,7 @@ fn evaluate_unbudgeted<I: PostingsSource + ?Sized>(
     strategy: Strategy,
     tracer: &Tracer<'_>,
 ) -> Result<QueryResult, QueryError> {
-    let operands = term_operands(index, query, tracer, None, &mut EvalStats::new());
+    let operands = term_operands(index, query, tracer);
     evaluate_operands(doc, tracer, query, strategy, &operands)
 }
 

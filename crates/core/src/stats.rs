@@ -38,7 +38,7 @@ pub struct EvalStats {
     /// boundaries where the deadline and cancel flag were consulted).
     /// Zero for ungoverned runs.
     pub budget_checkpoints: u64,
-    /// Query-cache lookups that found a reusable entry (any tier).
+    /// Query-cache result lookups that found a reusable entry.
     /// Cache counters are *observability* fields: the differential suite
     /// asserts that all non-cache counters are identical between cached
     /// and uncached evaluation, while these two may legitimately differ.

@@ -14,16 +14,16 @@
 //! * [`parse`](parse::parse_str) — a from-scratch, non-validating XML parser
 //!   (elements, attributes, text, CDATA, comments, processing instructions,
 //!   numeric and named entities, DOCTYPE skipping) with line/column errors;
-//! * [`serialize`](serialize) — the inverse: writing a `Document` (or any
+//! * [`serialize`] — the inverse: writing a `Document` (or any
 //!   fragment of it) back out as XML;
-//! * [`text`](text) — the keyword tokenizer behind the paper's
+//! * [`text`] — the keyword tokenizer behind the paper's
 //!   `keywords(n)` function ("we do not distinguish between tag/attribute
 //!   names and text contents");
 //! * [`InvertedIndex`] — term → node postings used to evaluate the
 //!   `σ_{keyword=k}` selections that seed every query;
-//! * [`atomic`](atomic) — crash-safe file writes (temp + fsync + rename
+//! * [`atomic`] — crash-safe file writes (temp + fsync + rename
 //!   + directory fsync) with injectable write-path faults;
-//! * [`manifest`](manifest) — checksummed, generation-numbered corpus
+//! * [`manifest`] — checksummed, generation-numbered corpus
 //!   manifests with rollback to the last fully-committed generation.
 
 pub mod atomic;

@@ -267,6 +267,35 @@ fn warm_pass_reports_result_tier_hit() {
     );
 }
 
+/// A cached evaluation that misses stores exactly one entry, its answer:
+/// the operand sets of a two-term query are not copied into the cache.
+#[test]
+fn cold_miss_stores_only_the_result() {
+    let doc = build_doc(&[0, 0, 1, 1, 2, 2]);
+    let idx = InvertedIndex::build(&doc);
+    let q = Query::new(["alpha".to_string(), "beta".to_string()], FilterExpr::True);
+    let cache = QueryCache::with_capacity_mb(8);
+    let cref = CacheRef {
+        cache: &cache,
+        gen: GenerationTag::fresh(),
+        doc: 0,
+    };
+    let cold = run(
+        &doc,
+        &idx,
+        &q,
+        Strategy::PushDown,
+        &ExecPolicy::unlimited(),
+        Some(cref),
+    )
+    .unwrap();
+    assert!(!cold.fragments.is_empty(), "the query must have an answer");
+    assert_eq!((cold.stats.cache_hits, cold.stats.cache_misses), (0, 1));
+    let st = cache.stats();
+    assert_eq!(st.entries, 1, "{st:?}");
+    assert_eq!(st.insertions, 1, "{st:?}");
+}
+
 /// Issue satellite: result keys normalize term order and multiplicity, so
 /// `Q{a,b}`, `Q{b,a}` and `Q{b,a,b}` share one cache entry.
 #[test]
