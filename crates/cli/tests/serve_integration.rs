@@ -1007,6 +1007,46 @@ fn stats_surfaces_quarantine_detail_and_generation() {
 }
 
 #[test]
+fn over_deep_file_is_quarantined_and_the_server_boots() {
+    // 40,000 nested elements would need 4 GiB of root-path labels; an
+    // allocation failure aborts the process, beyond `catch_unwind`'s
+    // reach, so the file must fail its parse instead.
+    let dir = gen_corpus("deep");
+    std::fs::write(
+        dir.join("a.xml"),
+        "<doc><title>xml search alpha</title><p>ranked xml search</p></doc>",
+    )
+    .unwrap();
+    let levels = 40_000;
+    let deep = format!("{}alpha{}", "<a>".repeat(levels), "</a>".repeat(levels));
+    std::fs::write(dir.join("deep.xml"), deep).unwrap();
+    let srv = Server::start(&dir, &[]);
+    let mut conn = srv.connect();
+
+    let health = conn.rpc(r#"{"kind":"health","id":1}"#);
+    assert!(health.contains("\"docs\":1"), "{health}");
+    assert!(
+        health.contains("\"quarantined\":[\"deep.xml\"]"),
+        "{health}"
+    );
+    let stats = conn.rpc(r#"{"kind":"stats","id":2}"#);
+    assert!(stats.contains("\"file\":\"deep.xml\""), "{stats}");
+    assert!(
+        stats.contains("elements nest 40000 levels deep, more than the limit of 4096"),
+        "{stats}"
+    );
+
+    let q = conn.rpc(r#"{"kind":"query","id":3,"keywords":["alpha"]}"#);
+    assert_eq!(field_str(&q, "status"), "ok", "{q}");
+    assert!(q.contains("a.xml") && !q.contains("deep.xml"), "{q}");
+
+    drop(conn);
+    let (st, sum) = srv.shutdown_and_wait();
+    assert!(st.success());
+    assert!(sum.contains("1 file(s) quarantined"), "{sum}");
+}
+
+#[test]
 fn watch_mode_hot_reloads_without_a_reload_request() {
     let src = corpus("watch-src");
     let out = gen_corpus("watch");

@@ -154,14 +154,13 @@ fn field_u64(hay: &str, name: &str) -> u64 {
 }
 
 /// Tentpole acceptance: with no faults, an N-shard server's replies
-/// are byte-identical to a single-shard server's, across every
-/// strategy — the merge (concat, sort by doc id, rank once) is
-/// observationally equivalent to never having sharded at all.
+/// are byte-identical to a single-shard server's at widths 2, 4 and 8,
+/// across every strategy — the merge (concat, sort by doc id, rank
+/// once) is observationally equivalent to never having sharded at all.
 #[test]
 fn sharded_serving_matches_single_shard_bytes() {
     let dir = corpus("bytes");
     let one = Server::start(&dir, &["--shards", "1"]);
-    let four = Server::start(&dir, &["--shards", "4"]);
     let mut queries = vec![
         r#"{"kind":"query","id":1,"keywords":["xml","search"]}"#.to_string(),
         r#"{"kind":"query","id":2,"keywords":["xml","search"],"top_k":2}"#.to_string(),
@@ -173,23 +172,36 @@ fn sharded_serving_matches_single_shard_bytes() {
         ));
     }
     let mut c1 = one.connect();
-    let mut c4 = four.connect();
-    for q in &queries {
-        let r1 = c1.rpc(q);
-        let r4 = c4.rpc(q);
-        assert_eq!(r1, r4, "shard-count leaked into response bytes for {q}");
-        assert!(r1.contains(r#""complete":true,"shards":null"#), "{r1}");
+    let base: Vec<String> = queries.iter().map(|q| c1.rpc(q)).collect();
+    for r in &base {
+        assert!(r.contains(r#""complete":true,"shards":null"#), "{r}");
     }
-    // Second pass: both sides now answer from their caches (one arena
-    // vs four); replay must be just as indistinguishable as cold.
-    for q in &queries {
-        assert_eq!(c1.rpc(q), c4.rpc(q), "cache replay differs for {q}");
+    for width in ["2", "4", "8"] {
+        let wide = Server::start(&dir, &["--shards", width]);
+        let mut cw = wide.connect();
+        for (q, r1) in queries.iter().zip(&base) {
+            assert_eq!(
+                *r1,
+                cw.rpc(q),
+                "{width} shards leaked into response bytes for {q}"
+            );
+        }
+        // Second pass: both sides now answer from their caches (one
+        // arena vs `width`); replay must be just as indistinguishable.
+        for q in &queries {
+            assert_eq!(
+                c1.rpc(q),
+                cw.rpc(q),
+                "{width}-shard cache replay differs for {q}"
+            );
+        }
+        drop(cw);
+        let (st, _) = wide.shutdown_and_wait();
+        assert!(st.success());
     }
     drop(c1);
-    drop(c4);
     let (s1, _) = one.shutdown_and_wait();
-    let (s4, _) = four.shutdown_and_wait();
-    assert!(s1.success() && s4.success());
+    assert!(s1.success());
 }
 
 /// A stalled shard is dropped from the merge within the deadline plus

@@ -8,6 +8,14 @@
 use crate::error::DocError;
 use crate::tree::{Document, Node, NodeId};
 
+/// The deepest element nesting a document may have, the root counting as
+/// level 1: above the 3,000-level chain `tests/scale.rs` evaluates, and
+/// far above what hand-written XML nests. Every node stores its root
+/// path as a [`StructLabels`](crate::StructLabels) label, so a chain of
+/// `n` elements would cost O(n²) label space; [`DocumentBuilder::finish`]
+/// rejects deeper input before any label is built.
+pub const MAX_DEPTH: u32 = 4096;
+
 /// Streaming builder for [`Document`].
 ///
 /// ```
@@ -145,6 +153,7 @@ impl DocumentBuilder {
         if self.nodes.is_empty() {
             return Err(DocError::EmptyDocument);
         }
+        check_label_space(&self.depth)?;
         let doc = Document::from_parts(
             self.nodes,
             self.parent,
@@ -155,6 +164,20 @@ impl DocumentBuilder {
         debug_assert!(doc.validate().is_ok(), "builder produced invalid tree");
         Ok(doc)
     }
+}
+
+/// Reject node depths whose root-path labels would be too deep or would
+/// overflow the labels' `u32` offsets, before anything is allocated.
+fn check_label_space(depth: &[u32]) -> Result<(), DocError> {
+    let levels = depth.iter().max().map_or(0, |&d| d + 1);
+    if levels > MAX_DEPTH {
+        return Err(DocError::TooDeep(levels));
+    }
+    let entries: u64 = depth.iter().map(|&d| u64::from(d) + 1).sum();
+    if entries > u64::from(u32::MAX) {
+        return Err(DocError::LabelsTooLarge(entries));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -266,5 +289,17 @@ mod tests {
         assert_eq!(d.height(), 999);
         assert_eq!(d.lca(NodeId(999), NodeId(500)), NodeId(500));
         d.validate().unwrap();
+    }
+
+    #[test]
+    fn label_space_past_u32_is_rejected() {
+        // 1.1M nodes at the deepest allowed level: Σ(depth + 1) exceeds
+        // u32::MAX though no node is too deep.
+        let depth = vec![MAX_DEPTH - 1; 1_100_000];
+        assert_eq!(
+            check_label_space(&depth),
+            Err(DocError::LabelsTooLarge(1_100_000 * u64::from(MAX_DEPTH)))
+        );
+        assert_eq!(check_label_space(&depth[..1_000_000]), Ok(()));
     }
 }

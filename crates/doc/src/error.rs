@@ -67,6 +67,9 @@ pub enum ParseErrorKind {
     MalformedComment,
     /// Invalid UTF-8 in the input.
     InvalidUtf8,
+    /// A well-formed document that exceeds a structural limit
+    /// ([`DocError::TooDeep`] or [`DocError::LabelsTooLarge`]).
+    TooLarge(DocError),
 }
 
 impl fmt::Display for ParseError {
@@ -94,6 +97,7 @@ impl fmt::Display for ParseError {
             ParseErrorKind::MalformedAttribute => write!(f, "malformed attribute"),
             ParseErrorKind::MalformedComment => write!(f, "malformed comment"),
             ParseErrorKind::InvalidUtf8 => write!(f, "input is not valid UTF-8"),
+            ParseErrorKind::TooLarge(e) => write!(f, "{e}"),
         }
     }
 }
@@ -118,6 +122,12 @@ pub enum DocError {
     EmptyDocument,
     /// Text or attributes supplied outside any element.
     ContentOutsideRoot,
+    /// Elements nest this many levels deep, more than
+    /// [`MAX_DEPTH`](crate::MAX_DEPTH) (the root is level 1).
+    TooDeep(u32),
+    /// The root-path labels, Σ(depth + 1) over all nodes, would need more
+    /// than `u32::MAX` entries and overflow their `u32` offsets.
+    LabelsTooLarge(u64),
 }
 
 impl fmt::Display for DocError {
@@ -130,6 +140,14 @@ impl fmt::Display for DocError {
             DocError::CloseWithoutOpen => write!(f, "end_element without matching begin_element"),
             DocError::EmptyDocument => write!(f, "document must contain at least a root element"),
             DocError::ContentOutsideRoot => write!(f, "content supplied outside the root element"),
+            DocError::TooDeep(levels) => write!(
+                f,
+                "elements nest {levels} levels deep, more than the limit of {}",
+                crate::MAX_DEPTH
+            ),
+            DocError::LabelsTooLarge(n) => {
+                write!(f, "structural labels need {n} entries, more than u32::MAX")
+            }
         }
     }
 }

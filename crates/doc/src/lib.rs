@@ -41,7 +41,7 @@ pub mod store;
 pub mod text;
 pub mod tree;
 
-pub use builder::DocumentBuilder;
+pub use builder::{DocumentBuilder, MAX_DEPTH};
 pub use collection::{Collection, DocId, IndexHandle};
 pub use error::{DocError, ParseError};
 pub use index::{InvertedIndex, Postings, PostingsSource};

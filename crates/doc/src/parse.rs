@@ -13,7 +13,7 @@
 //! rejected — the test-suite's failure-injection cases depend on it.
 
 use crate::builder::DocumentBuilder;
-use crate::error::{ParseError, ParseErrorKind, Pos};
+use crate::error::{DocError, ParseError, ParseErrorKind, Pos};
 use crate::tree::Document;
 
 /// Parse an XML document from a string slice.
@@ -214,9 +214,12 @@ impl<'a> Parser<'a> {
         if !seen_root {
             return Err(self.err(ParseErrorKind::NoRootElement));
         }
-        builder
-            .finish()
-            .map_err(|_| self.err(ParseErrorKind::TrailingContent))
+        builder.finish().map_err(|e| {
+            self.err(match e {
+                DocError::TooDeep(_) | DocError::LabelsTooLarge(_) => ParseErrorKind::TooLarge(e),
+                _ => ParseErrorKind::TrailingContent,
+            })
+        })
     }
 
     /// `<name attr="v" ...>` or `<name .../>`; consumes the leading `<`.
@@ -596,5 +599,26 @@ mod tests {
         let d = parse_str("<x:a xmlns:x=\"urn:y\"><x:b/></x:a>").unwrap();
         assert_eq!(d.tag(NodeId(0)), "x:a");
         assert_eq!(d.tag(NodeId(1)), "x:b");
+    }
+
+    #[test]
+    fn over_deep_nesting_is_an_error_not_an_abort() {
+        // Root-path labels grow as O(depth²) on a chain: 40,000 levels
+        // (~280 KB of `<a>`) would need 4 GiB of them.
+        let chain = |levels: u32| {
+            let levels = levels as usize;
+            format!("{}alpha{}", "<a>".repeat(levels), "</a>".repeat(levels))
+        };
+        assert!(parse_str(&chain(crate::MAX_DEPTH)).is_ok());
+        for levels in [crate::MAX_DEPTH + 1, 40_000] {
+            let t = std::time::Instant::now();
+            let e = parse_str(&chain(levels)).unwrap_err();
+            assert!(
+                t.elapsed() < std::time::Duration::from_secs(1),
+                "{levels} levels"
+            );
+            assert_eq!(e.kind, ParseErrorKind::TooLarge(DocError::TooDeep(levels)));
+            assert!(e.to_string().contains("levels deep"), "{e}");
+        }
     }
 }

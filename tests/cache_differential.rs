@@ -434,9 +434,10 @@ fn generation_bump_invalidates_implicitly() {
         doc: 0,
     };
     run(&doc, &idx, &q, Strategy::PushDown, &policy, Some(old)).unwrap();
+    let cold_fill = cache.stats().result;
     let hit = run(&doc, &idx, &q, Strategy::PushDown, &policy, Some(old)).unwrap();
     assert!(hit.stats.cache_hits >= 1);
-    let hits_before = cache.stats().result.hits;
+    let before = cache.stats().result;
 
     let gen2 = GenerationTag::fresh();
     assert_ne!(gen1.as_u64(), gen2.as_u64());
@@ -448,10 +449,17 @@ fn generation_bump_invalidates_implicitly() {
     let after = run(&doc, &idx, &q, Strategy::PushDown, &policy, Some(fresh)).unwrap();
     assert_eq!(
         cache.stats().result.hits,
-        hits_before,
+        before.hits,
         "a new generation must not hit the old generation's entries"
     );
     assert!(after.stats.cache_misses >= 1);
+    // A full reload carries nothing over, so it replays the cold fill's
+    // hit/miss counters exactly (the cache started empty).
+    let reload = cache.stats().result;
+    assert_eq!(
+        (reload.hits - before.hits, reload.misses - before.misses),
+        (cold_fill.hits, cold_fill.misses)
+    );
     // But the new generation caches normally from then on.
     let again = run(&doc, &idx, &q, Strategy::PushDown, &policy, Some(fresh)).unwrap();
     assert!(again.stats.cache_hits >= 1);

@@ -48,6 +48,10 @@ fn figure1_backends_agree_across_all_strategies_and_filters() {
             );
         }
     }
+    // The segment stays lazy: one decode per query term, out of a
+    // vocabulary that dwarfs the query.
+    assert_eq!(seg.terms_loaded(), 2);
+    assert!(seg.term_count() > 2, "{}", seg.term_count());
 }
 
 #[test]
