@@ -43,7 +43,9 @@ observability (see README \"Observability\"):
 resource limits (see README \"Resource limits & degradation\"):
   --timeout-ms N     wall-clock budget for the whole evaluation
   --max-fragments N  cap on intermediate fragments materialized
-  --max-joins N      cap on binary join kernels
+  --max-joins N      cap on binary join kernels per document
+                     (default: 100000; raise it for an exact answer
+                     the default would cut short)
   --degrade M        off | ladder   what to do when a budget trips
                      (default: ladder — answer with the sound subset that
                      the slca-approx fallback finds; off fails instead)
@@ -376,7 +378,7 @@ fn parse_search(rest: &[String]) -> Result<SearchArgs, String> {
     let mut maximal = false;
     let mut ids = false;
     let mut stats = false;
-    let mut budget = Budget::unlimited();
+    let mut budget = Budget::bounded();
     let mut degrade = DegradeMode::Ladder;
     let mut profile = ProfileMode::Off;
     let mut analyze = false;
@@ -639,14 +641,17 @@ mod tests {
             }
             _ => unreachable!(),
         }
-        // Defaults: unlimited budget, ladder degradation.
+        // Defaults: the default work bound, ladder degradation.
         match parse(&argv("search d.xml k")).unwrap() {
             Command::Search(a) => {
-                assert_eq!(a.budget, Budget::unlimited());
+                assert_eq!(a.budget, Budget::bounded());
                 assert_eq!(a.degrade, DegradeMode::Ladder);
             }
             _ => unreachable!(),
         }
+        // The help names the default it parses to.
+        let default = format!("(default: {}", xfrag_core::DEFAULT_MAX_JOINS);
+        assert!(USAGE.contains(&default), "{USAGE}");
         assert!(parse(&argv("search d.xml k --timeout-ms")).is_err());
         assert!(parse(&argv("search d.xml k --degrade maybe")).is_err());
     }

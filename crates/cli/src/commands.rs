@@ -12,8 +12,8 @@ use xfrag_core::trace::{
     format_duration, render_spans, spans_to_json, LatencyHistogram, RecordingSink, Span, Tracer,
 };
 use xfrag_core::{
-    evaluate_traced, overlap, CacheRef, ExecPolicy, GenerationTag, Governor, LogicalPlan, Query,
-    QueryCache, Strategy, POWERSET_LIMIT,
+    evaluate_traced, overlap, CacheRef, ExecPolicy, GenerationTag, LogicalPlan, Query, QueryCache,
+    Strategy,
 };
 use xfrag_core::{FaultInjector, FaultPlan};
 use xfrag_doc::atomic::{write_atomic, WriteFault, WriteFaultHook};
@@ -753,22 +753,14 @@ fn search_impl<I: PostingsSource + ?Sized>(
             index,
             &q,
             a.strategy,
-            Some(&policy),
+            &policy,
             &Tracer::disabled(),
             Some(cref),
         )
         .map_err(|e| CliError::Query(e.to_string()))?;
     }
-    let result = evaluate_traced(
-        doc,
-        index,
-        &q,
-        a.strategy,
-        Some(&policy),
-        &tracer,
-        cache_ref,
-    )
-    .map_err(|e| CliError::Query(e.to_string()))?;
+    let result = evaluate_traced(doc, index, &q, a.strategy, &policy, &tracer, cache_ref)
+        .map_err(|e| CliError::Query(e.to_string()))?;
     let answers = if a.maximal {
         overlap::maximal_only(&result.fragments)
     } else {
@@ -850,59 +842,18 @@ fn explain_impl<I: PostingsSource + ?Sized>(
 ) -> Result<String, CliError> {
     let q = build_query(a);
     let policy = exec_policy(a);
-    // EXPLAIN must never stall, and with no work bound nothing stops a
-    // run, so a stage that can blow up is shown but not run. An unfiltered
-    // closure over more than POWERSET_LIMIT fragments can reach the
-    // powerset size (Theorem 2). Brute force enumerates fewer than 2^Σ|Fi|
-    // unions, so it runs while Σ|Fi| <= POWERSET_LIMIT, or when an operand
-    // is over the limit, which it reports before enumerating anything.
-    let unbounded = !Governor::new(a.budget, None).is_work_bounded();
-    let dfs: Vec<(&String, usize)> = q.terms.iter().map(|t| (t, index.df(t))).collect();
-    let wide = dfs.iter().find(|(_, n)| *n > POWERSET_LIMIT);
-    let total: usize = dfs.iter().map(|(_, n)| n).sum();
-    let closure_risk = || {
-        wide.map(|(term, n)| {
-            format!("unfiltered closure over {n} postings of {term:?}, more than {POWERSET_LIMIT}")
-        })
-    };
     let mut out = String::new();
     let mut budget = String::new();
     for s in Strategy::ALL {
         let plan = LogicalPlan::for_strategy(&q, s).map_err(|e| CliError::Query(e.to_string()))?;
-        let (header, risk) = match s {
-            Strategy::BruteForce => (
-                "§4.1: the powerset join enumerated, σ_P last",
-                (wide.is_none() && total > POWERSET_LIMIT).then(|| {
-                    format!(
-                        "powerset join over {total} postings in all, more than {POWERSET_LIMIT}"
-                    )
-                }),
-            ),
-            Strategy::FixedPointNaive => ("Theorem 2: ⋈* → ⁺ then ⋈", closure_risk()),
-            Strategy::FixedPointReduced => (
-                "Theorem 2 over Theorem 1's reduced sets ⊖(F)",
-                closure_risk(),
-            ),
-            Strategy::PushDown => (
-                "Theorem 2, then Theorem 3: anti-monotonic σ below every join",
-                q.filter
-                    .split_anti_monotonic()
-                    .0
-                    .is_true()
-                    .then(closure_risk)
-                    .flatten(),
-            ),
+        let header = match s {
+            Strategy::BruteForce => "§4.1: the powerset join enumerated, σ_P last",
+            Strategy::FixedPointNaive => "Theorem 2: ⋈* → ⁺ then ⋈",
+            Strategy::FixedPointReduced => "Theorem 2 over Theorem 1's reduced sets ⊖(F)",
+            Strategy::PushDown => "Theorem 2, then Theorem 3: anti-monotonic σ below every join",
         };
         writeln!(out, "== {} ({header}) ==", s.name()).unwrap();
         out.push_str(&plan.render());
-        if let Some(risk) = risk.filter(|_| unbounded) {
-            let why = format!("{risk}, with no work bound; set --max-joins or --timeout-ms");
-            writeln!(out, "-> not executable at this stage ({why})\n").unwrap();
-            if s == a.strategy {
-                budget = format!("budget: not run ({why})");
-            }
-            continue;
-        }
         // The exact call `search --strategy {s}` makes.
         let sink = RecordingSink::new();
         let tracer = if a.analyze {
@@ -911,7 +862,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
             Tracer::disabled()
         };
         let start = std::time::Instant::now();
-        let res = evaluate_traced(doc, index, &q, s, Some(&policy), &tracer, None);
+        let res = evaluate_traced(doc, index, &q, s, &policy, &tracer, None);
         let wall = start.elapsed();
         match &res {
             Ok(r) => {
@@ -920,7 +871,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
                     writeln!(out, "note: {}", r.degradation).unwrap();
                 }
             }
-            Err(e) => writeln!(out, "-> not executable at this stage ({e})").unwrap(),
+            Err(e) => writeln!(out, "-> error: {e}").unwrap(),
         }
         if a.analyze {
             writeln!(out, "analyze: wall {}", format_duration(wall)).unwrap();
@@ -945,16 +896,26 @@ fn explain_impl<I: PostingsSource + ?Sized>(
             };
         }
     }
-    for (term, a_len, b_len) in xfrag_core::query::operand_reduction_factors(doc, index, &q) {
-        let rf = if a_len == 0 {
-            0.0
-        } else {
-            (a_len - b_len) as f64 / a_len as f64
-        };
-        writeln!(
-            out,
-            "operand {term:?}: |F| = {a_len}, |⊖(F)| = {b_len}, RF = {rf:.2}"
-        )
+    for (term, a_len, reduced) in
+        xfrag_core::query::operand_reduction_factors(doc, index, &q, &policy)
+    {
+        match reduced {
+            Ok(b_len) => {
+                let rf = if a_len == 0 {
+                    0.0
+                } else {
+                    (a_len - b_len) as f64 / a_len as f64
+                };
+                writeln!(
+                    out,
+                    "operand {term:?}: |F| = {a_len}, |⊖(F)| = {b_len}, RF = {rf:.2}"
+                )
+            }
+            Err(breach) => writeln!(
+                out,
+                "operand {term:?}: |F| = {a_len}, |⊖(F)| not computed (stopped by {breach})"
+            ),
+        }
         .unwrap();
     }
     writeln!(out, "{budget}").unwrap();
@@ -975,23 +936,15 @@ fn explain_impl<I: PostingsSource + ?Sized>(
             index,
             &q,
             a.strategy,
-            Some(&policy),
+            &policy,
             &Tracer::disabled(),
             Some(cref),
         )
         .map_err(|e| CliError::Query(e.to_string()))?;
         let sink = RecordingSink::new();
         let tracer = Tracer::new(&sink);
-        let warm = evaluate_traced(
-            doc,
-            index,
-            &q,
-            a.strategy,
-            Some(&policy),
-            &tracer,
-            Some(cref),
-        )
-        .map_err(|e| CliError::Query(e.to_string()))?;
+        let warm = evaluate_traced(doc, index, &q, a.strategy, &policy, &tracer, Some(cref))
+            .map_err(|e| CliError::Query(e.to_string()))?;
         writeln!(
             out,
             "-> {} fragment(s) warm, {}",
@@ -1044,7 +997,7 @@ pub fn demo() -> String {
         maximal: false,
         ids: true,
         stats: true,
-        budget: xfrag_core::Budget::unlimited(),
+        budget: xfrag_core::Budget::bounded(),
         degrade: xfrag_core::DegradeMode::Ladder,
         profile: ProfileMode::Off,
         analyze: false,
@@ -1195,39 +1148,147 @@ mod tests {
         }
     }
 
+    /// Run `f` on a thread of its own and fail unless it returns within
+    /// two seconds, so an evaluation that stops being bounded fails the
+    /// suite at once instead of hanging it. A panic in `f` propagates.
+    fn within_2s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let limit = std::time::Duration::from_secs(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(limit) {
+            Ok(out) => {
+                worker.join().expect("the worker returns after it sends");
+                out
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => match worker.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("the worker sends before it returns"),
+            },
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("no answer within {limit:?}: the evaluation is not bounded")
+            }
+        }
+    }
+
+    /// The arguments `xfrag <line>` parses to, default work bound included.
+    fn parsed(line: &str) -> SearchArgs {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        match crate::args::parse(&argv).unwrap() {
+            Command::Search(a) | Command::Explain(a) => a,
+            other => panic!("not a search: {other:?}"),
+        }
+    }
+
+    /// `<doc>` holding `n` `<p>` leaves: every one has "alpha", every
+    /// other one also "beta". Unfiltered, `{alpha, beta}` has an answer
+    /// set exponential in `n`.
+    fn alpha_beta_leaves(n: usize) -> Document {
+        let body: String = (0..n)
+            .map(|i| match i % 2 {
+                0 => "<p>alpha beta</p>",
+                _ => "<p>alpha</p>",
+            })
+            .collect();
+        parse_str(&format!("<doc>{body}</doc>")).unwrap()
+    }
+
     #[test]
-    fn explain_skips_unbounded_wide_closures_instead_of_stalling() {
+    fn search_over_wide_operands_degrades_instead_of_stalling() {
+        // 16 + 16 postings: brute force would enumerate (2^16 - 1)^2,
+        // about 4.3e9, unions.
+        let body: String = (0..32)
+            .map(|i| ["<p>alpha</p>", "<p>beta</p>"][i % 2])
+            .collect();
+        let b16 = parse_str(&format!("<doc>{body}</doc>")).unwrap();
+        for (doc, line) in [
+            (alpha_beta_leaves(20), "search w20.xml alpha beta"),
+            (
+                alpha_beta_leaves(20),
+                "search w20.xml alpha beta --size 4 --strategy naive",
+            ),
+            (b16, "search b16.xml alpha beta --size 3 --strategy brute"),
+        ] {
+            let a = parsed(line);
+            let out = within_2s(move || search(&doc, &a).unwrap());
+            assert!(
+                out.contains("note: degraded to slca-approx; full stopped by joins"),
+                "{line}: {out}"
+            );
+        }
+    }
+
+    #[test]
+    fn explain_over_wide_operands_degrades_instead_of_stalling() {
+        let w20 = alpha_beta_leaves(20);
+        let a = parsed("explain w20.xml alpha beta");
+        let out = within_2s(move || explain(&w20, &a).unwrap());
+        assert_eq!(
+            out.matches("note: degraded to slca-approx").count(),
+            4,
+            "{out}"
+        );
+        // 800 leaves of one term: every stage and the `⊖` behind the RF
+        // line stop at the bound, the default or a tighter one.
+        let body = "<p>alpha</p>".repeat(800);
+        let p800 = parse_str(&format!("<r>{body}</r>")).unwrap();
+        for line in [
+            "explain p800.xml alpha",
+            "explain p800.xml alpha --max-joins 1000",
+        ] {
+            let (d, a) = (p800.clone(), parsed(line));
+            let out = within_2s(move || explain(&d, &a).unwrap());
+            assert_eq!(
+                out.matches("note: degraded to slca-approx").count(),
+                4,
+                "{out}"
+            );
+            assert!(
+                out.contains(
+                    "operand \"alpha\": |F| = 800, |⊖(F)| not computed (stopped by joins)"
+                ),
+                "{out}"
+            );
+        }
+    }
+
+    #[test]
+    fn explain_degrades_wide_closures_instead_of_stalling() {
         let body: String = (0..20).map(|_| "<p>alpha</p>").collect();
         let d = parse_str(&format!("<r>{body}</r>")).unwrap();
-        let start = std::time::Instant::now();
-        let out = explain(&d, &args(&["alpha"], FilterExpr::MinSize(2))).unwrap();
-        assert!(start.elapsed() < std::time::Duration::from_secs(2), "{out}");
+        let mut a = args(&["alpha"], FilterExpr::MinSize(2));
+        a.budget = xfrag_core::Budget::bounded();
+        a.stats = true;
+        let out = within_2s({
+            let (d, a) = (d.clone(), a.clone());
+            move || explain(&d, &a).unwrap()
+        });
+        // The unfiltered closures run, stop at the bound and answer from
+        // the fallback, exactly as `search --strategy S` does.
         for s in [
             Strategy::FixedPointNaive,
             Strategy::FixedPointReduced,
             Strategy::PushDown,
         ] {
-            let (result, _) = stage_lines(&out, s);
-            assert!(
-                result.starts_with("-> not executable at this stage ("),
-                "{out}"
-            );
-            assert!(result.contains("--max-joins or --timeout-ms"), "{out}");
+            let mut searched = a.clone();
+            searched.strategy = s;
+            let want = search_lines(&search(&d, &searched).unwrap());
+            assert_eq!(stage_lines(&out, s), want, "{out}");
+            assert!(want.1.is_some(), "{want:?}");
         }
-        assert!(out.contains("budget: not run ("), "{out}");
-        // A pushed-down filter makes push-down runnable; a work bound,
-        // every stage.
-        let out = explain(&d, &args(&["alpha"], FilterExpr::MaxSize(2))).unwrap();
-        let (result, _) = stage_lines(&out, Strategy::PushDown);
-        assert!(result.starts_with("-> 20 fragment(s), "), "{out}");
-        let mut a = args(&["alpha"], FilterExpr::MinSize(2));
-        a.budget.max_joins = Some(1000);
+        assert!(out.contains("budget: tripped after "), "{out}");
+        // A pushed-down filter keeps push-down exact under the same bound.
+        let mut a = args(&["alpha"], FilterExpr::MaxSize(2));
+        a.budget = xfrag_core::Budget::bounded();
         let out = explain(&d, &a).unwrap();
-        assert!(!out.contains("not executable"), "{out}");
+        let (result, note) = stage_lines(&out, Strategy::PushDown);
+        assert!(result.starts_with("-> 20 fragment(s), "), "{out}");
+        assert_eq!(note, None, "{out}");
     }
 
     #[test]
-    fn explain_skips_unbounded_wide_powersets_instead_of_stalling() {
+    fn explain_degrades_wide_powersets_instead_of_stalling() {
         // Three terms of 10 postings each along one chain of nested
         // elements: the closures stay small (a join is a path), while
         // brute force would enumerate (2^10 - 1)^3, about 1e9, unions.
@@ -1237,26 +1298,21 @@ mod tests {
         let d = parse_str(&format!("{open}{}", "</e>".repeat(30))).unwrap();
         let mut a = args(&["alpha", "beta", "gamma"], FilterExpr::MaxSize(3));
         a.strategy = Strategy::BruteForce;
-        let start = std::time::Instant::now();
-        let out = explain(&d, &a).unwrap();
-        assert!(start.elapsed() < std::time::Duration::from_secs(2), "{out}");
-        let (result, _) = stage_lines(&out, Strategy::BruteForce);
-        assert!(
-            result.starts_with("-> not executable at this stage (powerset join over 30 postings"),
-            "{out}"
-        );
-        assert!(result.contains("--max-joins or --timeout-ms"), "{out}");
-        assert!(out.contains("budget: not run ("), "{out}");
-        let (result, _) = stage_lines(&out, Strategy::PushDown);
-        assert!(result.starts_with("-> 28 fragment(s), "), "{out}");
-        // A work bound stops the enumeration, so the stage runs and
-        // degrades the way `search --strategy brute` does.
-        a.budget.max_joins = Some(1000);
+        a.budget = xfrag_core::Budget::bounded();
         a.stats = true;
-        let out = explain(&d, &a).unwrap();
+        let out = within_2s({
+            let (d, a) = (d.clone(), a.clone());
+            move || explain(&d, &a).unwrap()
+        });
+        // The bound stops the enumeration, so the stage degrades the way
+        // `search --strategy brute` does.
         let want = search_lines(&search(&d, &a).unwrap());
         assert_eq!(stage_lines(&out, Strategy::BruteForce), want, "{out}");
         assert!(want.1.is_some(), "{want:?}");
+        assert!(out.contains("budget: tripped after "), "{out}");
+        let (result, note) = stage_lines(&out, Strategy::PushDown);
+        assert!(result.starts_with("-> 28 fragment(s), "), "{out}");
+        assert_eq!(note, None, "{out}");
     }
 
     #[test]

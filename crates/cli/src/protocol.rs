@@ -11,7 +11,7 @@
 //! See README § "Serving queries over TCP" for the schema reference.
 
 use serde::{Deserialize, Serialize};
-use xfrag_core::{Budget, DegradeMode, EvalStats, FilterExpr, Strategy};
+use xfrag_core::{Budget, DegradeMode, EvalStats, FilterExpr, Strategy, DEFAULT_MAX_JOINS};
 
 /// What a request asks the server to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,9 +54,10 @@ pub struct Request {
     /// Per-request deadline in milliseconds, measured from *admission*.
     /// Clamped to the server's `--timeout-ms` when both are set.
     pub timeout_ms: Option<u64>,
-    /// Join-kernel budget.
+    /// Join-kernel budget per document; clamped to
+    /// [`DEFAULT_MAX_JOINS`], which also applies when it is absent.
     pub max_joins: Option<u64>,
-    /// Materialized-fragment budget.
+    /// Materialized-fragment budget per document.
     pub max_fragments: Option<u64>,
     /// `off | ladder` (default ladder): on a budget breach, fail with the
     /// breach or answer from the `slca-approx` fallback.
@@ -97,11 +98,17 @@ impl Request {
         }
     }
 
-    /// The request's own budget knobs (deadline handled by the server,
-    /// which measures it from admission time).
+    /// The budget the request evaluates under: [`Budget::bounded`],
+    /// tightened by the request's own `max_joins`/`max_fragments`. A
+    /// request can lower the default bound, never lift it, the same way
+    /// the server's `--timeout-ms` clamps `timeout_ms`. The deadline is
+    /// the server's to set: it measures it from admission.
     pub fn budget(&self) -> Budget {
-        let mut b = Budget::unlimited();
-        b.max_joins = self.max_joins;
+        let mut b = Budget::bounded();
+        b.max_joins = Some(
+            self.max_joins
+                .map_or(DEFAULT_MAX_JOINS, |n| n.min(DEFAULT_MAX_JOINS)),
+        );
         b.max_fragments = self.max_fragments;
         b
     }
@@ -325,6 +332,7 @@ mod tests {
         assert_eq!(r.timeout_ms, None);
         assert_eq!(r.strategy().unwrap(), Strategy::PushDown);
         assert_eq!(r.degrade().unwrap(), DegradeMode::Ladder);
+        assert_eq!(r.budget(), Budget::bounded());
         assert!(r.filter().is_true());
         // `auto` is accepted and means the same as no strategy at all.
         for (name, want) in [
@@ -356,6 +364,13 @@ mod tests {
         assert_eq!(r.budget().max_joins, Some(1000));
         assert_eq!(r.degrade().unwrap(), DegradeMode::Off);
         assert_eq!(r.top_k, Some(5));
+        // A request's budget only tightens the default bound.
+        let r: Request = serde_json::from_str(
+            r#"{"kind":"query","max_joins":1000000000000000000,"max_fragments":9}"#,
+        )
+        .unwrap();
+        assert_eq!(r.budget().max_joins, Some(DEFAULT_MAX_JOINS));
+        assert_eq!(r.budget().max_fragments, Some(9));
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! the process lives on. Deadlines are measured from *admission* and
 //! wired into the existing [`Budget`] wall-clock and a per-sub-job
 //! [`CancelToken`] armed by a watchdog thread, so the degradation ladder
-//! answers with a sound subset when time runs out. Concurrent identical
+//! answers with a sound subset when time runs out. Every request also
+//! runs under the default work bound ([`Budget::bounded`]), which its
+//! own `max_joins`/`max_fragments` can only tighten, so no request can
+//! occupy a worker indefinitely, deadline or not. Concurrent identical
 //! cold queries coalesce on the shard's singleflight table: one leader
 //! evaluates, followers wake and replay the byte-identical cached
 //! answer. `shutdown` drains gracefully: admission closes, queued work
@@ -1570,9 +1573,9 @@ fn handle_shard_query(s: &Shared, job: &ShardJob) -> ShardReply {
     } else {
         // Coalesce concurrent identical cold queries. The key covers
         // everything that shapes the *evaluation* (snapshot tag, terms,
-        // filter shape, strategy, degrade ladder, budgets, deadline
-        // presence) — `id` and `top_k` are deliberately absent: they
-        // only shape the response envelope, not the cached result.
+        // filter shape, strategy, degrade ladder, effective budgets) —
+        // `id` and `top_k` are deliberately absent: they only shape the
+        // response envelope, not the cached result.
         // Collisions are benign either way: a follower always re-runs
         // through the cache and evaluates itself on a miss.
         let key = flight_key(&format!(
@@ -1584,8 +1587,8 @@ fn handle_shard_query(s: &Shared, job: &ShardJob) -> ShardReply {
             req.width,
             strategy,
             req.degrade,
-            req.max_joins,
-            req.max_fragments,
+            policy.budget.max_joins,
+            policy.budget.max_fragments,
         ));
         match shard.flights.join(key) {
             Flight::Leader(lease) => {

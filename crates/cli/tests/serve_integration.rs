@@ -1020,13 +1020,23 @@ fn over_deep_file_is_quarantined_and_the_server_boots() {
     let levels = 40_000;
     let deep = format!("{}alpha{}", "<a>".repeat(levels), "</a>".repeat(levels));
     std::fs::write(dir.join("deep.xml"), deep).unwrap();
+    // No level too deep, but 70,000 leaves under a 4,000-level chain
+    // would need over 1 GiB of labels from a 308 KB file.
+    let chain = 4_000;
+    let wide = format!(
+        "{}{}{}",
+        "<a>".repeat(chain),
+        "<b/>".repeat(70_000),
+        "</a>".repeat(chain)
+    );
+    std::fs::write(dir.join("wide.xml"), wide).unwrap();
     let srv = Server::start(&dir, &[]);
     let mut conn = srv.connect();
 
     let health = conn.rpc(r#"{"kind":"health","id":1}"#);
     assert!(health.contains("\"docs\":1"), "{health}");
     assert!(
-        health.contains("\"quarantined\":[\"deep.xml\"]"),
+        health.contains("\"quarantined\":[\"deep.xml\",\"wide.xml\"]"),
         "{health}"
     );
     let stats = conn.rpc(r#"{"kind":"stats","id":2}"#);
@@ -1035,15 +1045,60 @@ fn over_deep_file_is_quarantined_and_the_server_boots() {
         stats.contains("elements nest 40000 levels deep, more than the limit of 4096"),
         "{stats}"
     );
+    assert!(stats.contains("\"file\":\"wide.xml\""), "{stats}");
+    assert!(
+        stats.contains("structural labels need 288072000 entries, more than the limit"),
+        "{stats}"
+    );
 
     let q = conn.rpc(r#"{"kind":"query","id":3,"keywords":["alpha"]}"#);
     assert_eq!(field_str(&q, "status"), "ok", "{q}");
-    assert!(q.contains("a.xml") && !q.contains("deep.xml"), "{q}");
+    assert!(
+        q.contains("a.xml") && !q.contains("deep.xml") && !q.contains("wide.xml"),
+        "{q}"
+    );
 
     drop(conn);
     let (st, sum) = srv.shutdown_and_wait();
     assert!(st.success());
-    assert!(sum.contains("1 file(s) quarantined"), "{sum}");
+    assert!(sum.contains("2 file(s) quarantined"), "{sum}");
+}
+
+/// A served query whose exact answer is exponential in its keyword
+/// occurrences runs under the default work bound: it answers from the
+/// fallback at once and leaves the one worker free for the next request.
+#[test]
+fn unfiltered_wide_query_degrades_and_frees_the_worker() {
+    let dir = gen_corpus("w20");
+    let body: String = (0..20)
+        .map(|i| ["<p>alpha beta</p>", "<p>alpha</p>"][i % 2])
+        .collect();
+    std::fs::write(dir.join("w20.xml"), format!("<doc>{body}</doc>")).unwrap();
+    let srv = Server::start(&dir, &["--workers", "1", "--no-cache"]);
+    let mut conn = srv.connect();
+    // The socket's read timeout is the hang guard: a request that pins
+    // the worker fails the test in two seconds, not at the job timeout.
+    let limit = Duration::from_secs(2);
+    conn.w.set_read_timeout(Some(limit)).unwrap();
+
+    let start = Instant::now();
+    let q = conn.rpc(r#"{"kind":"query","id":1,"keywords":["alpha","beta"]}"#);
+    assert!(start.elapsed() < limit, "{q}");
+    assert_eq!(field_str(&q, "status"), "degraded", "{q}");
+    assert!(q.contains("w20.xml degraded to slca-approx"), "{q}");
+    // A request cannot lift the bound.
+    let lifted = conn
+        .rpc(r#"{"kind":"query","id":2,"keywords":["alpha","beta"],"max_joins":1000000000000}"#);
+    assert_eq!(field_str(&lifted, "status"), "degraded", "{lifted}");
+
+    let health = conn.rpc(r#"{"kind":"health","id":3}"#);
+    assert!(health.contains("\"in_flight\":0"), "{health}");
+    let next = conn.rpc(r#"{"kind":"query","id":4,"keywords":["alpha","beta"],"size":2}"#);
+    assert_eq!(field_str(&next, "status"), "ok", "{next}");
+
+    drop(conn);
+    let (st, _) = srv.shutdown_and_wait();
+    assert!(st.success());
 }
 
 #[test]

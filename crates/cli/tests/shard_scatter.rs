@@ -175,6 +175,8 @@ fn sharded_serving_matches_single_shard_bytes() {
     let base: Vec<String> = queries.iter().map(|q| c1.rpc(q)).collect();
     for r in &base {
         assert!(r.contains(r#""complete":true,"shards":null"#), "{r}");
+        // Served under the default work bound, no cell degrades.
+        assert_eq!(field_str(r, "status"), "ok", "{r}");
     }
     for width in ["2", "4", "8"] {
         let wide = Server::start(&dir, &["--shards", width]);

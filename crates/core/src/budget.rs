@@ -31,6 +31,21 @@ use std::time::{Duration, Instant};
 /// and the cancellation flag. Power of two so the test is a mask.
 pub const CHECK_INTERVAL: u64 = 256;
 
+/// The join-kernel bound every evaluation that takes outside input runs
+/// under unless the caller sets its own: `search`, `msearch`, `explain`,
+/// `demo` and every served request ([`Budget::bounded`]).
+///
+/// Joins alone suffice: every super-linear loop charges them (pairwise
+/// joins, fixed-point rounds, `⊖`'s inner joins and brute force's
+/// unions), while selection and the [`SLCA_APPROX`] fallback are linear.
+/// The costliest request shape of the end-to-end benchmark charges 8,244
+/// joins on one document (a pair query with `size ≤ 9` on its 120k-node
+/// document), so the bound leaves about 12× headroom; a query that
+/// reaches it, such as an unfiltered pair over 20 sibling leaves, stops
+/// after about 20 ms (release build, 2-vCPU x86-64 host) and answers
+/// from the fallback.
+pub const DEFAULT_MAX_JOINS: u64 = 100_000;
+
 /// Resource limits for one evaluation. `None` means unlimited.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
@@ -46,9 +61,16 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// No limits at all.
+    /// No limits at all: the budget of the library's plain
+    /// [`crate::evaluate`], which is exact and may take exponential time.
     pub fn unlimited() -> Self {
         Budget::default()
+    }
+
+    /// The default bound for evaluations of outside input: at most
+    /// [`DEFAULT_MAX_JOINS`] join kernels per document, nothing else.
+    pub fn bounded() -> Self {
+        Budget::unlimited().with_max_joins(DEFAULT_MAX_JOINS)
     }
 
     /// Limit wall-clock time.
@@ -281,17 +303,6 @@ impl Governor {
         self.checkpoints.load(Ordering::Relaxed)
     }
 
-    /// Whether something bounds the amount of work this governor admits:
-    /// a deadline or any counter limit. A cancel token alone does not —
-    /// it may never fire — so callers about to start super-linear work
-    /// under an unbounded governor must apply their own size guards.
-    pub fn is_work_bounded(&self) -> bool {
-        self.deadline.is_some()
-            || self.max_joins != u64::MAX
-            || self.max_fragments != u64::MAX
-            || self.max_nodes != u64::MAX
-    }
-
     /// Wall-clock elapsed since construction — zero for governors with
     /// no deadline (they never read the clock).
     pub fn elapsed(&self) -> Duration {
@@ -485,6 +496,12 @@ impl ExecPolicy {
     pub fn with_fault(mut self, fault: Arc<FaultInjector>) -> Self {
         self.fault = Some(fault);
         self
+    }
+
+    /// A fresh governor enforcing this policy's budget, cancel token and
+    /// fault injector.
+    pub fn governor(&self) -> Governor {
+        Governor::new(self.budget, self.cancel.clone()).with_fault(self.fault.clone())
     }
 }
 

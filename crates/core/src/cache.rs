@@ -40,7 +40,8 @@
 //! # Sharding and locking
 //!
 //! The cache is split into [`SHARDS`] independent `Mutex<Shard>`s
-//! selected by key hash; the serve worker pool shares one cache and
+//! selected by a hash of the key without its policy fingerprint; the
+//! serve worker pool shares one cache and
 //! workers only contend when two requests land on the same shard.
 //! Each shard runs its own LRU over its own byte budget
 //! (`max_bytes / SHARDS`) using a stamp queue: touching an entry pushes
@@ -269,9 +270,23 @@ impl QueryCache {
         QueryCache::new(mb.saturating_mul(1024 * 1024))
     }
 
+    /// The shard holding `key`. Placement hashes the query's identity but
+    /// not its policy fingerprint, so a query's entries under every
+    /// policy share one shard and its LRU order: two caches fed the same
+    /// queries under different policies (a server and its in-process
+    /// replay) evict alike.
     fn shard_of(&self, key: &ResultKey) -> &Mutex<Shard> {
+        let ResultKey {
+            gen,
+            doc,
+            terms,
+            filter,
+            strict,
+            strategy,
+            policy: _,
+        } = key;
         let mut h = DefaultHasher::new();
-        key.hash(&mut h);
+        (gen, doc, terms, filter, strict, strategy).hash(&mut h);
         &self.shards[h.finish() as usize % self.shards.len()]
     }
 
@@ -740,6 +755,23 @@ mod tests {
 
     fn nodes(ids: impl IntoIterator<Item = u32>) -> FragmentSet {
         FragmentSet::of_nodes(ids.into_iter().map(NodeId))
+    }
+
+    #[test]
+    fn one_query_under_any_policy_lands_in_one_shard() {
+        let c = QueryCache::new(1 << 20);
+        let gen = GenerationTag::fresh();
+        let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
+        let loose = ResultKey::new(gen, 0, &q, Strategy::PushDown, &ExecPolicy::unlimited());
+        for policy in [
+            ExecPolicy::with_budget(Budget::bounded()),
+            ExecPolicy::with_budget(Budget::unlimited().with_max_fragments(4))
+                .with_cancel(crate::budget::CancelToken::new()),
+        ] {
+            let other = ResultKey::new(gen, 0, &q, Strategy::PushDown, &policy);
+            assert_ne!(loose, other);
+            assert!(std::ptr::eq(c.shard_of(&loose), c.shard_of(&other)));
+        }
     }
 
     /// The push-down result key of the one-term query `Q{term}`.

@@ -7,7 +7,7 @@
 //! per-document groups, and ranking can be applied across the whole
 //! result stream.
 
-use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor};
+use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy};
 use crate::cache::{CacheRef, GenerationTag, QueryCache};
 use crate::fault::{panic_message, site};
 use crate::join::PowersetTooLarge;
@@ -55,11 +55,14 @@ impl CollectionResult {
 /// Evaluate a query against every candidate document of a collection:
 /// the forced `strategy` under an unlimited policy, over all documents.
 ///
-/// Exact or an error, like [`crate::evaluate`]: brute force over a
-/// candidate document with an operand larger than
-/// [`crate::POWERSET_LIMIT`] fails with [`QueryError::PowersetTooLarge`]
-/// (for the first such document and operand), and degradation is off, so
-/// no answer ever comes from the `slca-approx` fallback.
+/// Exact and unbounded, like [`crate::evaluate`]: no work bound applies,
+/// so an unfiltered query over many occurrences can take exponential
+/// time; brute force over a candidate document with an operand larger
+/// than [`crate::POWERSET_LIMIT`] fails with
+/// [`QueryError::PowersetTooLarge`] (for the first such document and
+/// operand), and degradation is off, so no answer ever comes from the
+/// `slca-approx` fallback. Collection queries on outside input run
+/// [`evaluate_collection_traced`] under [`crate::Budget::bounded`].
 pub fn evaluate_collection(
     collection: &Collection,
     query: &Query,
@@ -184,7 +187,7 @@ pub fn evaluate_collection_traced(
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
     }
-    let gov = Governor::new(policy.budget, policy.cancel.clone()).with_fault(policy.fault.clone());
+    let gov = policy.governor();
     debug_assert!(
         docs.windows(2).all(|w| w[0] < w[1]),
         "docs must be in ascending id order"
@@ -233,15 +236,8 @@ pub fn evaluate_collection_traced(
                         gen,
                         doc: id.0,
                     });
-                    let r = evaluate_traced(
-                        doc,
-                        &index,
-                        query,
-                        strategy,
-                        Some(&per_doc),
-                        tracer,
-                        cache_ref,
-                    )?;
+                    let r =
+                        evaluate_traced(doc, &index, query, strategy, &per_doc, tracer, cache_ref)?;
                     *stats += r.stats;
                     Ok(r)
                 },

@@ -75,7 +75,7 @@ pub mod trace;
 
 pub use budget::{
     Breach, Budget, CancelToken, Degradation, DegradeMode, ExecPolicy, Governor, RetryBudget,
-    SLCA_APPROX,
+    DEFAULT_MAX_JOINS, SLCA_APPROX,
 };
 pub use cache::{
     flight_key, CacheRef, CacheStats, CachedResult, CarryOver, Flight, FlightFollower, FlightLease,

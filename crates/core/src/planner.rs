@@ -70,15 +70,7 @@ pub fn evaluate_decided_cached_traced<I: PostingsSource + ?Sized>(
     tracer: &Tracer<'_>,
     cache: Option<CacheRef<'_>>,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_traced(
-        doc,
-        index,
-        query,
-        decision.picked,
-        Some(policy),
-        tracer,
-        cache,
-    )
+    evaluate_traced(doc, index, query, decision.picked, policy, tracer, cache)
 }
 
 #[cfg(test)]
@@ -99,8 +91,7 @@ mod tests {
         let tracer = Tracer::disabled();
         let got = evaluate_decided_cached_traced(&d, &i, &q, &mut decision, &policy, &tracer, None)
             .unwrap();
-        let want =
-            evaluate_traced(&d, &i, &q, Strategy::PushDown, Some(&policy), &tracer, None).unwrap();
+        let want = evaluate_traced(&d, &i, &q, Strategy::PushDown, &policy, &tracer, None).unwrap();
         assert_eq!(got.fragments, want.fragments);
         assert_eq!(got.stats, want.stats);
     }

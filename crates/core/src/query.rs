@@ -25,7 +25,7 @@ use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor};
 use crate::cache::{CacheRef, ResultKey};
 use crate::exec::ExecCtx;
 use crate::filter::{select, FilterExpr};
-use crate::fixpoint::{reduce, FixpointMode};
+use crate::fixpoint::FixpointMode;
 use crate::join::{fragment_join_many, PowersetTooLarge};
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
@@ -194,16 +194,22 @@ impl From<PowersetTooLarge> for QueryError {
 /// results — the indexed differential suite proves it across every
 /// strategy.
 ///
-/// Unbudgeted: the strategy runs under an unlimited governor with no
-/// degradation ladder, so brute force over an operand larger than
-/// [`crate::POWERSET_LIMIT`] fails with [`QueryError::PowersetTooLarge`].
+/// Exact and unbounded: the strategy runs under an unlimited governor
+/// with no degradation ladder, so an unfiltered query over many keyword
+/// occurrences can take time exponential in their number (Definition 8's
+/// answer set is that large), and brute force over an operand larger
+/// than [`crate::POWERSET_LIMIT`] fails with
+/// [`QueryError::PowersetTooLarge`]. Evaluations of outside input run
+/// [`evaluate_budgeted`] under [`crate::Budget::bounded`] instead.
 pub fn evaluate<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,
     query: &Query,
     strategy: Strategy,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_unbudgeted(doc, index, query, strategy, &Tracer::disabled())
+    let tracer = Tracer::disabled();
+    let operands = term_operands(index, query, &tracer);
+    evaluate_operands(doc, query, strategy, &operands)
 }
 
 /// Evaluate `query` under an [`ExecPolicy`]: resource budgets, cooperative
@@ -241,26 +247,20 @@ pub fn evaluate_budgeted<I: PostingsSource + ?Sized>(
         index,
         query,
         strategy,
-        Some(policy),
+        policy,
         &Tracer::disabled(),
         None,
     )
 }
 
-/// The query entry point that [`evaluate`] and [`evaluate_budgeted`] are
-/// plain forms of, with span recording and the query cache.
+/// [`evaluate_budgeted`] with span recording and the query cache.
 ///
 /// Spans: one `term-lookup:{term}` span per keyword selection (with an
 /// `index:load:{term}` child when the posting list is decoded from a
 /// segment), then the strategy's own span tree (fixpoints with per-round
 /// children, joins, the final `select-top`).
 ///
-/// `policy: None` evaluates like [`evaluate`]: no ladder, no fault
-/// point, and `budget_checkpoints` stays 0. An unbudgeted run has no
-/// cache, so `cache` must then be `None` — passing one panics rather
-/// than being silently ignored.
-/// `Some(policy)` evaluates like [`evaluate_budgeted`], and
-/// each ladder rung that runs opens a `rung:full` or `rung:slca-approx`
+/// Each ladder rung that runs opens a `rung:full` or `rung:slca-approx`
 /// span, so a profile shows where the budget went before the fallback
 /// answered — an abandoned `rung:full` span ends at the moment its
 /// budget tripped.
@@ -285,24 +285,19 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     index: &I,
     query: &Query,
     strategy: Strategy,
-    policy: Option<&ExecPolicy>,
+    policy: &ExecPolicy,
     tracer: &Tracer<'_>,
     cache: Option<CacheRef<'_>>,
 ) -> Result<QueryResult, QueryError> {
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
     }
-    let Some(policy) = policy else {
-        assert!(cache.is_none(), "an unbudgeted evaluation takes no cache");
-        return evaluate_unbudgeted(doc, index, query, strategy, tracer);
-    };
     let key = cache
         .as_ref()
         .map(|c| ResultKey::new(c.gen, c.doc, query, strategy, policy));
     if let (Some(c), Some(key)) = (&cache, &key) {
         if let Some(entry) = c.cache.get_result(key) {
-            let gov = Governor::new(policy.budget, policy.cancel.clone())
-                .with_fault(policy.fault.clone());
+            let gov = policy.governor();
             match gov.checkpoint() {
                 Ok(()) => {
                     // Mirror the single fault point a computed run fires.
@@ -334,8 +329,7 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     let mut result = if any_empty {
         empty_result()
     } else {
-        let gov =
-            Governor::new(policy.budget, policy.cancel.clone()).with_fault(policy.fault.clone());
+        let gov = policy.governor();
         let cx = ExecCtx::new(doc, &gov, tracer);
         run_ladder(&cx, query, strategy, &operands, policy)?
     };
@@ -401,25 +395,11 @@ fn empty_result() -> QueryResult {
     }
 }
 
-/// [`evaluate`] with span recording: the operands are the document's
-/// keyword selections.
-fn evaluate_unbudgeted<I: PostingsSource + ?Sized>(
-    doc: &Document,
-    index: &I,
-    query: &Query,
-    strategy: Strategy,
-    tracer: &Tracer<'_>,
-) -> Result<QueryResult, QueryError> {
-    let operands = term_operands(index, query, tracer);
-    evaluate_operands(doc, tracer, query, strategy, &operands)
-}
-
 /// Unbudgeted evaluation over pre-built operand sets, shared by
 /// [`evaluate`] and [`evaluate_scoped`]: the strategy dispatch under an
 /// unlimited governor, then `select-top`.
 fn evaluate_operands(
     doc: &Document,
-    tracer: &Tracer<'_>,
     query: &Query,
     strategy: Strategy,
     operands: &[FragmentSet],
@@ -435,7 +415,8 @@ fn evaluate_operands(
         PowersetTooLarge::check(operands)?;
     }
     let gov = Governor::unlimited();
-    let cx = ExecCtx::new(doc, &gov, tracer);
+    let tracer = Tracer::disabled();
+    let cx = ExecCtx::new(doc, &gov, &tracer);
     let mut stats = EvalStats::new();
     let raw = match strategy_raw(&cx, query, strategy, operands, &mut stats) {
         Ok(raw) => raw,
@@ -609,10 +590,17 @@ fn brute_force(
                 .filter(move |(i, _)| m & (1 << i) != 0)
                 .map(|(_, f)| *f)
         });
+        let joins_before = stats.joins;
         // invariant: every odometer mask is at least 1, so at least one
         // fragment is always chosen.
         let joined = fragment_join_many(cx.doc, chosen, stats).expect("non-empty choice");
+        // One charge per binary kernel of the union (`n − 1`, as `stats`
+        // counts them, and at least one), so `max_joins` bounds brute
+        // force's work the way it bounds the fixed points'.
         cx.gov.charge_join(joined.size() as u64)?;
+        for _ in 1..stats.joins - joins_before {
+            cx.gov.charge_join(0)?;
+        }
         cx.gov.charge_fragments(1)?;
         stats.fragments_emitted += 1;
         if !out.insert(joined) {
@@ -739,7 +727,6 @@ pub fn evaluate_scoped<I: PostingsSource + ?Sized>(
     strategy: Strategy,
 ) -> Result<Vec<(xfrag_doc::NodeId, QueryResult)>, ScopedQueryError> {
     let scopes = xfrag_doc::select_path(doc, scope_path).map_err(ScopedQueryError::Path)?;
-    let tracer = Tracer::disabled();
     let mut out = Vec::new();
     for scope in scopes {
         // Restrict each operand's postings to the scope subtree; pre-order
@@ -759,8 +746,8 @@ pub fn evaluate_scoped<I: PostingsSource + ?Sized>(
                 )
             })
             .collect();
-        let r = evaluate_operands(doc, &tracer, query, strategy, &operands)
-            .map_err(ScopedQueryError::Query)?;
+        let r =
+            evaluate_operands(doc, query, strategy, &operands).map_err(ScopedQueryError::Query)?;
         if !r.fragments.is_empty() {
             out.push((scope, r));
         }
@@ -790,20 +777,25 @@ impl std::error::Error for ScopedQueryError {}
 
 /// The §4.2-style diagnostic of how much each operand set would shrink
 /// under `⊖`: `(term, |F|, |⊖(F)|)` per query term, as `explain` prints
-/// it.
+/// it. `⊖` is O(|F|³), so each operand's reduction runs governed under
+/// its own governor built from `policy`, and an operand whose reduction
+/// breaches reports the [`Breach`] in place of `|⊖(F)|`.
 pub fn operand_reduction_factors<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,
     query: &Query,
-) -> Vec<(String, usize, usize)> {
+    policy: &ExecPolicy,
+) -> Vec<(String, usize, Result<usize, Breach>)> {
+    let tracer = Tracer::disabled();
     let mut stats = EvalStats::new();
     query
         .terms
         .iter()
         .map(|t| {
             let f = FragmentSet::of_nodes(index.postings(t).iter().copied());
-            let r = reduce(doc, &f, &mut stats);
-            (t.clone(), f.len(), r.len())
+            let gov = policy.governor();
+            let reduced = ExecCtx::new(doc, &gov, &tracer).reduce(&f, &mut stats);
+            (t.clone(), f.len(), reduced.map(|r| r.len()))
         })
         .collect()
 }
@@ -1006,13 +998,18 @@ mod tests {
         let d = doc();
         let idx = InvertedIndex::build(&d);
         let q = Query::new(["alpha"], FilterExpr::True);
-        let rfs = operand_reduction_factors(&d, &idx, &q);
+        let rfs = operand_reduction_factors(&d, &idx, &q, &ExecPolicy::unlimited());
         assert_eq!(rfs.len(), 1);
         let (term, a, b) = &rfs[0];
         assert_eq!(term, "alpha");
         // alpha at n1, n2, n5: n1 ⊆ n2 ⋈ n5 (path through n0? no —
         // path(n2,n5) = n2,n1,n0,n4,n5 ∋ n1) → n1 eliminated.
         assert_eq!(*a, 3);
-        assert_eq!(*b, 2);
+        assert_eq!(*b, Ok(2));
+        // Under a work bound `⊖` stops at its first charge past it and
+        // names the breach instead of running on.
+        let tight = ExecPolicy::with_budget(crate::Budget::unlimited().with_max_joins(0));
+        let rfs = operand_reduction_factors(&d, &idx, &q, &tight);
+        assert_eq!(rfs[0].2, Err(Breach::Joins));
     }
 }

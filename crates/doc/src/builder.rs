@@ -16,6 +16,16 @@ use crate::tree::{Document, Node, NodeId};
 /// rejects deeper input before any label is built.
 pub const MAX_DEPTH: u32 = 4096;
 
+/// Label entries, Σ(depth + 1) over all nodes, that any document may
+/// need: 2^24, above the 8.4M of a [`MAX_DEPTH`]-level chain.
+const MIN_LABEL_ENTRIES: u64 = 1 << 24;
+
+/// Label entries allowed per node beyond [`MIN_LABEL_ENTRIES`], so label
+/// space stays within a constant factor of the input: 70,000 leaves
+/// under a 4,000-level chain, a 308 KB file, would otherwise need 288M
+/// entries (over 1 GiB) and abort the process on allocation failure.
+const LABEL_ENTRIES_PER_NODE: u64 = 64;
+
 /// Streaming builder for [`Document`].
 ///
 /// ```
@@ -166,16 +176,20 @@ impl DocumentBuilder {
     }
 }
 
-/// Reject node depths whose root-path labels would be too deep or would
-/// overflow the labels' `u32` offsets, before anything is allocated.
+/// Reject node depths whose root-path labels would be too deep, too
+/// large for the input's size, or would overflow the labels' `u32`
+/// offsets, before anything is allocated.
 fn check_label_space(depth: &[u32]) -> Result<(), DocError> {
     let levels = depth.iter().max().map_or(0, |&d| d + 1);
     if levels > MAX_DEPTH {
         return Err(DocError::TooDeep(levels));
     }
     let entries: u64 = depth.iter().map(|&d| u64::from(d) + 1).sum();
-    if entries > u64::from(u32::MAX) {
-        return Err(DocError::LabelsTooLarge(entries));
+    let limit = (LABEL_ENTRIES_PER_NODE * depth.len() as u64)
+        .max(MIN_LABEL_ENTRIES)
+        .min(u64::from(u32::MAX));
+    if entries > limit {
+        return Err(DocError::LabelsTooLarge { entries, limit });
     }
     Ok(())
 }
@@ -298,8 +312,33 @@ mod tests {
         let depth = vec![MAX_DEPTH - 1; 1_100_000];
         assert_eq!(
             check_label_space(&depth),
-            Err(DocError::LabelsTooLarge(1_100_000 * u64::from(MAX_DEPTH)))
+            Err(DocError::LabelsTooLarge {
+                entries: 1_100_000 * u64::from(MAX_DEPTH),
+                limit: 1_100_000 * LABEL_ENTRIES_PER_NODE,
+            })
         );
-        assert_eq!(check_label_space(&depth[..1_000_000]), Ok(()));
+        // Wide under deep: 70,000 leaves below a 4,000-level chain need
+        // 288M entries, far past both 64 per node and 2^24, though no
+        // node is too deep.
+        let chain = 4_000u32;
+        let mut depth: Vec<u32> = (0..chain).collect();
+        depth.extend(vec![chain; 70_000]);
+        let entries = u64::from(chain) * u64::from(chain + 1) / 2 + 70_000 * u64::from(chain + 1);
+        assert_eq!(
+            check_label_space(&depth),
+            Err(DocError::LabelsTooLarge {
+                entries,
+                limit: MIN_LABEL_ENTRIES,
+            })
+        );
+        // Chains up to the depth limit stay admitted, as do wide shallow
+        // documents of any size.
+        for levels in [3_000, MAX_DEPTH] {
+            let chain: Vec<u32> = (0..levels).collect();
+            assert_eq!(check_label_space(&chain), Ok(()), "{levels}");
+        }
+        let mut flat = vec![1u32; 1_000_000];
+        flat[0] = 0;
+        assert_eq!(check_label_space(&flat), Ok(()));
     }
 }

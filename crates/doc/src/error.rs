@@ -126,8 +126,14 @@ pub enum DocError {
     /// [`MAX_DEPTH`](crate::MAX_DEPTH) (the root is level 1).
     TooDeep(u32),
     /// The root-path labels, Σ(depth + 1) over all nodes, would need more
-    /// than `u32::MAX` entries and overflow their `u32` offsets.
-    LabelsTooLarge(u64),
+    /// entries than the document's size admits: 64 per node, at least
+    /// 2^24, and never past `u32::MAX`, where their offsets overflow.
+    LabelsTooLarge {
+        /// Σ(depth + 1) over all nodes.
+        entries: u64,
+        /// The most this document may need.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for DocError {
@@ -145,9 +151,11 @@ impl fmt::Display for DocError {
                 "elements nest {levels} levels deep, more than the limit of {}",
                 crate::MAX_DEPTH
             ),
-            DocError::LabelsTooLarge(n) => {
-                write!(f, "structural labels need {n} entries, more than u32::MAX")
-            }
+            DocError::LabelsTooLarge { entries, limit } => write!(
+                f,
+                "structural labels need {entries} entries, more than the limit of {limit} \
+                 for this many nodes"
+            ),
         }
     }
 }

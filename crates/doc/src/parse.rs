@@ -216,7 +216,9 @@ impl<'a> Parser<'a> {
         }
         builder.finish().map_err(|e| {
             self.err(match e {
-                DocError::TooDeep(_) | DocError::LabelsTooLarge(_) => ParseErrorKind::TooLarge(e),
+                DocError::TooDeep(_) | DocError::LabelsTooLarge { .. } => {
+                    ParseErrorKind::TooLarge(e)
+                }
                 _ => ParseErrorKind::TrailingContent,
             })
         })

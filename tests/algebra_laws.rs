@@ -18,11 +18,12 @@
 //! | `F1 ⋈* F2 = F1⁺ ⋈ F2⁺`, exhaustive over all operand pairs | Theorem 2 |
 //! | push-down ≡ post-filter for size/height/width, exhaustive | Theorem 3 |
 //! | equal-depth push-down changes the answer: concrete witness | §3.4, Figure 7 |
+//! | the default work bound trips on no query over these cells | robustness layer |
 
 use xfrag::core::{
-    evaluate, fixed_point_naive, fixed_point_reduced, fragment_join, pairwise_join, powerset_join,
-    powerset_via_fixpoint, reduce, select, EvalStats, FilterExpr, FixpointMode, Fragment,
-    FragmentSet, Query, Strategy,
+    evaluate, evaluate_budgeted, fixed_point_naive, fixed_point_reduced, fragment_join,
+    pairwise_join, powerset_join, powerset_via_fixpoint, reduce, select, Budget, EvalStats,
+    ExecPolicy, FilterExpr, FixpointMode, Fragment, FragmentSet, Query, Strategy,
 };
 use xfrag::doc::{Document, DocumentBuilder, InvertedIndex, NodeId};
 
@@ -310,5 +311,57 @@ fn equal_depth_pushdown_counterexample() {
     ] {
         let r = evaluate(&doc, &idx, &q, s).unwrap();
         assert_eq!(r.fragments, oracle.fragments, "strategy {}", s.name());
+    }
+}
+
+/// A copy of `tree` whose nodes in `f1` hold "ka" and in `f2` "kb".
+fn with_terms(tree: &Document, f1: &FragmentSet, f2: &FragmentSet) -> Document {
+    fn emit(b: &mut DocumentBuilder, t: &Document, v: NodeId, f1: &FragmentSet, f2: &FragmentSet) {
+        b.begin(t.tag(v));
+        let f = Fragment::node(v);
+        b.text(match (f1.contains(&f), f2.contains(&f)) {
+            (true, true) => "ka kb",
+            (true, false) => "ka",
+            (false, true) => "kb",
+            (false, false) => "",
+        });
+        for &c in t.children(v) {
+            emit(b, t, c, f1, f2);
+        }
+        b.end();
+    }
+    let mut b = DocumentBuilder::new();
+    emit(&mut b, tree, tree.root(), f1, f2);
+    b.finish().unwrap()
+}
+
+/// The default work bound never trips on this suite's cells: for every
+/// operand pair of Theorem 2's exhaustive check, planted as the
+/// occurrences of two terms, every strategy under
+/// [`Budget::bounded`] answers exactly what unbounded `evaluate` does.
+#[test]
+fn default_bound_trips_on_no_exhaustive_cell() {
+    let policy = ExecPolicy::with_budget(Budget::bounded());
+    for n in 1..=4 {
+        for tree in all_trees(n) {
+            for f1 in singleton_sets(&tree) {
+                for f2 in singleton_sets(&tree) {
+                    let doc = with_terms(&tree, &f1, &f2);
+                    let idx = InvertedIndex::build(&doc);
+                    for filter in [
+                        FilterExpr::True,
+                        FilterExpr::MaxSize(2),
+                        FilterExpr::MinSize(3),
+                    ] {
+                        let q = Query::new(["ka", "kb"], filter);
+                        for s in Strategy::ALL {
+                            let r = evaluate_budgeted(&doc, &idx, &q, s, &policy).unwrap();
+                            assert!(!r.degradation.is_degraded(), "{s:?} {}", q.filter);
+                            assert_eq!(r.fragments, evaluate(&doc, &idx, &q, s).unwrap().fragments);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -78,7 +78,7 @@ fn run(
     policy: &ExecPolicy,
     cache: Option<CacheRef<'_>>,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_traced(doc, idx, q, s, Some(policy), &Tracer::disabled(), cache)
+    evaluate_traced(doc, idx, q, s, policy, &Tracer::disabled(), cache)
 }
 
 /// Assert the cached pipeline (cold fill, then warm replay) is observably
@@ -215,6 +215,26 @@ fn cached_equals_uncached_across_strategies_policies_and_faults() {
                     );
                     assert_differential(&doc, &idx, &q, s, mk.as_ref(), &label);
                 }
+            }
+        }
+    }
+}
+
+/// The default work bound trips on no cell of the matrix: every
+/// document × query × strategy answers under [`Budget::bounded`] exactly
+/// what the unlimited policy answers.
+#[test]
+fn default_bound_trips_on_no_cell() {
+    let bounded = ExecPolicy::with_budget(Budget::bounded());
+    for doc in corpus() {
+        let idx = InvertedIndex::build(&doc);
+        for q in queries() {
+            for s in Strategy::ALL {
+                let r = run(&doc, &idx, &q, s, &bounded, None).unwrap();
+                let label = format!("doc={} q={:?} strategy={}", doc.len(), q.terms, s.name());
+                assert!(!r.degradation.is_degraded(), "{label}");
+                let exact = run(&doc, &idx, &q, s, &ExecPolicy::unlimited(), None).unwrap();
+                assert_eq!(r.fragments, exact.fragments, "{label}");
             }
         }
     }

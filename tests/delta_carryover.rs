@@ -71,7 +71,7 @@ fn run(
     policy: &ExecPolicy,
     cache: Option<CacheRef<'_>>,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_traced(doc, idx, q, s, Some(policy), &Tracer::disabled(), cache)
+    evaluate_traced(doc, idx, q, s, policy, &Tracer::disabled(), cache)
 }
 
 /// A labelled policy constructor; fresh per pass so fault hit counters

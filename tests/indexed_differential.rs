@@ -81,9 +81,14 @@ fn generated_corpora_agree_unbudgeted_and_budgeted() {
             for policy in [
                 ExecPolicy::unlimited(),
                 ExecPolicy::with_budget(Budget::unlimited().with_max_joins(8)),
+                ExecPolicy::with_budget(Budget::bounded()),
             ] {
                 let mem = evaluate_budgeted(&d, &idx, &q, s, &policy).unwrap();
                 let per = evaluate_budgeted(&d, &seg, &q, s, &policy).unwrap();
+                if policy.budget == Budget::bounded() {
+                    // The default work bound trips on no cell.
+                    assert!(!mem.degradation.is_degraded(), "seed {seed} {s:?}");
+                }
                 assert_eq!(mem.fragments, per.fragments, "seed {seed} {s:?} budgeted");
                 assert_eq!(
                     mem.stats, per.stats,

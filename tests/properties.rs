@@ -13,13 +13,14 @@
 //! | size/height/width filters satisfy Definition 11 | §3.3 |
 //! | all four strategies agree | §4 |
 //! | budgeted answers ⊆ exact; undegraded ⇒ equal | robustness layer |
+//! | the default bound always returns, within its charge | robustness layer |
 
 use proptest::prelude::*;
 use xfrag::core::{
     evaluate, evaluate_budgeted, fixed_point_naive, fixed_point_reduced, fragment_join,
     fragment_join_all, fragment_join_many, pairwise_join, powerset_join, powerset_via_fixpoint,
     reduce, select, Budget, EvalStats, ExecPolicy, FilterExpr, FixpointMode, Fragment, FragmentSet,
-    Query, Strategy,
+    Query, Strategy, DEFAULT_MAX_JOINS,
 };
 use xfrag::doc::{Document, DocumentBuilder, InvertedIndex, NodeId};
 
@@ -27,20 +28,37 @@ use xfrag::doc::{Document, DocumentBuilder, InvertedIndex, NodeId};
 /// to node `choices[i] % (i+1)`. The result is re-numbered in pre-order
 /// by the builder, which is fine — any rooted ordered tree will do.
 fn build_tree(choices: &[usize]) -> Document {
+    build_text_tree(choices, &[])
+}
+
+/// [`build_tree`] whose node `v` also holds the terms `ka`, `kb`, `kc`
+/// that bits 0–2 of `words[v]` select (none past the end of `words`), so
+/// one term can occur at many nodes.
+fn build_text_tree(choices: &[usize], words: &[u8]) -> Document {
     let n = choices.len() + 1;
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, &c) in choices.iter().enumerate() {
         children[c % (i + 1)].push(i + 1);
     }
     let mut b = DocumentBuilder::new();
-    fn emit(b: &mut DocumentBuilder, children: &[Vec<usize>], v: usize) {
+    fn emit(b: &mut DocumentBuilder, children: &[Vec<usize>], words: &[u8], v: usize) {
         b.begin(format!("t{v}"));
+        let w = words.get(v).copied().unwrap_or(0);
+        let terms: Vec<&str> = ["ka", "kb", "kc"]
+            .into_iter()
+            .enumerate()
+            .filter(|(bit, _)| w & (1 << bit) != 0)
+            .map(|(_, t)| t)
+            .collect();
+        if !terms.is_empty() {
+            b.text(terms.join(" "));
+        }
         for &c in &children[v] {
-            emit(b, children, c);
+            emit(b, children, words, c);
         }
         b.end();
     }
-    emit(&mut b, &children, 0);
+    emit(&mut b, &children, words, 0);
     b.finish().expect("random tree is well-formed")
 }
 
@@ -358,6 +376,63 @@ proptest! {
                 );
             } else {
                 prop_assert!(r.degradation.breach.is_some());
+            }
+        }
+    }
+}
+
+/// Every filter shape, `True` and the non-anti-monotonic ones included.
+fn every_filter(k: u32) -> Vec<FilterExpr> {
+    vec![
+        FilterExpr::True,
+        FilterExpr::MaxSize(k),
+        FilterExpr::MaxHeight(k / 2),
+        FilterExpr::MaxWidth(k),
+        FilterExpr::MaxDiameter(k / 2),
+        FilterExpr::MinSize(k),
+        FilterExpr::ContainsTerm("kc".into()),
+        FilterExpr::LeafTerm("ka".into()),
+        FilterExpr::EqualDepth("ka".into(), "kb".into()),
+        FilterExpr::RootTag("t0".into()),
+        FilterExpr::and([FilterExpr::MaxSize(k), FilterExpr::MinSize(2)]),
+        FilterExpr::Or(vec![FilterExpr::MaxHeight(1), FilterExpr::MinSize(k)]),
+        FilterExpr::Not(Box::new(FilterExpr::MaxSize(1))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The default bound of every evaluation on outside input: over
+    /// random documents, 1–3 terms, every filter and every strategy, a
+    /// call always returns, charges at most the bound plus the one join
+    /// that crossed it, and answers exactly what unbounded `evaluate`
+    /// does whenever it did not degrade.
+    #[test]
+    fn default_bound_always_returns_within_its_charge(
+        choices in prop::collection::vec(any::<usize>(), 0..40),
+        words in prop::collection::vec(any::<u8>(), 40),
+        m in 1usize..=3,
+        k in 1u32..8,
+    ) {
+        let doc = build_text_tree(&choices, &words);
+        let idx = InvertedIndex::build(&doc);
+        let policy = ExecPolicy::with_budget(Budget::bounded());
+        for (filter, s) in every_filter(k)
+            .into_iter()
+            .flat_map(|f| Strategy::ALL.map(|s| (f.clone(), s)))
+        {
+            let q = Query::new(["ka", "kb", "kc"][..m].iter(), filter);
+            let r = evaluate_budgeted(&doc, &idx, &q, s, &policy).unwrap();
+            if r.degradation.is_degraded() {
+                prop_assert!(
+                    r.degradation.joins_spent <= DEFAULT_MAX_JOINS + 1,
+                    "{}: spent {}", s.name(), r.degradation.joins_spent
+                );
+            } else {
+                prop_assert!(r.stats.joins <= DEFAULT_MAX_JOINS, "{}", s.name());
+                let exact = evaluate(&doc, &idx, &q, s).unwrap();
+                prop_assert_eq!(&r.fragments, &exact.fragments, "{} {}", s.name(), q.filter);
             }
         }
     }

@@ -22,15 +22,19 @@ fn all_strategies_agree_traced_and_untraced() {
         let q = Query::new(["xquery", "optimization"], filter.clone());
         let mut answers = Vec::new();
         for &s in &Strategy::ALL {
-            let plain = evaluate(d, &idx, &q, s).unwrap();
+            let plain = evaluate_budgeted(d, &idx, &q, s, &ExecPolicy::unlimited()).unwrap();
 
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
-            let traced = evaluate_traced(d, &idx, &q, s, None, &tracer, None).unwrap();
+            let traced =
+                evaluate_traced(d, &idx, &q, s, &ExecPolicy::unlimited(), &tracer, None).unwrap();
 
             // Identical answers AND identical counters, field for field.
             assert_eq!(traced.fragments, plain.fragments, "{s:?} {filter}");
             assert_eq!(traced.stats, plain.stats, "{s:?} {filter}");
+            // The unlimited policy answers exactly what plain `evaluate` does.
+            let exact = evaluate(d, &idx, &q, s).unwrap();
+            assert_eq!(traced.fragments, exact.fragments, "{s:?} {filter}");
             // The recorder actually saw the evaluation.
             let spans = sink.take();
             assert!(!spans.is_empty(), "{s:?} recorded no spans");
@@ -61,12 +65,15 @@ fn generated_corpora_agree_traced_and_untraced() {
         let idx = InvertedIndex::build(&d);
         let q = Query::new(["kwone", "kwtwo"], FilterExpr::MaxSize(6));
         for &s in &Strategy::ALL {
-            let plain = evaluate(&d, &idx, &q, s).unwrap();
+            let plain = evaluate_budgeted(&d, &idx, &q, s, &ExecPolicy::unlimited()).unwrap();
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
-            let traced = evaluate_traced(&d, &idx, &q, s, None, &tracer, None).unwrap();
+            let traced =
+                evaluate_traced(&d, &idx, &q, s, &ExecPolicy::unlimited(), &tracer, None).unwrap();
             assert_eq!(traced.fragments, plain.fragments, "seed {seed} {s:?}");
             assert_eq!(traced.stats, plain.stats, "seed {seed} {s:?}");
+            let exact = evaluate(&d, &idx, &q, s).unwrap();
+            assert_eq!(traced.fragments, exact.fragments, "seed {seed} {s:?}");
         }
     }
 }
@@ -85,7 +92,7 @@ fn budgeted_evaluation_agrees_traced_and_untraced() {
             let plain = evaluate_budgeted(d, &idx, &q, s, &policy).unwrap();
             let sink = RecordingSink::new();
             let tracer = Tracer::new(&sink);
-            let traced = evaluate_traced(d, &idx, &q, s, Some(&policy), &tracer, None).unwrap();
+            let traced = evaluate_traced(d, &idx, &q, s, &policy, &tracer, None).unwrap();
             assert_eq!(traced.fragments, plain.fragments, "{s:?}");
             assert_eq!(traced.stats, plain.stats, "{s:?}");
             assert_eq!(traced.degradation.breach, plain.degradation.breach, "{s:?}");
@@ -112,18 +119,21 @@ fn span_trees_sum_and_emit() {
         &idx,
         &q,
         Strategy::FixedPointReduced,
-        None,
+        &ExecPolicy::unlimited(),
         &tracer,
         None,
     )
     .unwrap();
     let spans = sink.take();
 
-    // Top-level span deltas sum to the query's total stats.
+    // Top-level span deltas sum to the query's total stats, except the
+    // budget checkpoints, which the governor counts across all spans.
     let mut summed = EvalStats::new();
     for s in &spans {
         summed += s.stats_delta;
     }
+    assert!(r.stats.budget_checkpoints > 0);
+    summed.budget_checkpoints = r.stats.budget_checkpoints;
     assert_eq!(summed, r.stats);
 
     // Both emitters accept the real tree.
