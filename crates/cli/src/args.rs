@@ -8,7 +8,7 @@ use xfrag_core::{Budget, DegradeMode, FilterExpr, Strategy};
 pub const USAGE: &str = "\
 usage:
   xfrag search <file.xml|file.xfrg> <keyword>... [options]
-  xfrag msearch <dir> <keyword>... [options]     (searches every .xml/.xfrg in dir)
+  xfrag msearch <dir> <keyword>... [options]     (searches the documents serve would load from dir)
   xfrag explain <file.xml|file.xfrg> <keyword>... [options]
   xfrag compile <in.xml> <out.xfrg>              (pre-parse to binary form)
   xfrag index [--delta] <src-dir> <corpus-dir>   (commit a new corpus generation)

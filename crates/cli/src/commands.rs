@@ -2,6 +2,7 @@
 //! the logic is unit-testable without capturing stdout.
 
 use crate::args::{Command, ProfileMode, SearchArgs};
+use crate::corpus::{load, load_corpus, sibling_segment};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -20,8 +21,8 @@ use xfrag_doc::atomic::{write_atomic, WriteFault, WriteFaultHook};
 use xfrag_doc::manifest;
 use xfrag_doc::serialize::{fragment_to_xml, WriteOptions};
 use xfrag_doc::{
-    encode_segment, parse_str, segment_file_name, store, Collection, Document, InvertedIndex,
-    PostingsSource, SegmentIndex,
+    encode_segment, segment_file_name, store, Collection, Document, InvertedIndex, PostingsSource,
+    SegmentIndex,
 };
 
 /// Top-level error type for command execution.
@@ -73,8 +74,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             search_with(&doc, seg.as_ref(), &a)
         }
         Command::MultiSearch(a) => {
-            let coll = load_dir(&a.file)?;
-            multi_search(&coll, &a)
+            let corpus = load_corpus(&a.file, None, true)?;
+            multi_search(&corpus.coll, &a)
         }
         Command::Compile {
             input,
@@ -172,6 +173,40 @@ fn hook_ref(hook: &Option<InjectorWriteHook>) -> Option<&dyn WriteFaultHook> {
     hook.as_ref().map(|h| h as &dyn WriteFaultHook)
 }
 
+/// Write one data file of a generation atomically as `dir/name` and
+/// return its manifest entry.
+fn write_entry(
+    dir: &Path,
+    name: String,
+    bytes: &[u8],
+    hook: &Option<InjectorWriteHook>,
+) -> Result<manifest::ManifestEntry, CliError> {
+    write_atomic(&dir.join(&name), bytes, hook_ref(hook))
+        .map_err(|e| CliError::Io(name.clone(), e))?;
+    Ok(manifest::ManifestEntry::for_bytes(name, bytes))
+}
+
+/// Commit a generation whose data files are written: its manifest is
+/// the commit point. Then prune every generation older than
+/// `keep_from` that no kept manifest still references (`None`: nothing
+/// is older). Returns how many files were pruned.
+fn commit(
+    dir: &str,
+    m: &manifest::Manifest,
+    keep_from: Option<u64>,
+    hook: &Option<InjectorWriteHook>,
+) -> Result<usize, CliError> {
+    let dirp = Path::new(dir);
+    manifest::write_manifest(dirp, m, hook_ref(hook))
+        .map_err(|e| CliError::Io(dir.to_string(), e))?;
+    match keep_from {
+        Some(g) => manifest::prune_generations(dirp, g)
+            .map(|pruned| pruned.len())
+            .map_err(|e| CliError::Io(dir.to_string(), e)),
+        None => Ok(0),
+    }
+}
+
 /// `xfrag index <src-dir> <corpus-dir>`: compile every `.xml` in the
 /// source directory into the corpus directory as one new
 /// manifest-committed generation. Each document commits as a pair: the
@@ -200,23 +235,9 @@ fn index_corpus(src: &str, out: &str, inject: Option<&str>) -> Result<String, Cl
             .to_string_lossy()
             .into_owned();
         let name = manifest::generation_file_name(&stem, generation);
-        let bytes = store::encode(&doc);
-        write_atomic(&outp.join(&name), &bytes, hook_ref(&hook))
-            .map_err(|e| CliError::Io(name.clone(), e))?;
-        files.push(manifest::ManifestEntry {
-            name,
-            len: bytes.len() as u64,
-            checksum: manifest::checksum(&bytes),
-        });
+        files.push(write_entry(outp, name, &store::encode(&doc), &hook)?);
         let seg_name = segment_file_name(&stem, generation);
-        let seg_bytes = encode_segment(&doc);
-        write_atomic(&outp.join(&seg_name), &seg_bytes, hook_ref(&hook))
-            .map_err(|e| CliError::Io(seg_name.clone(), e))?;
-        files.push(manifest::ManifestEntry {
-            name: seg_name,
-            len: seg_bytes.len() as u64,
-            checksum: manifest::checksum(&seg_bytes),
-        });
+        files.push(write_entry(outp, seg_name, &encode_segment(&doc), &hook)?);
         segments += 1;
     }
     let m = manifest::Manifest {
@@ -224,21 +245,13 @@ fn index_corpus(src: &str, out: &str, inject: Option<&str>) -> Result<String, Cl
         parent: None,
         files,
     };
-    manifest::write_manifest(outp, &m, hook_ref(&hook))
-        .map_err(|e| CliError::Io(out.to_string(), e))?;
     // Keep the current and previous generations (the previous is the
     // rollback target); everything older is garbage.
-    let pruned = if generation >= 2 {
-        manifest::prune_generations(outp, generation - 1)
-            .map_err(|e| CliError::Io(out.to_string(), e))?
-    } else {
-        Vec::new()
-    };
+    let pruned = commit(out, &m, (generation >= 2).then(|| generation - 1), &hook)?;
     Ok(format!(
         "committed generation {generation}: {} document(s) + {segments} index segment(s) \
-         -> {out} ({} old file(s) pruned)\n",
+         -> {out} ({pruned} old file(s) pruned)\n",
         paths.len(),
-        pruned.len()
     ))
 }
 
@@ -310,17 +323,13 @@ fn delta_index(src: &str, out: &str, inject: Option<&str>) -> Result<String, Cli
         // A fresh `.xidx` segment for this document, written only when
         // the parent's can't be carried (doc changed, or a legacy parent
         // generation never had one).
-        let write_segment = |files: &mut Vec<manifest::ManifestEntry>| -> Result<(), CliError> {
-            let seg_name = segment_file_name(&stem, generation);
-            let seg_bytes = encode_segment(&doc);
-            write_atomic(&outp.join(&seg_name), &seg_bytes, hook_ref(&hook))
-                .map_err(|e| CliError::Io(seg_name.clone(), e))?;
-            files.push(manifest::ManifestEntry {
-                name: seg_name,
-                len: seg_bytes.len() as u64,
-                checksum: manifest::checksum(&seg_bytes),
-            });
-            Ok(())
+        let write_segment = || {
+            write_entry(
+                outp,
+                segment_file_name(&stem, generation),
+                &encode_segment(&doc),
+                &hook,
+            )
         };
         let bytes = store::encode(&doc);
         match parent_by_logical.get(&format!("{stem}.xfrg")) {
@@ -329,22 +338,16 @@ fn delta_index(src: &str, out: &str, inject: Option<&str>) -> Result<String, Cli
                 // the document *and* its index segment (byte-identical
                 // document bytes imply an identical segment).
                 files.push((*e).clone());
-                match parent_by_logical.get(&format!("{stem}.xidx")) {
-                    Some(seg) => files.push((*seg).clone()),
-                    None => write_segment(&mut files)?,
-                }
+                files.push(match parent_by_logical.get(&format!("{stem}.xidx")) {
+                    Some(seg) => (*seg).clone(),
+                    None => write_segment()?,
+                });
                 carried += 1;
             }
             _ => {
                 let name = manifest::generation_file_name(&stem, generation);
-                write_atomic(&outp.join(&name), &bytes, hook_ref(&hook))
-                    .map_err(|e| CliError::Io(name.clone(), e))?;
-                files.push(manifest::ManifestEntry {
-                    name,
-                    len: bytes.len() as u64,
-                    checksum: manifest::checksum(&bytes),
-                });
-                write_segment(&mut files)?;
+                files.push(write_entry(outp, name, &bytes, &hook)?);
+                files.push(write_segment()?);
                 rewritten += 1;
             }
         }
@@ -364,17 +367,13 @@ fn delta_index(src: &str, out: &str, inject: Option<&str>) -> Result<String, Cli
         parent: Some(parent.generation),
         files,
     };
-    manifest::write_manifest(outp, &m, hook_ref(&hook))
-        .map_err(|e| CliError::Io(out.to_string(), e))?;
     // Keep the parent (the rollback target); parent-chain retention in
     // prune_generations keeps everything the delta still references.
-    let pruned = manifest::prune_generations(outp, parent.generation)
-        .map_err(|e| CliError::Io(out.to_string(), e))?;
+    let pruned = commit(out, &m, Some(parent.generation), &hook)?;
     Ok(format!(
         "committed delta generation {generation} (parent {}): {carried} carried, \
-         {rewritten} rewritten, {removed} removed -> {out} ({} old file(s) pruned)\n",
+         {rewritten} rewritten, {removed} removed -> {out} ({pruned} old file(s) pruned)\n",
         parent.generation,
-        pruned.len()
     ))
 }
 
@@ -418,104 +417,19 @@ fn compact_corpus(dir: &str, inject: Option<&str>) -> Result<String, CliError> {
                 manifest::generation_file_name(stem, generation)
             }
         };
-        write_atomic(&dirp.join(&name), &bytes, hook_ref(&hook))
-            .map_err(|err| CliError::Io(name.clone(), err))?;
-        files.push(manifest::ManifestEntry {
-            name,
-            len: bytes.len() as u64,
-            checksum: manifest::checksum(&bytes),
-        });
+        files.push(write_entry(dirp, name, &bytes, &hook)?);
     }
     let m = manifest::Manifest {
         generation,
         parent: None,
         files,
     };
-    manifest::write_manifest(dirp, &m, hook_ref(&hook))
-        .map_err(|e| CliError::Io(dir.to_string(), e))?;
-    let pruned = manifest::prune_generations(dirp, current.generation)
-        .map_err(|e| CliError::Io(dir.to_string(), e))?;
+    let pruned = commit(dir, &m, Some(current.generation), &hook)?;
     Ok(format!(
         "compacted generation {} -> {generation}: {count} document(s) + {segments} \
-         index segment(s) ({} old file(s) pruned)\n",
+         index segment(s) ({pruned} old file(s) pruned)\n",
         current.generation,
-        pruned.len()
     ))
-}
-
-pub(crate) fn load(path: &str) -> Result<Document, CliError> {
-    if path.ends_with(".xfrg") {
-        let bytes = std::fs::read(path).map_err(|e| CliError::Io(path.to_string(), e))?;
-        return store::decode(&bytes).map_err(CliError::Store);
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.to_string(), e))?;
-    parse_str(&text).map_err(CliError::Parse)
-}
-
-/// Probe for a persistent index segment next to a `.xfrg` file: the
-/// same path with an `.xidx` extension. `Ok(None)` when there is no
-/// sibling; `Err(why)` when one exists but is unusable (corrupt, or
-/// built for a different document) — callers warn and fall back to an
-/// in-memory index, never fail the load.
-pub(crate) fn sibling_segment(path: &Path, doc: &Document) -> Result<Option<SegmentIndex>, String> {
-    if path.extension().and_then(|e| e.to_str()) != Some("xfrg") {
-        return Ok(None);
-    }
-    let seg_path = path.with_extension("xidx");
-    if !seg_path.exists() {
-        return Ok(None);
-    }
-    load_segment(&seg_path, doc).map(Some)
-}
-
-/// Read, decode, and validate one `.xidx` segment against the document
-/// it claims to index.
-pub(crate) fn load_segment(path: &Path, doc: &Document) -> Result<SegmentIndex, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let seg = SegmentIndex::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-    if seg.doc_len() != doc.len() {
-        return Err(format!(
-            "{}: segment covers {} node(s) but the document has {}",
-            path.display(),
-            seg.doc_len(),
-            doc.len()
-        ));
-    }
-    Ok(seg)
-}
-
-/// Load every `.xml`/`.xfrg` file in a directory (sorted for
-/// determinism). An `.xfrg` with a valid `.xidx` sibling loads
-/// segment-backed: lazy postings on the query path.
-fn load_dir(dir: &str) -> Result<Collection, CliError> {
-    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| CliError::Io(dir.to_string(), e))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.extension()
-                .and_then(|e| e.to_str())
-                .is_some_and(|e| e == "xml" || e == "xfrg")
-        })
-        .collect();
-    paths.sort();
-    let mut coll = Collection::new();
-    for p in paths {
-        let doc = load(&p.to_string_lossy())?;
-        let name = p.file_name().unwrap_or_default().to_string_lossy();
-        match sibling_segment(&p, &doc) {
-            Ok(Some(seg)) => {
-                coll.add_with_segment(name, doc, seg);
-            }
-            Ok(None) => {
-                coll.add(name, doc);
-            }
-            Err(why) => {
-                eprintln!("warning: ignoring index segment ({why}); using the in-memory index");
-                coll.add(name, doc);
-            }
-        }
-    }
-    Ok(coll)
 }
 
 /// A one-shot CLI cache: `--cache-mb N` builds the cache and a fresh
@@ -631,7 +545,12 @@ pub fn multi_search(coll: &Collection, a: &SearchArgs) -> Result<String, CliErro
             .unwrap();
         }
         if let Some((c, _)) = &cache {
-            writeln!(out, "cache: {}", c.stats().to_json()).unwrap();
+            writeln!(
+                out,
+                "cache: {}",
+                serde_json::to_string(&c.stats()).expect("cache stats serialize")
+            )
+            .unwrap();
         }
     }
     if a.profile.is_on() {
@@ -805,7 +724,12 @@ fn search_impl<I: PostingsSource + ?Sized>(
             writeln!(out, "{}", segment_stats_line(seg)).unwrap();
         }
         if let Some((c, _)) = &cache {
-            writeln!(out, "cache: {}", c.stats().to_json()).unwrap();
+            writeln!(
+                out,
+                "cache: {}",
+                serde_json::to_string(&c.stats()).expect("cache stats serialize")
+            )
+            .unwrap();
         }
     }
     out.push_str(&profile_block(a.profile, &sink.take()));
@@ -955,7 +879,12 @@ fn explain_impl<I: PostingsSource + ?Sized>(
         for line in render_spans(&sink.take()).lines() {
             writeln!(out, "  {line}").unwrap();
         }
-        writeln!(out, "cache: {}", cache.stats().to_json()).unwrap();
+        writeln!(
+            out,
+            "cache: {}",
+            serde_json::to_string(&cache.stats()).expect("cache stats serialize")
+        )
+        .unwrap();
     }
     // Last so `terms_loaded` reflects everything the stages above
     // actually materialized from the persistent segment.
@@ -1016,6 +945,7 @@ pub fn demo() -> String {
 mod tests {
     use super::*;
     use xfrag_core::{FilterExpr, Strategy};
+    use xfrag_doc::parse_str;
 
     fn args(keywords: &[&str], filter: FilterExpr) -> SearchArgs {
         SearchArgs {
@@ -1488,7 +1418,9 @@ mod multi_tests {
         std::fs::write(dir.join("b.xml"), "<b><p>xml</p><p>search</p></b>").unwrap();
         std::fs::write(dir.join("c.xml"), "<c><p>unrelated</p></c>").unwrap();
         std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
-        let coll = load_dir(&dir.to_string_lossy()).unwrap();
+        let coll = load_corpus(&dir.to_string_lossy(), None, false)
+            .unwrap()
+            .coll;
         assert_eq!(coll.len(), 3);
         let out = multi_search(&coll, &margs(&dir.to_string_lossy())).unwrap();
         assert!(out.contains("a.xml"), "{out}");
@@ -1504,7 +1436,9 @@ mod multi_tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("a.xml"), "<a><p>xml search engines</p></a>").unwrap();
         std::fs::write(dir.join("b.xml"), "<b><p>xml</p><p>search</p></b>").unwrap();
-        let coll = load_dir(&dir.to_string_lossy()).unwrap();
+        let coll = load_corpus(&dir.to_string_lossy(), None, false)
+            .unwrap()
+            .coll;
         let mut a = margs(&dir.to_string_lossy());
         a.profile = ProfileMode::Text;
         let out = multi_search(&coll, &a).unwrap();

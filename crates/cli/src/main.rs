@@ -12,6 +12,7 @@
 
 mod args;
 mod commands;
+mod corpus;
 mod protocol;
 mod serve;
 

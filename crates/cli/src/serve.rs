@@ -35,6 +35,7 @@
 //! as the `shutdown` request kind instead (see DESIGN.md).
 
 use crate::commands::CliError;
+use crate::corpus::{load_corpus, Corpus};
 use crate::protocol::{status, Answer, Request, RequestKind, Response, ShardOutcome};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -56,7 +57,7 @@ use xfrag_core::{
     Flight, GenerationTag, Query, QueryCache, QueryError, RetryBudget, Singleflight, SLCA_APPROX,
 };
 use xfrag_doc::manifest;
-use xfrag_doc::{Collection, DocId, Document};
+use xfrag_doc::DocId;
 
 /// Parsed `xfrag serve` arguments.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,18 +131,13 @@ impl ServeArgs {
 
 /// Route a document display name to a shard index.
 ///
-/// FNV-1a rather than [`std::hash::DefaultHasher`]: the std hasher's
-/// keys are explicitly not guaranteed stable across processes or
-/// releases, and routing must be stable so a restart or reload keeps
-/// each document — and therefore each shard's cache arena — on the
-/// same shard.
+/// FNV-1a ([`manifest::checksum`]) rather than
+/// [`std::hash::DefaultHasher`]: the std hasher's keys are explicitly
+/// not guaranteed stable across processes or releases, and routing must
+/// be stable so a restart or reload keeps each document — and therefore
+/// each shard's cache arena — on the same shard.
 fn route(name: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % shards.max(1) as u64) as usize
+    (manifest::checksum(name.as_bytes()) % shards.max(1) as u64) as usize
 }
 
 /// Serve counters; exposed verbatim by the `stats` request kind.
@@ -270,31 +266,12 @@ struct Inner {
 /// shared pointer mid-evaluation — that is the whole zero-downtime
 /// story: readers never block writers and vice versa.
 pub(crate) struct Generation {
-    /// The loaded corpus.
-    coll: Collection,
+    /// What the corpus directory held when this snapshot was loaded.
+    corpus: Corpus,
     /// Document ids owned by each shard, in collection order within a
     /// shard. Routing is by display-name hash (see [`route`]), so a
     /// document stays on its shard across reloads and restarts.
     shard_docs: Vec<Vec<DocId>>,
-    /// Files that failed to load, with reasons.
-    quarantined: Vec<(String, String)>,
-    /// Manifest generation number; 0 for an unversioned (legacy) corpus.
-    number: u64,
-    /// Verified parent chain of the serving manifest, nearest ancestor
-    /// first; empty for a full generation or an unversioned corpus.
-    parent_chain: Vec<u64>,
-    /// Documents whose data files are referenced from an ancestor
-    /// generation (delta carry) vs written by this generation itself.
-    docs_carried: u64,
-    docs_rewritten: u64,
-    /// Display name → manifest checksum. Equal sums across a reload
-    /// prove the file bytes are identical, which is what licenses cache
-    /// carry-over. Empty for an unversioned corpus: nothing vouches for
-    /// byte identity there, so nothing is carried.
-    doc_sums: HashMap<String, u64>,
-    /// Rollback messages from [`manifest::load_generation`]: newer
-    /// generations that existed on disk but failed verification.
-    rollbacks: Vec<String>,
     /// Process-unique cache identity of this snapshot. A reload mints a
     /// fresh tag, so cache entries keyed by the old one become
     /// unreachable (implicit invalidation) while in-flight requests that
@@ -375,20 +352,7 @@ fn pool_totals(s: &Shared) -> (usize, usize, usize) {
 pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     let fault = args.injector()?;
     let shards_n = args.shards.max(1);
-    let generation = load_corpus(&args.dir, fault.as_ref(), shards_n)?;
-    for r in &generation.rollbacks {
-        eprintln!("warning: {r}");
-    }
-    for (name, why) in &generation.quarantined {
-        eprintln!("warning: quarantined {name}: {why}");
-    }
-    if generation.coll.is_empty() {
-        return Err(CliError::Query(format!(
-            "no loadable documents in {} ({} quarantined)",
-            args.dir,
-            generation.quarantined.len()
-        )));
-    }
+    let generation = Generation::new(load_corpus(&args.dir, fault.as_ref(), true)?, shards_n);
     let listener = TcpListener::bind(("127.0.0.1", args.port))
         .map_err(|e| CliError::Io(format!("127.0.0.1:{}", args.port), e))?;
     let addr = listener
@@ -454,11 +418,11 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
                 // *claims* commitment (its manifest exists); data-file
                 // remnants of an in-progress index are not a signal, and
                 // a failed probe is not a failed reload.
-                let current = s.snapshot().number;
+                let current = s.snapshot().corpus.number;
                 let newest = manifest::latest_manifest_number(Path::new(&s.dir)).unwrap_or(current);
                 if newest > current {
                     match try_reload(&s) {
-                        Ok(gen) => eprintln!("watch: reloaded generation {}", gen.number),
+                        Ok(gen) => eprintln!("watch: reloaded generation {}", gen.corpus.number),
                         Err(why) => eprintln!("warning: watch reload failed: {why}"),
                     }
                 }
@@ -533,7 +497,7 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     }
     let (_, _, in_flight) = pool_totals(&shared);
     let st = shared.stats.lock().unwrap();
-    let quarantined = shared.snapshot().quarantined.len();
+    let quarantined = shared.snapshot().corpus.quarantined.len();
     Ok(format!(
         "drained: {} request(s) ({} ok, {} degraded, {} shed, {} timeout, {} error), \
          {} worker panic(s), {} file(s) quarantined, {} in flight\n",
@@ -549,167 +513,23 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     ))
 }
 
-/// Load the corpus in `dir` as a [`Generation`] partitioned into
-/// `shards` routing buckets.
-///
-/// A manifest-committed corpus loads exactly the newest fully-verified
-/// generation's files ([`manifest::load_generation`] handles rollback);
-/// a legacy directory (no manifests) scans every `.xml`/`.xfrg` as
-/// before. Either way, files that fail to read, decode, or parse —
-/// including injected `serve:load` read errors and even a panicking
-/// loader — are quarantined instead of refusing to start. Only a
-/// directory where manifests exist but *none* verifies is a hard error:
-/// anything served from it would be a partial generation.
-fn load_corpus(
-    dir: &str,
-    fault: Option<&Arc<FaultInjector>>,
-    shards: usize,
-) -> Result<Generation, CliError> {
-    let dirp = Path::new(dir);
-    let mut parent_chain: Vec<u64> = Vec::new();
-    let mut docs_carried = 0u64;
-    let mut docs_rewritten = 0u64;
-    let mut doc_sums: HashMap<String, u64> = HashMap::new();
-    type LoadFile = (std::path::PathBuf, String, Option<std::path::PathBuf>);
-    let (files, number, rollbacks): (Vec<LoadFile>, u64, Vec<String>) =
-        match manifest::load_generation(dirp).map_err(|e| CliError::Io(dir.to_string(), e))? {
-            manifest::GenerationLoad::Unversioned => {
-                // Legacy corpus: scan the directory. Generation-named
-                // files and temp remnants are skipped — without a
-                // manifest nothing vouches for them. A plain `.xfrg`
-                // with an `.xidx` sibling serves segment-backed.
-                let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-                    .map_err(|e| CliError::Io(dir.to_string(), e))?
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| {
-                        p.extension()
-                            .and_then(|e| e.to_str())
-                            .is_some_and(|e| e == "xml" || e == "xfrg")
-                    })
-                    .collect();
-                paths.sort();
-                let files = paths
-                    .into_iter()
-                    .filter_map(|p| {
-                        let name = p.file_name()?.to_string_lossy().into_owned();
-                        if manifest::split_generation_file(&name).is_some()
-                            || xfrag_doc::atomic::is_temp_remnant(&name)
-                        {
-                            return None;
-                        }
-                        let seg = (name.ends_with(".xfrg"))
-                            .then(|| p.with_extension("xidx"))
-                            .filter(|sp| sp.exists());
-                        Some((p, name, seg))
-                    })
-                    .collect();
-                (files, 0, Vec::new())
-            }
-            manifest::GenerationLoad::Committed {
-                manifest: m,
-                rollbacks,
-            } => {
-                // `load_generation` already verified the chain; a walk
-                // failure here would be a concurrent prune, in which
-                // case lineage is cosmetic and empty is fine.
-                parent_chain = manifest::parent_chain(dirp, &m).unwrap_or_default();
-                // Partition the manifest: `.xidx` index segments pair
-                // with their document by stem; documents drive the
-                // carried/rewritten accounting and cache carry-over.
-                let mut seg_paths: HashMap<String, std::path::PathBuf> = HashMap::new();
-                let mut docs: Vec<(std::path::PathBuf, String)> = Vec::new();
-                for e in &m.files {
-                    // Display names drop the `.g<gen>` infix so a
-                    // document keeps its identity across reloads.
-                    let (display, file_gen) = manifest::split_generation_file(&e.name)
-                        .unwrap_or_else(|| (e.name.clone(), m.generation));
-                    if let Some(stem) = display.strip_suffix(".xidx") {
-                        seg_paths.insert(stem.to_string(), dirp.join(&e.name));
-                        continue;
-                    }
-                    if file_gen == m.generation {
-                        docs_rewritten += 1;
-                    } else {
-                        docs_carried += 1;
-                    }
-                    doc_sums.insert(display.clone(), e.checksum);
-                    docs.push((dirp.join(&e.name), display));
-                }
-                docs.sort_by(|a, b| a.1.cmp(&b.1));
-                let files = docs
-                    .into_iter()
-                    .map(|(p, display)| {
-                        let seg = display
-                            .strip_suffix(".xfrg")
-                            .and_then(|stem| seg_paths.get(stem).cloned());
-                        (p, display, seg)
-                    })
-                    .collect();
-                (files, m.generation, rollbacks)
-            }
-            manifest::GenerationLoad::NoneCommitted { rollbacks } => {
-                return Err(CliError::Query(format!(
-                    "no fully-committed generation in {dir}: {}",
-                    rollbacks.join("; ")
-                )));
-            }
-        };
-    let mut coll = Collection::new();
-    let mut quarantined = Vec::new();
-    for (path, name, seg_path) in files {
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<Document, CliError> {
-            if let Some(inj) = fault {
-                inj.fire(site::SERVE_LOAD).map_err(|_| {
-                    CliError::Io(name.clone(), std::io::Error::other("injected read error"))
-                })?;
-            }
-            crate::commands::load(&path.to_string_lossy())
-        }));
-        match attempt {
-            Ok(Ok(doc)) => {
-                // A bad segment never takes the document down: warn and
-                // fall back to an in-memory index.
-                let seg = seg_path.and_then(|sp| {
-                    crate::commands::load_segment(&sp, &doc)
-                        .map_err(|why| {
-                            eprintln!(
-                                "warning: {name}: index segment unusable ({why}); \
-                                 using the in-memory index"
-                            );
-                        })
-                        .ok()
-                });
-                match seg {
-                    Some(seg) => coll.add_with_segment(&name, doc, seg),
-                    None => coll.add(&name, doc),
-                };
-            }
-            Ok(Err(e)) => quarantined.push((name, e.to_string())),
-            Err(payload) => quarantined.push((
-                name,
-                format!("loader panicked: {}", panic_message(payload.as_ref())),
-            )),
+impl Generation {
+    /// A freshly loaded corpus as a serving snapshot: its documents
+    /// partitioned into `shards` routing buckets, under a new cache tag.
+    fn new(corpus: Corpus, shards: usize) -> Generation {
+        // Partition by stable name hash. Within a shard the ids stay in
+        // collection order, so a shard's evaluation visits its documents
+        // in the same order a single-shard server would.
+        let mut shard_docs: Vec<Vec<DocId>> = vec![Vec::new(); shards.max(1)];
+        for id in corpus.coll.ids() {
+            shard_docs[route(corpus.coll.name(id), shards)].push(id);
+        }
+        Generation {
+            corpus,
+            shard_docs,
+            tag: GenerationTag::fresh(),
         }
     }
-    // Partition by stable name hash. Within a shard the ids stay in
-    // collection order, so a shard's evaluation visits its documents
-    // in the same order a single-shard server would.
-    let mut shard_docs: Vec<Vec<DocId>> = vec![Vec::new(); shards.max(1)];
-    for id in coll.ids() {
-        shard_docs[route(coll.name(id), shards)].push(id);
-    }
-    Ok(Generation {
-        coll,
-        shard_docs,
-        quarantined,
-        number,
-        parent_chain,
-        docs_carried,
-        docs_rewritten,
-        doc_sums,
-        rollbacks,
-        tag: GenerationTag::fresh(),
-    })
 }
 
 /// Build the next generation off the serving path and swap it in.
@@ -724,28 +544,22 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
         s.reloads_failed.fetch_add(1, Ordering::SeqCst);
         eprintln!(
             "warning: reload failed, still serving generation {}: {why}",
-            current.number
+            current.corpus.number
         );
         Err(why)
     };
-    let next = match load_corpus(&s.dir, s.fault.as_ref(), s.shards.len()) {
-        Ok(g) => g,
+    let next = match load_corpus(&s.dir, s.fault.as_ref(), false) {
+        Ok(corpus) => corpus,
         Err(e) => return fail(e.to_string()),
     };
-    if next.coll.is_empty() {
+    let serving = current.corpus.number;
+    if next.number < serving {
         return fail(format!(
-            "no loadable documents in {} ({} quarantined)",
-            s.dir,
-            next.quarantined.len()
+            "newest committed generation is {} but generation {serving} is already serving",
+            next.number
         ));
     }
-    if next.number < current.number {
-        return fail(format!(
-            "newest committed generation is {} but generation {} is already serving",
-            next.number, current.number
-        ));
-    }
-    if next.number == current.number && !next.rollbacks.is_empty() {
+    if next.number == serving && !next.rollbacks.is_empty() {
         // A newer generation exists on disk but failed verification:
         // re-loading what we already serve is not the reload that was
         // asked for.
@@ -754,6 +568,7 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
     for r in &next.rollbacks {
         eprintln!("warning: {r}");
     }
+    let next = Generation::new(next, s.shards.len());
     // Carry cache entries for byte-identical documents across the
     // generation bump, per shard arena. Manifest checksums vouch for
     // byte identity: equal sums on both sides mean the same file bytes,
@@ -767,17 +582,15 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
     // old `Arc` and tag; their entries were just moved, so they take
     // benign misses, never stale hits.
     if s.shards.iter().any(|shard| shard.cache.is_some()) {
-        let old_ids: HashMap<&str, u32> = current
-            .coll
-            .ids()
-            .map(|id| (current.coll.name(id), id.0))
-            .collect();
+        let (old, new) = (&current.corpus, &next.corpus);
+        let old_ids: HashMap<&str, u32> =
+            old.coll.ids().map(|id| (old.coll.name(id), id.0)).collect();
         let mut doc_map = HashMap::new();
-        for id in next.coll.ids() {
-            let name = next.coll.name(id);
-            if let (Some(old), Some(sum)) = (old_ids.get(name), next.doc_sums.get(name)) {
-                if current.doc_sums.get(name) == Some(sum) {
-                    doc_map.insert(*old, id.0);
+        for id in new.coll.ids() {
+            let name = new.coll.name(id);
+            if let (Some(old_id), Some(sum)) = (old_ids.get(name), new.doc_sums.get(name)) {
+                if old.doc_sums.get(name) == Some(sum) {
+                    doc_map.insert(*old_id, id.0);
                 }
             }
         }
@@ -898,9 +711,9 @@ fn handle_conn(s: Arc<Shared>, stream: TcpStream) {
                             let mut r = Response::bare(req.id, status::OK);
                             r.note = Some(format!(
                                 "serving generation {} ({} doc(s), {} quarantined)",
-                                gen.number,
-                                gen.coll.len(),
-                                gen.quarantined.len()
+                                gen.corpus.number,
+                                gen.corpus.coll.len(),
+                                gen.corpus.quarantined.len()
                             ));
                             r.to_line()
                         }
@@ -1054,6 +867,16 @@ fn admit_scatter(s: &Arc<Shared>, req: Request) -> Result<Gather, Box<Response>>
 /// `"complete":false`.
 const GATHER_GRACE: Duration = Duration::from_millis(250);
 
+/// A request's effective deadline: the tighter of its own and the
+/// server's, `None` when neither sets one.
+fn deadline(s: &Shared, req: &Request) -> Option<Duration> {
+    s.timeout_ms
+        .into_iter()
+        .chain(req.timeout_ms)
+        .min()
+        .map(Duration::from_millis)
+}
+
 /// Collect one reply per admitted shard and merge them into one
 /// response.
 ///
@@ -1066,12 +889,7 @@ const GATHER_GRACE: Duration = Duration::from_millis(250);
 fn gather_response(s: &Shared, mut g: Gather) -> Response {
     let id = g.req.id;
     let total = s.shards.len();
-    let deadline = match (s.timeout_ms, g.req.timeout_ms) {
-        (None, None) => None,
-        (a, b) => Some(Duration::from_millis(
-            a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX)),
-        )),
-    };
+    let deadline = deadline(s, &g.req);
     let overall = deadline.map(|d| g.enqueued + d + GATHER_GRACE);
     let mut first_timeout: Option<String> = None;
     let mut first_panic: Option<String> = None;
@@ -1149,7 +967,7 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
     }
 
     let req = &*g.req;
-    let coll = &g.gen.coll;
+    let coll = &g.gen.corpus.coll;
     let ok = evals.len();
     let complete = ok == total;
     let mut answers = Vec::new();
@@ -1267,15 +1085,20 @@ fn begin_shutdown(s: &Arc<Shared>, id: u64) -> String {
 fn health_line(s: &Shared, id: u64) -> String {
     let gen = s.snapshot();
     let (workers, queued, in_flight) = pool_totals(s);
-    let quarantined: Vec<&str> = gen.quarantined.iter().map(|(n, _)| n.as_str()).collect();
+    let quarantined: Vec<&str> = gen
+        .corpus
+        .quarantined
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .collect();
     format!(
         "{{\"id\":{},\"status\":\"ok\",\"workers\":{},\"queued\":{},\"in_flight\":{},\"docs\":{},\"generation\":{},\"quarantined\":{}}}",
         id,
         workers,
         queued,
         in_flight,
-        gen.coll.len(),
-        gen.number,
+        gen.corpus.coll.len(),
+        gen.corpus.number,
         serde_json::to_string(&quarantined).expect("names serialize"),
     )
 }
@@ -1292,7 +1115,10 @@ fn cache_json<'a>(shards: impl IntoIterator<Item = &'a Shard>) -> String {
             agg.absorb(st);
             agg
         })
-        .map_or_else(|| "null".to_string(), |agg| agg.to_json())
+        .map_or_else(
+            || "null".to_string(),
+            |agg| serde_json::to_string(&agg).expect("cache stats serialize"),
+        )
 }
 
 fn stats_line(s: &Shared, id: u64) -> String {
@@ -1300,6 +1126,7 @@ fn stats_line(s: &Shared, id: u64) -> String {
     // Quarantine detail (file + reason) so operators can see *why* a
     // document is missing from the serving set, not just that it is.
     let quarantined: Vec<String> = gen
+        .corpus
         .quarantined
         .iter()
         .map(|(file, reason)| {
@@ -1320,6 +1147,7 @@ fn stats_line(s: &Shared, id: u64) -> String {
     // ancestor first), how many documents it carries vs rewrote, and
     // the lifetime cache carry-over counters.
     let chain = gen
+        .corpus
         .parent_chain
         .iter()
         .map(|g| g.to_string())
@@ -1328,9 +1156,9 @@ fn stats_line(s: &Shared, id: u64) -> String {
     let delta = format!(
         "{{\"parent_chain\":[{}],\"chain_depth\":{},\"docs_carried\":{},\"docs_rewritten\":{},\"carry_over\":{{\"kept\":{},\"rekeyed\":{},\"evicted\":{}}}}}",
         chain,
-        gen.parent_chain.len(),
-        gen.docs_carried,
-        gen.docs_rewritten,
+        gen.corpus.parent_chain.len(),
+        gen.corpus.docs_carried,
+        gen.corpus.docs_rewritten,
         s.carry_kept.load(Ordering::SeqCst),
         s.carry_rekeyed.load(Ordering::SeqCst),
         s.carry_evicted.load(Ordering::SeqCst),
@@ -1340,9 +1168,9 @@ fn stats_line(s: &Shared, id: u64) -> String {
     // lists have been lazily materialized so far.
     let index = format!(
         "{{\"segments\":{},\"bytes\":{},\"terms_loaded\":{}}}",
-        gen.coll.segment_count(),
-        gen.coll.index_bytes(),
-        gen.coll.index_terms_loaded(),
+        gen.corpus.coll.segment_count(),
+        gen.corpus.coll.index_bytes(),
+        gen.corpus.coll.index_terms_loaded(),
     );
     // Per-shard fault-domain detail, in shard order (see the schema
     // comment in `protocol.rs`): pool state, respawn and evaluation
@@ -1378,7 +1206,7 @@ fn stats_line(s: &Shared, id: u64) -> String {
     format!(
         "{{\"id\":{},\"status\":\"ok\",\"generation\":{},\"reloads\":{{\"ok\":{},\"failed\":{}}},\"quarantined\":{},\"serve\":{{\"total\":{},\"ok\":{},\"degraded\":{},\"shed\":{},\"timeout\":{},\"error\":{},\"shutting_down\":{},\"invalid\":{},\"worker_panics\":{},\"accept_errors\":{}}},\"eval\":{},\"latency\":{},\"cache\":{},\"delta\":{},\"index\":{},\"shards\":{}}}",
         id,
-        gen.number,
+        gen.corpus.number,
         s.reloads_ok.load(Ordering::SeqCst),
         s.reloads_failed.load(Ordering::SeqCst),
         quarantined,
@@ -1474,7 +1302,7 @@ fn handle_shard_query(s: &Shared, job: &ShardJob) -> ShardReply {
     // shard of one request answers from the same generation even if a
     // reload swapped the shared pointer mid-scatter.
     let gen = &job.gen;
-    let coll = &gen.coll;
+    let coll = &gen.corpus.coll;
     let shard = &s.shards[job.shard];
     // The gather may have given this sub-job up while it sat queued
     // (deadline plus grace passed, or a sibling shard failed the
@@ -1494,14 +1322,8 @@ fn handle_shard_query(s: &Shared, job: &ShardJob) -> ShardReply {
             return ShardReply::Error("cancelled by injected fault at serve:worker".into());
         }
     }
-    // Effective deadline: the tighter of the request's and the server's,
-    // measured from admission (queue time counts against the request).
-    let deadline = match (s.timeout_ms, req.timeout_ms) {
-        (None, None) => None,
-        (a, b) => Some(Duration::from_millis(
-            a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX)),
-        )),
-    };
+    // Measured from admission: queue time counts against the request.
+    let deadline = deadline(s, req);
     let waited = job.enqueued.elapsed();
     let remaining = match deadline {
         Some(d) if waited >= d => {

@@ -1,8 +1,10 @@
 //! Cold-index integration: `xfrag index` commits checksummed `.xidx`
 //! segments alongside the `.xfrg` trees, a cold `msearch` runs off
 //! those segments, and the answer bytes are identical across all four
-//! strategies *and* identical to the in-memory index fallback when
-//! segments are missing or corrupt — degraded never means different.
+//! strategies *and* identical to the in-memory index fallback when an
+//! unversioned directory's segments are missing or corrupt — degraded
+//! never means different. In a committed corpus a corrupt segment fails
+//! its manifest checksum instead, and the previous generation answers.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -94,33 +96,56 @@ fn cold_queries_run_off_checksummed_segments_and_match_tree_walks() {
         assert_eq!(msearch(&out, s).0, base, "--strategy {s} diverged");
     }
 
-    // A corrupt segment degrades that document to an in-memory index
-    // with a warning — same answer bytes, never a failed or missing document.
-    let a_seg = segments
-        .iter()
-        .find(|e| e.name.starts_with("a."))
-        .unwrap()
-        .name
-        .clone();
-    let good = std::fs::read(out.join(&a_seg)).unwrap();
-    std::fs::write(out.join(&a_seg), &good[..good.len() / 2]).unwrap();
-    let (stdout, stderr) = msearch(&out, "pushdown");
+    // An unversioned directory holding the same `.xfrg`/`.xidx` pairs
+    // under plain names answers with the same bytes: the committed
+    // corpus serves under display names, which drop the generation infix.
+    let legacy = scratch("legacy");
+    for e in &m.files {
+        let (plain, _) = manifest::split_generation_file(&e.name).unwrap();
+        std::fs::copy(out.join(&e.name), legacy.join(plain)).unwrap();
+    }
+    let (stdout, stderr) = msearch(&legacy, "pushdown");
+    assert_eq!(stdout, base, "unversioned copy diverged");
+    assert!(!stderr.contains("warning"), "{stderr}");
+
+    // There, a corrupt segment degrades that document to an in-memory
+    // index with a warning — same answer bytes, never a failed or
+    // missing document.
+    let good = std::fs::read(legacy.join("a.xidx")).unwrap();
+    std::fs::write(legacy.join("a.xidx"), &good[..good.len() / 2]).unwrap();
+    let (stdout, stderr) = msearch(&legacy, "pushdown");
     assert_eq!(stdout, base, "corrupt-segment fallback changed answers");
     assert!(stderr.contains("using the in-memory index"), "{stderr}");
 
-    // No segments at all (a legacy generation): in-memory indexes, still
-    // byte-identical across every strategy.
-    for e in &segments {
-        let _ = std::fs::remove_file(out.join(&e.name));
+    // No segments at all: in-memory indexes, still byte-identical
+    // across every strategy.
+    for stem in ["a", "b", "c"] {
+        std::fs::remove_file(legacy.join(format!("{stem}.xidx"))).unwrap();
     }
     for s in ["pushdown", "brute", "naive", "reduced"] {
-        let (stdout, stderr) = msearch(&out, s);
+        let (stdout, stderr) = msearch(&legacy, s);
         assert_eq!(stdout, base, "legacy fallback diverged under {s}");
         assert!(!stderr.contains("warning"), "{stderr}");
     }
 
+    // In a committed corpus the manifest checksum rejects a corrupt
+    // segment's whole generation: `msearch` rolls back to the previous
+    // one, as `serve` does, and answers from it.
+    let o = Command::new(env!("CARGO_BIN_EXE_xfrag"))
+        .args(["index", src.to_str().unwrap(), out.to_str().unwrap()])
+        .output()
+        .expect("run xfrag index");
+    assert!(o.status.success(), "second index failed");
+    let g2 = out.join("a.g000002.xidx");
+    let good = std::fs::read(&g2).unwrap();
+    std::fs::write(&g2, &good[..good.len() / 2]).unwrap();
+    let (stdout, stderr) = msearch(&out, "pushdown");
+    assert_eq!(stdout, base, "rollback answered differently");
+    assert!(stderr.contains("generation 2 rejected"), "{stderr}");
+
     std::fs::remove_dir_all(&src).unwrap();
     std::fs::remove_dir_all(&out).unwrap();
+    std::fs::remove_dir_all(&legacy).unwrap();
 }
 
 #[test]

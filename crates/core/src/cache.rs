@@ -54,9 +54,9 @@ use crate::budget::{DegradeMode, ExecPolicy};
 use crate::query::{Query, QueryResult, Strategy};
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
+use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -456,7 +456,7 @@ impl CarryOver {
 }
 
 /// Hit/miss counters of the result lookups.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TierCounters {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -466,7 +466,7 @@ pub struct TierCounters {
 
 /// Probe/occupancy counters for one lock shard. Every lookup is one
 /// probe, so the shards' hits and misses sum to [`CacheStats::result`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ShardCounters {
     /// Probes that found a live entry.
     pub hits: u64,
@@ -480,8 +480,10 @@ pub struct ShardCounters {
     pub entries: u64,
 }
 
-/// Point-in-time snapshot of every cache counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Point-in-time snapshot of every cache counter. Serializes (field
+/// order is wire order) into the `cache` blocks of serve's `stats`
+/// reply and the CLI's `--stats` line.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Exact per-document result lookups.
     pub result: TierCounters,
@@ -509,34 +511,6 @@ impl CacheStats {
         self.bytes += other.bytes;
         self.entries += other.entries;
         self.shards.extend(other.shards);
-    }
-
-    /// Compact single-object JSON, in the serve `stats` verb's
-    /// hand-assembled style.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"result\":{{\"hits\":{},\"misses\":{}}},\"evictions\":{},\"insertions\":{},\"bytes\":{},\"entries\":{},\"shards\":[",
-            self.result.hits,
-            self.result.misses,
-            self.evictions,
-            self.insertions,
-            self.bytes,
-            self.entries,
-        );
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // invariant: fmt::Write for String never fails.
-            write!(
-                out,
-                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}}",
-                s.hits, s.misses, s.evictions, s.bytes, s.entries
-            )
-            .unwrap();
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -920,18 +894,44 @@ mod tests {
 
     #[test]
     fn stats_json_shape() {
+        // The exact bytes serve's `stats` reply and the CLI's `--stats`
+        // line carry: distinct values pin every key and its position.
+        let st = CacheStats {
+            result: TierCounters { hits: 1, misses: 2 },
+            evictions: 3,
+            insertions: 4,
+            bytes: 5,
+            entries: 6,
+            shards: vec![
+                ShardCounters {
+                    hits: 7,
+                    misses: 8,
+                    evictions: 9,
+                    bytes: 10,
+                    entries: 11,
+                },
+                ShardCounters::default(),
+            ],
+        };
+        assert_eq!(
+            serde_json::to_string(&st).unwrap(),
+            "{\"result\":{\"hits\":1,\"misses\":2},\"evictions\":3,\"insertions\":4,\
+             \"bytes\":5,\"entries\":6,\"shards\":[{\"hits\":7,\"misses\":8,\
+             \"evictions\":9,\"bytes\":10,\"entries\":11},{\"hits\":0,\"misses\":0,\
+             \"evictions\":0,\"bytes\":0,\"entries\":0}]}"
+        );
+
+        // A live cache reports one counter object per lock shard.
         let cache = QueryCache::with_capacity_mb(1);
         let g = GenerationTag::fresh();
         put(&cache, &key(g, 0, "xml"), nodes([1]));
         get(&cache, &key(g, 0, "xml"));
         get(&cache, &key(g, 0, "nope"));
-        let json = cache.stats().to_json();
+        let json = serde_json::to_string(&cache.stats()).unwrap();
         assert!(
-            json.starts_with("{\"result\":{\"hits\":1,\"misses\":1},\"evictions\":")
-                && json.ends_with('}'),
+            json.starts_with("{\"result\":{\"hits\":1,\"misses\":1},\"evictions\":"),
             "{json}"
         );
-        assert!(json.contains("\"shards\":["), "{json}");
         assert_eq!(
             json.matches("\"evictions\"").count(),
             1 + SHARDS,

@@ -60,12 +60,16 @@ pub struct ManifestEntry {
 impl ManifestEntry {
     /// Hash an existing file in `dir` into an entry.
     pub fn for_file(dir: &Path, name: &str) -> io::Result<ManifestEntry> {
-        let bytes = fs::read(dir.join(name))?;
-        Ok(ManifestEntry {
-            name: name.to_string(),
+        Ok(ManifestEntry::for_bytes(name, &fs::read(dir.join(name))?))
+    }
+
+    /// The entry for a file named `name` holding exactly `bytes`.
+    pub fn for_bytes(name: impl Into<String>, bytes: &[u8]) -> ManifestEntry {
+        ManifestEntry {
+            name: name.into(),
             len: bytes.len() as u64,
-            checksum: fnv1a(&bytes),
-        })
+            checksum: fnv1a(bytes),
+        }
     }
 }
 
